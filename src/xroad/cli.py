@@ -196,8 +196,8 @@ def _cmd_verify(args) -> int:
                         trials=args.trials)
     else:
         grid = default_verification_grid()
-        sim = SimConfig(trials=args.trials or 50_000, half_length=4000.0,
-                        master_seed=args.seed or 0)
+        sim = parse_sim({"half_length": 4000.0}, seed=args.seed,
+                        trials=args.trials)
     report = compare_engines(grid, sim, workers=args.workers)
     print(f"{'point':38s} {'analytic':>10s} {'mc':>10s} {'diff':>9s} "
           f"{'tol':>9s}  result")
@@ -219,6 +219,8 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {"point": _cmd_point, "sweep": _cmd_sweep,
                 "verify": _cmd_verify, "preset": _cmd_preset}
     try:
+        if args.workers < 1:
+            raise ConfigError("--workers must be at least 1")
         return handlers[args.command](args)
     except (ConfigError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

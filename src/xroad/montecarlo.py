@@ -3,9 +3,22 @@
 Each realization draws the interferer point processes on every lane of a
 finite road segment, thins them by the Aloha access probability, attaches
 unit-mean exponential power fades, draws the gamma signal fade, and checks
-the resulting SIR against the threshold.  Trials use counter-based Philox
-substreams keyed by (master_seed, trial_index), so the estimate is
+the resulting SIR against the threshold.
+
+The engine works on fixed blocks of _BLOCK trials, each driven by one
+counter-based Philox stream keyed by (master_seed, block_index).  Within a
+block every draw is vectorized: per lane, one call draws all the trials'
+interferer counts with the Aloha thinning folded in (Poisson(p * lambda *
+2 * half_length)), positions and fades are drawn in slices of at most
+_SLICE interferers, and np.bincount reduces the received powers per trial.
+Blocks are the unit of work handed to worker processes, so the estimate is
 bit-identical for any worker count or scheduling order.
+
+The per-trial functions (trial_rng, sample_interferers, _aggregate,
+sample_aggregate_interference, sample_outage_event,
+outage_from_interference) simulate one realization at a time with a
+Philox stream per trial.  They are the small reference oracle the tests
+check the block engine against.
 """
 
 from __future__ import annotations
@@ -22,6 +35,10 @@ from .model import Lane, Scenario, destination_position
 
 _MASK64 = (1 << 64) - 1
 _BLOCK = 1024  # trials per work unit; fixed so reductions never reorder
+# Interferers drawn per vectorized slice.  Small enough that a slice's
+# temporaries stay well under a megabyte, large enough to amortize the
+# per-call numpy overhead.
+_SLICE = 8192
 
 
 @dataclass(frozen=True)
@@ -56,10 +73,14 @@ class OutageEstimate:
     excluded_interferers: int = 0
 
 
+def _philox(master_seed: int, index: int) -> np.random.Generator:
+    key = ((index & _MASK64) << 64) | (master_seed & _MASK64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     """Philox generator for one trial, keyed by (seed, trial index)."""
-    key = ((trial_index & _MASK64) << 64) | (master_seed & _MASK64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return _philox(master_seed, trial_index)
 
 
 def sample_interferers(lane: Lane, scenario: Scenario, sim: SimConfig,
@@ -140,19 +161,109 @@ def sample_outage_event(scenario: Scenario, sim: SimConfig,
     return outage_from_interference(scenario, fade, ix, iy)
 
 
+def _received_power(fades: np.ndarray, dist_sq: np.ndarray,
+                    alpha: float) -> np.ndarray:
+    """fades * dist**-alpha from squared distances; alpha 2 and 4 avoid pow."""
+    if alpha == 2.0:
+        return fades / dist_sq
+    if alpha == 4.0:
+        return fades / (dist_sq * dist_sq)
+    return fades * dist_sq ** (-0.5 * alpha)
+
+
+def _slice_interference(lane: Lane, dest: tuple[float, float], alpha: float,
+                        along: np.ndarray, fades: np.ndarray,
+                        owner: np.ndarray, n_trials: int
+                        ) -> tuple[np.ndarray, int]:
+    """Received power per trial from one slice of a lane's interferers.
+
+    `along` holds the interferers' coordinates along the lane, `fades`
+    their power fades and `owner` the trial (0 .. n_trials-1) each belongs
+    to.  Interferers exactly on D have an undefined path loss; they are
+    dropped and returned as the exclusion count.
+    """
+    on_lane, across = (0, 1) if lane.axis == "x" else (1, 0)
+    dist_sq = along - dest[on_lane]
+    dist_sq *= dist_sq
+    dist_sq += (lane.offset - dest[across]) ** 2
+    at_dest = dist_sq == 0.0
+    excluded = int(np.count_nonzero(at_dest))
+    if excluded:
+        keep = ~at_dest
+        dist_sq, fades, owner = dist_sq[keep], fades[keep], owner[keep]
+    power = np.bincount(owner, weights=_received_power(fades, dist_sq, alpha),
+                        minlength=n_trials)
+    return power, excluded
+
+
+def _slices(counts: np.ndarray):
+    """(lo, hi, n): consecutive trial ranges [lo, hi) holding n <= _SLICE
+    interferers in all.  A trial with more than _SLICE forms its own range."""
+    ends = np.cumsum(counts)
+    lo = base = 0
+    while lo < len(counts):
+        hi = max(int(np.searchsorted(ends, base + _SLICE, side="right")),
+                 lo + 1)
+        top = int(ends[hi - 1])
+        yield lo, hi, top - base
+        lo, base = hi, top
+
+
+def _block_interference(scenario: Scenario, sim: SimConfig,
+                        rng: np.random.Generator, count: int
+                        ) -> tuple[np.ndarray, np.ndarray, int]:
+    """(I_X, I_Y, excluded) for `count` realizations drawn from `rng`.
+
+    Per lane, in layout order: all trials' Aloha-thinned interferer counts
+    in one Poisson draw, then positions and fades slice by slice.
+    """
+    dest = destination_position(scenario.geometry)
+    alpha = scenario.channel.alpha
+    half = sim.half_length
+    totals = {"x": np.zeros(count), "y": np.zeros(count)}
+    excluded = 0
+    for lane in scenario.lanes():
+        mean = scenario.p * scenario.lane_intensity(lane) * 2.0 * half
+        counts = rng.poisson(mean, count)
+        for lo, hi, n in _slices(counts):
+            if n == 0:
+                continue
+            owner = np.repeat(np.arange(hi - lo), counts[lo:hi])
+            along = rng.uniform(-half, half, n)
+            fades = rng.exponential(1.0, n)
+            power, ex = _slice_interference(lane, dest, alpha, along, fades,
+                                            owner, hi - lo)
+            totals[lane.axis][lo:hi] += power
+            excluded += ex
+    return totals["x"], totals["y"], excluded
+
+
+def _outage_events(scenario: Scenario, signal_fades: np.ndarray,
+                   i_x: np.ndarray, i_y: np.ndarray) -> np.ndarray:
+    """Elementwise outage_from_interference over arrays of trials."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Zero interference gives an SIR of inf (nan for a zero signal
+        # fade); neither compares below the threshold, so neither fails.
+        sir = signal_fades * scenario.link_path_loss / (i_x + i_y)
+    return sir < scenario.theta_threshold
+
+
 def _run_block(scenario: Scenario, sim: SimConfig, start: int,
                count: int) -> tuple[int, int]:
-    """Outage and exclusion counts over trials [start, start + count)."""
-    outages = 0
-    excluded = 0
+    """Outage and exclusion counts over trials [start, start + count).
+
+    The range must be (a prefix of) one fixed block: its draws come from
+    the block's own stream, keyed by (master_seed, start // _BLOCK).
+    """
+    if start % _BLOCK or not 0 < count <= _BLOCK:
+        raise ValueError(f"trials [{start}, {start + count}) are not a "
+                         f"prefix of one {_BLOCK}-trial block")
+    rng = _philox(sim.master_seed, start // _BLOCK)
+    ix, iy, excluded = _block_interference(scenario, sim, rng, count)
     ch = scenario.channel
-    for trial in range(start, start + count):
-        rng = trial_rng(sim.master_seed, trial)
-        ix, iy, ex = _aggregate(scenario, sim, rng)
-        fade = rng.gamma(ch.m, ch.mu / ch.m)
-        excluded += ex
-        outages += outage_from_interference(scenario, fade, ix, iy)
-    return outages, excluded
+    fades = rng.gamma(ch.m, ch.mu / ch.m, count)
+    outages = _outage_events(scenario, fades, ix, iy)
+    return int(np.count_nonzero(outages)), excluded
 
 
 def _confidence_interval(count: int, trials: int,

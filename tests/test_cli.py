@@ -181,11 +181,33 @@ def test_preset_runs_with_overrides(tmp_path, capsys):
 
 
 def test_verify_small_grid_passes(tmp_path, capsys):
-    code = cli.main(["verify", "--trials", "2500", "--seed", "5",
+    # 49152 trials (48 blocks) puts every point's tolerance at the 0.01
+    # floor; at a few thousand trials 3-sigma misses happen by chance.
+    code = cli.main(["verify", "--trials", "49152", "--seed", "5",
                      "--workers", "2"])
     out = capsys.readouterr().out
     assert code == 0
     assert "overall: PASS" in out
+
+
+def test_verify_zero_trials_exit_2(capsys):
+    # Zero is rejected, not replaced by the 50,000-trial default.
+    assert cli.main(["verify", "--trials", "0"]) == 2
+    assert "trials must be at least 1" in capsys.readouterr().err
+
+
+def test_verify_negative_trials_exit_2(capsys):
+    assert cli.main(["verify", "--trials", "-5"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_nonpositive_workers_exit_2(tmp_path, capsys, workers):
+    path = write_config(tmp_path)
+    assert cli.main(["point", "--config", str(path),
+                     "--workers", workers]) == 2
+    assert cli.main(["verify", "--trials", "10", "--workers", workers]) == 2
+    assert "--workers must be at least 1" in capsys.readouterr().err
 
 
 def test_verify_custom_config(tmp_path, capsys):

@@ -11,7 +11,9 @@ from xroad.montecarlo import (SimConfig, estimate, outage_from_interference,
                               sample_aggregate_interference,
                               sample_interferers, sample_outage_event,
                               trial_rng)
-from xroad.montecarlo import _aggregate
+from xroad.montecarlo import (_BLOCK, _SLICE, _aggregate, _block_interference,
+                              _outage_events, _philox, _received_power, _run_block,
+                              _slice_interference, _slices)
 
 
 def nlos_scenario(lam=0.01, d=0.0, p=0.5, r=20.0, thresh=1.0,
@@ -168,7 +170,8 @@ def test_estimate_zero_intensity_exact():
 
 def test_estimate_deterministic_and_worker_independent():
     sc = nlos_scenario(lam=0.02)
-    sim = SimConfig(trials=3000, master_seed=77)
+    # 2500 trials: two full blocks plus a partial one.
+    sim = SimConfig(trials=2500, master_seed=77)
     first = estimate(sc, sim)
     second = estimate(sc, sim)
     parallel = estimate(sc, sim, workers=2)
@@ -252,3 +255,149 @@ def test_signal_fade_distribution_matches_gamma_parameterization():
     assert values.mean() == pytest.approx(mu, rel=0.02)
     assert (values ** 2).mean() == pytest.approx(mu * mu * (m + 1) / m,
                                                  rel=0.04)
+
+
+# ------------------------------------------------------- block-vectorized path
+#
+# The per-trial functions above are the reference oracle; the tests below
+# hold the block engine that estimate() runs to the same laws.
+
+def test_block_interference_campbell_mean_with_folded_thinning():
+    # Same lane and integral as the per-trial Campbell test, with p=0.5
+    # folded into the Poisson count: mean I_X = p * lam * int (25+u^2)^-2.
+    h, lam, p = 5.0, 0.01, 0.5
+    sc = Scenario(channel=NLOS, geometry=DestinationGeometry(0.0, 0.0),
+                  link=LinkSpec(20.0),
+                  layout=RoadLayout(lanes_x=(h,), lanes_y=(), lambda_x=lam,
+                                    lambda_y=0.0),
+                  p=p, theta_threshold=1.0)
+    sim = SimConfig(trials=1, half_length=1000.0)
+    exact = p * lam * quad(lambda u: (h * h + u * u) ** -2, -1000.0, 1000.0,
+                           epsabs=0.0, epsrel=1e-12)[0]
+    blocks = 100
+    total = 0.0
+    for b in range(blocks):
+        ix, iy, excluded = _block_interference(sc, sim, _philox(2024, b),
+                                               _BLOCK)
+        assert ix.shape == (_BLOCK,) and not iy.any() and excluded == 0
+        total += ix.sum()
+    assert total / (blocks * _BLOCK) == pytest.approx(exact, rel=0.05)
+
+
+def test_block_interference_zero_cases():
+    sim = SimConfig(trials=1)
+    for sc in (nlos_scenario(lam=0.0), nlos_scenario(lam=0.02, p=0.0)):
+        ix, iy, excluded = _block_interference(sc, sim, _philox(1, 0), _BLOCK)
+        assert not ix.any() and not iy.any() and excluded == 0
+
+
+def test_block_single_interferer_outage_law():
+    # One interferer per trial at 35 m, fed through the slice helper and
+    # the array decision: P(outage) = a / (1 + a) for Rayleigh signal fading.
+    sc = nlos_scenario(lam=0.0, p=1.0)
+    dist = 35.0
+    a = (sc.theta_threshold * dist ** -4.0) / sc.link_path_loss
+    trials = 100_000
+    rng = _philox(99, 0)
+    fades = rng.exponential(1.0, trials)
+    power, excluded = _slice_interference(
+        Lane("x", 0.0), (0.0, 0.0), 4.0, np.full(trials, dist), fades,
+        np.arange(trials), trials)
+    assert excluded == 0
+    np.testing.assert_allclose(power, fades * dist ** -4.0, rtol=1e-15)
+    signal = rng.gamma(sc.channel.m, sc.channel.mu / sc.channel.m, trials)
+    hits = np.count_nonzero(_outage_events(sc, signal, power,
+                                           np.zeros(trials)))
+    oracle = a / (1.0 + a)
+    stderr = math.sqrt(oracle * (1.0 - oracle) / trials)
+    assert hits / trials == pytest.approx(oracle, abs=3 * stderr)
+
+
+def test_outage_events_decision_rules_on_arrays():
+    sc = nlos_scenario(thresh=1.0, r=20.0)
+    lsd = sc.link_path_loss
+    signal = np.array([0.0, 1.0, 1.0, 1.0, 2.0])
+    i_x = np.array([0.0, 0.0, lsd, lsd * 1.01, lsd])
+    i_y = np.array([0.0, 0.0, 0.0, 0.0, lsd])
+    # Zero interference (with or without signal) never fails; an SIR exactly
+    # at the threshold succeeds; slightly more interference tips into outage.
+    expected = [False, False, False, True, False]
+    assert _outage_events(sc, signal, i_x, i_y).tolist() == expected
+    # Elementwise agreement with the scalar oracle on random draws.
+    rng = _philox(4, 0)
+    signal = rng.gamma(3, 1.0 / 3, 2000)
+    i_x = rng.exponential(lsd, 2000) * (rng.random(2000) < 0.8)
+    i_y = rng.exponential(lsd, 2000) * (rng.random(2000) < 0.8)
+    scalar = [outage_from_interference(sc, f, x, y)
+              for f, x, y in zip(signal, i_x, i_y)]
+    assert _outage_events(sc, signal, i_x, i_y).tolist() == scalar
+
+
+def test_slice_interference_drops_interferer_at_destination():
+    power, excluded = _slice_interference(
+        Lane("x", 0.0), (0.0, 0.0), 4.0, np.array([0.0, 10.0, 20.0]),
+        np.array([1.0, 2.0, 3.0]), np.array([0, 0, 1]), 3)
+    assert excluded == 1
+    np.testing.assert_allclose(power, [2.0 * 10.0 ** -4, 3.0 * 20.0 ** -4,
+                                       0.0], rtol=1e-15)
+
+
+def test_block_exclusion_counted_and_warned(monkeypatch):
+    # Move the first interferer of each x-lane slice onto D (the origin);
+    # estimate() must count every such point and warn once.
+    import xroad.montecarlo as mc
+
+    real = mc._slice_interference
+    moved = []
+
+    def forced(lane, dest, alpha, along, fades, owner, n_trials):
+        if lane.axis == "x":
+            along = along.copy()
+            along[0] = dest[0]
+            moved.append(1)
+        return real(lane, dest, alpha, along, fades, owner, n_trials)
+
+    monkeypatch.setattr(mc, "_slice_interference", forced)
+    sc = nlos_scenario(lam=0.01, p=1.0, d=0.0)
+    with pytest.warns(RuntimeWarning, match="exactly"):
+        est = estimate(sc, SimConfig(trials=2500, master_seed=3))
+    assert est.excluded_interferers == len(moved) > 0
+    assert 0.0 < est.p_hat < 1.0
+
+
+def test_received_power_matches_pow():
+    dist_sq = np.array([1e-6, 0.25, 1.0, 2.0, 123.456, 1e6])
+    fades = np.array([0.5, 1.0, 2.0, 0.1, 3.0, 1.5])
+    for alpha in (2.0, 2.5, 4.0):
+        np.testing.assert_allclose(_received_power(fades, dist_sq, alpha),
+                                   fades * dist_sq ** (-0.5 * alpha),
+                                   rtol=1e-15)
+
+
+def test_slices_cover_trials_within_cap():
+    counts = np.array([0, 3, _SLICE - 3, 1, _SLICE + 5, 0, 7, _SLICE, 2, 0])
+    ranges = list(_slices(counts))
+    assert ranges[0][0] == 0 and ranges[-1][1] == len(counts)
+    for (lo, hi, n), nxt in zip(ranges, ranges[1:] + [(len(counts),)]):
+        assert hi == nxt[0] and hi > lo
+        assert n == counts[lo:hi].sum()
+        assert n <= _SLICE or hi - lo == 1  # only a lone trial exceeds it
+    assert (4, 5, _SLICE + 5) in ranges
+    assert list(_slices(np.zeros(4, dtype=np.int64))) == [(0, 4, 0)]
+
+
+def test_blocks_draw_from_distinct_streams():
+    # Each block is keyed by its index: identical counts across blocks
+    # would mean every block replays the same stream.
+    sc = nlos_scenario(lam=0.02)
+    sim = SimConfig(trials=8 * _BLOCK, master_seed=13)
+    counts = {_run_block(sc, sim, b * _BLOCK, _BLOCK) for b in range(8)}
+    assert len(counts) > 1
+
+
+def test_run_block_rejects_range_outside_one_block():
+    sc = nlos_scenario()
+    sim = SimConfig(trials=2048)
+    for start, count in ((1, 10), (0, _BLOCK + 1), (_BLOCK, 0)):
+        with pytest.raises(ValueError, match="block"):
+            _run_block(sc, sim, start, count)
