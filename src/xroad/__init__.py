@@ -10,17 +10,13 @@ __version__ = "0.1.0"
 
 from .analytic import (AnalyticResult, ConsistencyError, LaplaceEvalConfig,
                        QuadratureError, UnsupportedExponentError,
-                       exponent_derivative, laplace_closed_alpha2,
-                       laplace_closed_alpha4, laplace_derivative,
-                       laplace_numeric, outage_probability,
-                       success_probability)
+                       laplace_closed_alpha2, laplace_closed_alpha4,
+                       outage_probability)
 from .model import (LOS, NLOS, ChannelParams, DestinationGeometry, Lane,
                     LinkSpec, RoadLayout, Scenario, ValidationError,
                     destination_position, perpendicular_distance,
                     validate_scenario)
-from .montecarlo import (OutageEstimate, SimConfig, estimate,
-                         sample_aggregate_interference, sample_interferers,
-                         sample_outage_event, trial_rng)
+from .montecarlo import OutageEstimate, SimConfig, estimate
 from .sweep import (ComparisonReport, SweepRow, SweepSpec, Variant,
                     compare_engines, default_verification_grid, run_sweep,
                     write_csv)
@@ -33,9 +29,6 @@ __all__ = [
     "SimConfig", "SweepRow", "SweepSpec", "UnsupportedExponentError",
     "ValidationError", "Variant", "compare_engines",
     "default_verification_grid", "destination_position", "estimate",
-    "exponent_derivative", "laplace_closed_alpha2", "laplace_closed_alpha4",
-    "laplace_derivative", "laplace_numeric", "outage_probability",
-    "perpendicular_distance", "run_sweep", "sample_aggregate_interference",
-    "sample_interferers", "sample_outage_event", "success_probability",
-    "trial_rng", "validate_scenario", "write_csv",
+    "laplace_closed_alpha2", "laplace_closed_alpha4", "outage_probability",
+    "perpendicular_distance", "run_sweep", "validate_scenario", "write_csv",
 ]

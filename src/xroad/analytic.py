@@ -1,23 +1,24 @@
 """Analytic outage engine.
 
 Everything is assembled from the Laplace transform of the aggregate
-interference seen from one road lane,
+interference seen from one road axis,
 
-    L(s) = exp(g(s)),   g(s) = -p*lam * int_R  s / (s + a(u)) du,
+    L(s) = exp(g(s)),   g(s) = -p*lam * sum_lanes int_R  s / (s + a(u)) du,
 
 where a(u) = (h^2 + u^2)^(alpha/2) is the path-loss distance term of an
 interferer at along-lane coordinate u, and h is the perpendicular distance
-from the destination to the lane.  The success probability of a link with an
-integer gamma-fading parameter m is a finite sum over derivatives of the two
-per-road transforms evaluated at s = m*Theta / (mu * l_SD).
+from the destination to the lane.  The _axis_* functions are the one code
+path for g and L, used by the engine and the tests alike.  The success
+probability of a link with an integer gamma-fading parameter m is a finite
+sum over derivatives of the two per-road transforms at s = m*Theta/(mu*l_SD).
 
 Derivatives of g are taken under the integral sign, where they are exact:
 
     d^k/ds^k [ s/(s+a) ] = (-1)^(k+1) * k! * a / (s+a)^(k+1)   (k >= 1),
 
 and derivatives of L = exp(g) follow by complete-Bell-polynomial
-composition.  Closed forms exist for alpha = 2 and alpha = 4 and are checked
-against the quadrature path in the test suite.
+composition.  Per-lane closed forms exist for alpha = 2 and alpha = 4 and
+are checked against the quadrature path in the test suite.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ MAX_ORDER = 8
 
 #: Hard cap on window doublings while chasing the analytic tail bound.
 _MAX_SEGMENTS = 96
+
+#: Initial half-width of the quadrature window, m.
+_TRUNCATION = 1e4
 
 
 class UnsupportedExponentError(ValueError):
@@ -58,13 +62,10 @@ class LaplaceEvalConfig:
     """Quadrature controls for the numeric Laplace-transform path."""
 
     rel_tol: float = 1e-9       # requested total relative error
-    truncation: float = 1e4    # initial half-width of the quadrature window, m
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol <= 1e-6):
             raise ValueError("rel_tol must lie in (0, 1e-6]")
-        if not (self.truncation > 0.0):
-            raise ValueError("truncation must be positive")
 
 
 DEFAULT_EVAL = LaplaceEvalConfig()
@@ -99,7 +100,7 @@ def _half_line_integral(f, tail_coeff: float, tail_pow: float,
     (a strongly interfered lane) does not lose accuracy in exp().
     """
     piece_rel = cfg.rel_tol / 16.0
-    T = cfg.truncation
+    T = _TRUNCATION
     # Initial breakpoints make QUADPACK resolve the peak near u = 0 even
     # when the window is much wider than the integrand.
     pts = sorted({min(peak_scale, T * 0.5), min(8.0 * peak_scale, T * 0.75)})
@@ -148,43 +149,6 @@ def _exponent_integral(k: int, s: float, h: float, alpha: float,
                                      err_cap)
 
 
-def exponent_derivative(k: int, s: float, lane: Lane, scenario: Scenario,
-                        cfg: LaplaceEvalConfig = DEFAULT_EVAL) -> float:
-    """k-th derivative of the lane's log-Laplace exponent g at s.
-
-    g(s) = -p * lam * J_0(s) and, for k >= 1,
-    g^(k)(s) = (-1)^k * k! * p * lam * J_k(s) with J_k as in
-    _exponent_integral; the sign alternation makes -g a Bernstein function,
-    which the complete-monotonicity tests rely on.
-    """
-    if not 0 <= k <= MAX_ORDER:
-        raise ValueError(f"derivative order {k} outside [0, {MAX_ORDER}]")
-    if s < 0.0:
-        raise ValueError("transform argument s must be nonnegative")
-    if k >= 1 and s == 0.0:
-        raise ValueError("derivatives of the exponent need s > 0")
-    rate = scenario.p * scenario.lane_intensity(lane)
-    if rate == 0.0 or s == 0.0:
-        return 0.0
-    h = _lane_h(lane, scenario)
-    j = _exponent_integral(k, s, h, scenario.channel.alpha, cfg,
-                           err_cap=1.0 / rate)
-    if k == 0:
-        return -rate * j
-    return (-1.0) ** k * math.factorial(k) * rate * j
-
-
-def laplace_numeric(s: float, lane: Lane, scenario: Scenario,
-                    cfg: LaplaceEvalConfig = DEFAULT_EVAL) -> float:
-    """Laplace transform of the lane's aggregate interference at s >= 0,
-    by adaptive quadrature of the exponent integral."""
-    if s < 0.0:
-        raise ValueError("transform argument s must be nonnegative")
-    if s == 0.0:
-        return 1.0
-    return math.exp(exponent_derivative(0, s, lane, scenario, cfg))
-
-
 def laplace_closed_alpha4(s: float, lane: Lane, scenario: Scenario) -> float:
     """Closed-form lane Laplace transform for path-loss exponent 4.
 
@@ -221,27 +185,15 @@ def laplace_closed_alpha2(s: float, lane: Lane, scenario: Scenario) -> float:
     return math.exp(-rate * math.pi * s / math.sqrt(s + h * h))
 
 
-def laplace_derivative(n: int, s: float, lane: Lane, scenario: Scenario,
-                       cfg: LaplaceEvalConfig = DEFAULT_EVAL) -> float:
-    """n-th derivative of the lane Laplace transform at s, composed as
-    exp(g(s)) * B_n(g'(s), ..., g^(n)(s))."""
-    if not 0 <= n <= MAX_ORDER:
-        raise ValueError(f"derivative order {n} outside [0, {MAX_ORDER}]")
-    if n == 0:
-        return laplace_numeric(s, lane, scenario, cfg)
-    g = [exponent_derivative(k, s, lane, scenario, cfg)
-         for k in range(n + 1)]
-    return math.exp(g[0]) * complete_bell_sequence(g[1:])[n]
-
-
 def _axis_exponent_derivatives(scenario: Scenario, axis: str, s: float,
                                max_order: int,
                                cfg: LaplaceEvalConfig) -> list[float]:
     """g and its derivatives for one road axis with all lanes folded in.
 
-    Lanes on the same axis are independent point processes, so their
-    exponents (and exponent derivatives) add.  Lanes sharing a perpendicular
-    distance contribute identical integrals and are quadratured once.
+    Per lane, g = -p*lam*J_0 and g^(k) = (-1)^k * k! * p*lam*J_k (k >= 1), so
+    -g is a Bernstein function.  Lanes on the same axis are independent
+    point processes, so their exponents (and exponent derivatives) add.
+    Lanes sharing a perpendicular distance are quadratured once.
     """
     layout = scenario.layout
     offsets = layout.lanes_x if axis == "x" else layout.lanes_y
@@ -265,27 +217,6 @@ def _axis_exponent_derivatives(scenario: Scenario, axis: str, s: float,
     return out
 
 
-def _success_terms(scenario: Scenario,
-                   cfg: LaplaceEvalConfig) -> list[float]:
-    """The m summands of the success probability, each nonnegative."""
-    m = scenario.channel.m
-    if m - 1 > MAX_ORDER:
-        raise ValueError(
-            f"fading parameter m = {m} needs derivative orders beyond {MAX_ORDER}")
-    g_arg = scenario.laplace_argument
-    lx = _axis_laplace_derivatives(scenario, "x", g_arg, m - 1, cfg)
-    ly = _axis_laplace_derivatives(scenario, "y", g_arg, m - 1, cfg)
-    terms = []
-    for k in range(m):
-        inner = math.fsum(math.comb(k, n) * lx[k - n] * ly[n]
-                          for n in range(k + 1))
-        if inner == 0.0:
-            terms.append(0.0)  # avoids inf * 0 when g_arg**k overflows
-            continue
-        terms.append((-g_arg) ** k / math.factorial(k) * inner)
-    return terms
-
-
 def _axis_laplace_derivatives(scenario: Scenario, axis: str, s: float,
                               max_order: int,
                               cfg: LaplaceEvalConfig) -> list[float]:
@@ -296,13 +227,6 @@ def _axis_laplace_derivatives(scenario: Scenario, axis: str, s: float,
         return [1.0] + [0.0] * max_order
     scale = math.exp(g[0])
     return [scale * b for b in complete_bell_sequence(g[1:])]
-
-
-def success_probability(scenario: Scenario,
-                        cfg: LaplaceEvalConfig = DEFAULT_EVAL) -> float:
-    """P(SIR >= Theta) for the scenario's link."""
-    total = math.fsum(_success_terms(scenario, cfg))
-    return _clamp_probability(total)
 
 
 def _clamp_probability(value: float) -> float:
@@ -318,8 +242,23 @@ def _clamp_probability(value: float) -> float:
 
 def outage_probability(scenario: Scenario,
                        cfg: LaplaceEvalConfig = DEFAULT_EVAL) -> AnalyticResult:
-    """Outage probability, success probability and throughput of the link."""
-    terms = _success_terms(scenario, cfg)
+    """Outage probability, success probability and throughput of the link;
+    success is the sum of m nonnegative per-order summands (per_term)."""
+    m = scenario.channel.m
+    if m - 1 > MAX_ORDER:
+        raise ValueError(
+            f"fading parameter m = {m} needs derivative orders beyond {MAX_ORDER}")
+    g_arg = scenario.laplace_argument
+    lx = _axis_laplace_derivatives(scenario, "x", g_arg, m - 1, cfg)
+    ly = _axis_laplace_derivatives(scenario, "y", g_arg, m - 1, cfg)
+    terms = []
+    for k in range(m):
+        inner = math.fsum(math.comb(k, n) * lx[k - n] * ly[n]
+                          for n in range(k + 1))
+        if inner == 0.0:
+            terms.append(0.0)  # avoids inf * 0 when g_arg**k overflows
+            continue
+        terms.append((-g_arg) ** k / math.factorial(k) * inner)
     success = _clamp_probability(math.fsum(terms))
     return AnalyticResult(
         success_prob=success,

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from importlib import resources
 
 from . import __version__, analytic
@@ -22,9 +23,9 @@ from .config import (ConfigError, load_config, parse_scenario, parse_sim,
                      parse_sweep, scenario_to_dict)
 from .model import ValidationError
 from .montecarlo import SimConfig, estimate
-from .sweep import (ENGINES, SweepSpec, compare_engines,
-                    default_verification_grid, run_sweep, write_csv,
-                    write_metadata)
+from .sweep import (ENGINES, SweepRow, compare_engines,
+                    default_verification_grid, run_sweep, sweep_points,
+                    write_csv, write_metadata)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -36,19 +37,21 @@ _ENGINE_CHOICES = {"analytic": ("analytic",), "mc": ("montecarlo",),
 
 PRESETS = ("fig2", "fig3", "fig4")
 
+_CONFIG_HELP = "path to a JSON experiment config"
 
-def _add_common(parser: argparse.ArgumentParser, config_required: bool
-                ) -> None:
-    parser.add_argument("--config", required=config_required,
-                        help="path to a JSON experiment config")
-    parser.add_argument("--out", help="CSV output path")
+
+def _add_common(parser: argparse.ArgumentParser, writes_csv: bool) -> None:
+    """The run options every subcommand reads, plus --out and --engine for
+    the subcommands that write a CSV."""
+    if writes_csv:
+        parser.add_argument("--out", help="CSV output path")
+        parser.add_argument("--engine", choices=sorted(_ENGINE_CHOICES),
+                            default="both", help="which engines to run")
     parser.add_argument("--seed", type=int, help="override the master seed")
     parser.add_argument("--trials", type=int,
                         help="override the Monte-Carlo trial count")
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes for Monte-Carlo trials")
-    parser.add_argument("--engine", choices=sorted(_ENGINE_CHOICES),
-                        default="both", help="which engines to run")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -61,18 +64,21 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_point = sub.add_parser("point", help="evaluate a single scenario")
-    _add_common(p_point, config_required=True)
+    p_point.add_argument("--config", required=True, help=_CONFIG_HELP)
+    _add_common(p_point, writes_csv=True)
 
     p_sweep = sub.add_parser("sweep", help="run a configured sweep to CSV")
-    _add_common(p_sweep, config_required=True)
+    p_sweep.add_argument("--config", required=True, help=_CONFIG_HELP)
+    _add_common(p_sweep, writes_csv=True)
 
     p_verify = sub.add_parser(
         "verify", help="check analytic vs Monte-Carlo agreement")
-    _add_common(p_verify, config_required=False)
+    p_verify.add_argument("--config", help=_CONFIG_HELP)
+    _add_common(p_verify, writes_csv=False)
 
     p_preset = sub.add_parser("preset", help="run a packaged figure sweep")
     p_preset.add_argument("name", choices=PRESETS)
-    _add_common(p_preset, config_required=False)
+    _add_common(p_preset, writes_csv=True)
     return parser
 
 
@@ -80,10 +86,6 @@ def _load_preset(name: str) -> dict:
     text = (resources.files("xroad") / "presets" / f"{name}.json").read_text(
         encoding="utf-8")
     return json.loads(text)
-
-
-def _engines(args) -> tuple[str, ...]:
-    return _ENGINE_CHOICES[args.engine]
 
 
 def _metadata(config_echo: dict, sim: SimConfig,
@@ -104,7 +106,7 @@ def _cmd_point(args) -> int:
     raw = load_config(args.config)
     scenario = parse_scenario(raw)
     sim = parse_sim(raw.get("sim", {}), seed=args.seed, trials=args.trials)
-    engines = _engines(args)
+    engines = _ENGINE_CHOICES[args.engine]
     report: dict[str, object] = {}
     if "analytic" in engines:
         res = analytic.outage_probability(scenario)
@@ -124,7 +126,6 @@ def _cmd_point(args) -> int:
               f"{est.trials} trials, seed {est.seed})")
         print(f"throughput (mc)        {est.throughput:.6f} bit/s/Hz")
     if args.out:
-        from .sweep import SweepRow
         row = SweepRow(variant="point", axis="none", value=0.0,
                        outage_analytic=report.get("outage_analytic"),
                        throughput_analytic=report.get("throughput_analytic"),
@@ -144,10 +145,8 @@ def _run_sweep_config(raw: dict, args, default_out: str) -> int:
     if "sweep" not in raw:
         raise ConfigError("config has no 'sweep' section")
     spec = parse_sweep(raw["sweep"], scenario)
-    spec = SweepSpec(base=spec.base, axis=spec.axis, values=spec.values,
-                     engines=_engines(args) if args.engine != "both"
-                     else spec.engines,
-                     variants=spec.variants, lane_spacing=spec.lane_spacing)
+    if args.engine != "both":
+        spec = replace(spec, engines=_ENGINE_CHOICES[args.engine])
     sim = parse_sim(raw.get("sim", {}), seed=args.seed, trials=args.trials)
     rows = run_sweep(spec, sim, workers=args.workers)
     out = args.out or default_out
@@ -187,11 +186,8 @@ def _cmd_verify(args) -> int:
         if "sweep" not in raw:
             raise ConfigError("verify with --config needs a 'sweep' section")
         spec = parse_sweep(raw["sweep"], scenario)
-        from .sweep import apply_axis_value, apply_variant
-        grid = [(f"{variant.label} {spec.axis}={value:g}",
-                 apply_axis_value(apply_variant(spec.base, variant),
-                                  spec.axis, value, spec.lane_spacing))
-                for variant in spec.variants for value in spec.values]
+        grid = [(f"{variant.label} {spec.axis}={value:g}", point)
+                for _, variant, _, value, point in sweep_points(spec)]
         sim = parse_sim(raw.get("sim", {}), seed=args.seed,
                         trials=args.trials)
     else:

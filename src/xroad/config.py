@@ -15,15 +15,11 @@ from pathlib import Path
 from .model import (CHANNEL_PRESETS, ChannelParams, DestinationGeometry,
                     LinkSpec, RoadLayout, Scenario, validate_scenario)
 from .montecarlo import SimConfig
-from .sweep import AXES, ENGINES, SweepSpec, Variant, validate_sweep
+from .sweep import ENGINES, SweepSpec, Variant, db_to_linear, validate_sweep
 
 
 class ConfigError(ValueError):
     """A config file failed to parse or validate; message names the field."""
-
-
-def db_to_linear(value_db: float) -> float:
-    return 10.0 ** (value_db / 10.0)
 
 
 def _check_keys(obj: dict, where: str, allowed: set[str],
@@ -98,6 +94,11 @@ def parse_scenario(obj: dict) -> Scenario:
     _check_keys(geometry, "geometry", {"d", "theta"})
     link = obj["link"]
     _check_keys(link, "link", {"r"}, {"r"})
+    threshold = db_to_linear(
+        _number(obj, "scenario", "sir_threshold_db", 0.0))
+    if not 0.0 < threshold < math.inf:
+        raise ConfigError("scenario.sir_threshold_db must give a positive, "
+                          "finite linear threshold")
     scenario = Scenario(
         channel=parse_channel(obj["channel"]),
         geometry=DestinationGeometry(d=_number(geometry, "geometry", "d", 0.0),
@@ -106,8 +107,7 @@ def parse_scenario(obj: dict) -> Scenario:
         link=LinkSpec(r=_number(link, "link", "r")),
         layout=parse_layout(obj.get("layout", {})),
         p=_number(obj, "scenario", "aloha_p", 1.0),
-        theta_threshold=db_to_linear(
-            _number(obj, "scenario", "sir_threshold_db", 0.0)),
+        theta_threshold=threshold,
     )
     return validate_scenario(scenario)
 
@@ -145,9 +145,6 @@ def parse_sweep(obj: dict, base: Scenario) -> SweepSpec:
     _check_keys(obj, "sweep",
                 {"axis", "values", "engines", "variants", "lane_spacing"},
                 {"axis", "values"})
-    axis = obj["axis"]
-    if axis not in AXES:
-        raise ConfigError(f"sweep.axis must be one of {AXES}")
     values = obj["values"]
     if not isinstance(values, list) or any(
             isinstance(v, bool) or not isinstance(v, (int, float))
@@ -164,7 +161,7 @@ def parse_sweep(obj: dict, base: Scenario) -> SweepSpec:
                      for i, v in enumerate(raw_variants))
     spec = SweepSpec(
         base=base,
-        axis=axis,
+        axis=obj["axis"],
         values=tuple(float(v) for v in values),
         engines=tuple(engines),
         variants=variants,

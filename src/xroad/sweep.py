@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -42,11 +43,21 @@ class SweepSpec:
     lane_spacing: float = 3.5
 
 
+def db_to_linear(value_db: float) -> float:
+    """Linear power ratio of a dB value; inf where it overflows a float."""
+    try:
+        return 10.0 ** (value_db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
 def validate_sweep(spec: SweepSpec) -> SweepSpec:
     if spec.axis not in AXES:
         raise ValueError(f"sweep axis must be one of {AXES}")
     if not spec.values:
         raise ValueError("sweep values must be nonempty")
+    if not all(math.isfinite(v) for v in spec.values):
+        raise ValueError("sweep values must be finite")
     if any(b <= a for a, b in zip(spec.values, spec.values[1:])):
         raise ValueError("sweep values must be strictly increasing")
     if not spec.engines or any(e not in ENGINES for e in spec.engines):
@@ -54,6 +65,10 @@ def validate_sweep(spec: SweepSpec) -> SweepSpec:
     if spec.axis == "lanes" and any(v != int(v) or v < 1
                                     for v in spec.values):
         raise ValueError("lane counts must be positive integers")
+    if spec.axis == "threshold_db" and not all(
+            0.0 < db_to_linear(v) < math.inf for v in spec.values):
+        raise ValueError("threshold_db values must give a positive, finite "
+                         "linear threshold")
     if not spec.variants:
         raise ValueError("at least one variant is required")
     validate_scenario(spec.base)
@@ -95,10 +110,20 @@ def apply_axis_value(scenario: Scenario, axis: str, value: float,
             lanes_y=offsets if (lay.lanes_y and lay.lambda_y > 0) else lay.lanes_y,
         ))
     if axis == "threshold_db":
-        return replace(scenario, theta_threshold=10.0 ** (value / 10.0))
+        return replace(scenario, theta_threshold=db_to_linear(value))
     if axis == "aloha_p":
         return replace(scenario, p=value)
     raise ValueError(f"unknown sweep axis {axis!r}")
+
+
+def sweep_points(spec: SweepSpec):
+    """(variant index, variant, value index, value, unvalidated scenario)
+    for every sweep point, in (variant, value) order."""
+    for vi, variant in enumerate(spec.variants):
+        base = apply_variant(spec.base, variant)
+        for xi, value in enumerate(spec.values):
+            yield (vi, variant, xi, value,
+                   apply_axis_value(base, spec.axis, value, spec.lane_spacing))
 
 
 @dataclass(frozen=True)
@@ -133,9 +158,8 @@ def row_seed(master_seed: int, variant_index: int, value_index: int) -> int:
     return _splitmix64(mixed ^ value_index)
 
 
-def run_sweep(spec: SweepSpec, sim: SimConfig, workers: int = 1,
-              eval_cfg: analytic.LaplaceEvalConfig = analytic.DEFAULT_EVAL
-              ) -> list[SweepRow]:
+def run_sweep(spec: SweepSpec, sim: SimConfig,
+              workers: int = 1) -> list[SweepRow]:
     """All sweep rows in (variant, value) order.
 
     Partial failures land in the row's error column and the sweep carries
@@ -143,33 +167,29 @@ def run_sweep(spec: SweepSpec, sim: SimConfig, workers: int = 1,
     """
     spec = validate_sweep(spec)
     rows: list[SweepRow] = []
-    for vi, variant in enumerate(spec.variants):
-        base = apply_variant(spec.base, variant)
-        for xi, value in enumerate(spec.values):
-            scenario = validate_scenario(
-                apply_axis_value(base, spec.axis, value, spec.lane_spacing))
-            fields: dict = {}
-            errors: list[str] = []
-            if "analytic" in spec.engines:
-                try:
-                    res = analytic.outage_probability(scenario, eval_cfg)
-                    fields["outage_analytic"] = res.outage_prob
-                    fields["throughput_analytic"] = res.throughput
-                except (ValueError, ArithmeticError) as exc:
-                    errors.append(f"analytic: {exc}")
-            if "montecarlo" in spec.engines:
-                try:
-                    point_sim = replace(
-                        sim, master_seed=row_seed(sim.master_seed, vi, xi))
-                    est = estimate(scenario, point_sim, workers=workers)
-                    fields.update(outage_mc=est.p_hat, mc_stderr=est.stderr,
-                                  ci_low=est.ci_low, ci_high=est.ci_high,
-                                  trials=est.trials)
-                except (ValueError, ArithmeticError) as exc:
-                    errors.append(f"montecarlo: {exc}")
-            rows.append(SweepRow(variant=variant.label, axis=spec.axis,
-                                 value=value, error="; ".join(errors),
-                                 **fields))
+    for vi, variant, xi, value, scenario in sweep_points(spec):
+        scenario = validate_scenario(scenario)
+        fields: dict = {}
+        errors: list[str] = []
+        if "analytic" in spec.engines:
+            try:
+                res = analytic.outage_probability(scenario)
+                fields["outage_analytic"] = res.outage_prob
+                fields["throughput_analytic"] = res.throughput
+            except (ValueError, ArithmeticError) as exc:
+                errors.append(f"analytic: {exc}")
+        if "montecarlo" in spec.engines:
+            try:
+                point_sim = replace(
+                    sim, master_seed=row_seed(sim.master_seed, vi, xi))
+                est = estimate(scenario, point_sim, workers=workers)
+                fields.update(outage_mc=est.p_hat, mc_stderr=est.stderr,
+                              ci_low=est.ci_low, ci_high=est.ci_high,
+                              trials=est.trials)
+            except (ValueError, ArithmeticError) as exc:
+                errors.append(f"montecarlo: {exc}")
+        rows.append(SweepRow(variant=variant.label, axis=spec.axis,
+                             value=value, error="; ".join(errors), **fields))
     return rows
 
 
@@ -246,9 +266,8 @@ def default_verification_grid(r: float = 10.0, p: float = 0.5,
 
 
 def compare_engines(grid: list[tuple[str, Scenario]] | None = None,
-                    sim: SimConfig | None = None, workers: int = 1,
-                    eval_cfg: analytic.LaplaceEvalConfig = analytic.DEFAULT_EVAL
-                    ) -> ComparisonReport:
+                    sim: SimConfig | None = None,
+                    workers: int = 1) -> ComparisonReport:
     """Analytic vs Monte-Carlo outage on every grid point.
 
     A point passes when |analytic - mc| <= max(0.01, 3 * stderr), so
@@ -263,7 +282,7 @@ def compare_engines(grid: list[tuple[str, Scenario]] | None = None,
     for index, (label, scenario) in enumerate(grid):
         try:
             scenario = validate_scenario(scenario)
-            ana = analytic.outage_probability(scenario, eval_cfg).outage_prob
+            ana = analytic.outage_probability(scenario).outage_prob
             point_sim = replace(sim,
                                 master_seed=row_seed(sim.master_seed, 0, index))
             est = estimate(scenario, point_sim, workers=workers)

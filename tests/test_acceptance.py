@@ -7,24 +7,34 @@ pinned here, not configurable.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from xroad import cli
-from xroad.analytic import (LaplaceEvalConfig, exponent_derivative,
-                            laplace_closed_alpha2, laplace_closed_alpha4,
-                            laplace_derivative, laplace_numeric,
-                            outage_probability, success_probability)
+from xroad.analytic import (DEFAULT_EVAL, LaplaceEvalConfig,
+                            _axis_exponent_derivatives,
+                            _axis_laplace_derivatives, laplace_closed_alpha2,
+                            laplace_closed_alpha4, outage_probability)
 from xroad.config import parse_scenario, parse_sim, parse_sweep
 from xroad.model import (LOS, NLOS, ChannelParams, DestinationGeometry, Lane,
                          LinkSpec, RoadLayout, Scenario)
 from xroad.montecarlo import SimConfig
-from xroad.sweep import (SweepSpec, compare_engines,
-                         default_verification_grid, run_sweep)
+from xroad.sweep import compare_engines, default_verification_grid, run_sweep
 
 X0 = Lane("x", 0.0)
-TIGHT = LaplaceEvalConfig(rel_tol=1e-12, truncation=1e4)
+TIGHT = LaplaceEvalConfig(rel_tol=1e-12)
+
+
+def laplace(sc, s, n=0, cfg=DEFAULT_EVAL, axis="x"):
+    """n-th derivative of one road axis's Laplace transform at s, through
+    the engine's per-axis path."""
+    return _axis_laplace_derivatives(sc, axis, s, n, cfg)[n]
+
+
+def success(sc):
+    return outage_probability(sc).success_prob
 
 
 def x_lane_scenario(alpha, h, p, lam, m=1):
@@ -47,10 +57,7 @@ def intersection(channel, d=0.0, lam=0.01, r=20.0, p=0.5, thresh=1.0,
 def analytic_sweep(preset_name):
     raw = cli._load_preset(preset_name)
     scenario = parse_scenario(raw)
-    spec = parse_sweep(raw["sweep"], scenario)
-    spec = SweepSpec(base=spec.base, axis=spec.axis, values=spec.values,
-                     engines=("analytic",), variants=spec.variants,
-                     lane_spacing=spec.lane_spacing)
+    spec = replace(parse_sweep(raw["sweep"], scenario), engines=("analytic",))
     rows = run_sweep(spec, parse_sim(raw["sim"]))
     assert all(row.error == "" for row in rows)
     return {variant.label: [r for r in rows if r.variant == variant.label]
@@ -71,7 +78,7 @@ def test_closed_form_correctness():
             lam = 10.0 ** rng.uniform(-3, -1)
             sc = x_lane_scenario(alpha, h, p, lam)
             reference = closed(s, X0, sc)
-            value = laplace_numeric(s, X0, sc)
+            value = laplace(sc, s)
             assert abs(value - reference) <= 1e-8 * reference, \
                 (alpha, s, h, p, lam)
     elapsed = time.monotonic() - start
@@ -97,14 +104,14 @@ def test_derivative_soundness():
             sc = x_lane_scenario(alpha, h, p, lam)
 
             def L(x):
-                return laplace_numeric(x, X0, sc, TIGHT)
+                return laplace(sc, x, 0, TIGHT)
             step = 0.02 * s
             fd1 = (-L(s + 2 * step) + 8 * L(s + step) - 8 * L(s - step)
                    + L(s - 2 * step)) / (12 * step)
             fd2 = (-L(s + 2 * step) + 16 * L(s + step) - 30 * L(s)
                    + 16 * L(s - step) - L(s - 2 * step)) / (12 * step ** 2)
-            d1 = laplace_derivative(1, s, X0, sc, TIGHT)
-            d2 = laplace_derivative(2, s, X0, sc, TIGHT)
+            d1 = laplace(sc, s, 1, TIGHT)
+            d2 = laplace(sc, s, 2, TIGHT)
             assert abs(d1 - fd1) <= 1e-4 * abs(fd1)
             assert abs(d2 - fd2) <= 1e-4 * abs(fd2)
             assert -d1 >= 0.0 and d2 >= 0.0  # (-1)^n L^(n) >= 0
@@ -200,18 +207,18 @@ def test_property_suite_key_limits():
     lane additivity, and a monotonicity grid."""
     # Degenerate limits.
     empty = intersection(NLOS, lam=0.0)
-    assert success_probability(empty) == 1.0
+    assert success(empty) == 1.0
     silent = intersection(NLOS, p=0.0)
-    assert success_probability(silent) == 1.0
-    assert laplace_numeric(0.0, X0, intersection(NLOS)) == 1.0
-    assert exponent_derivative(0, 0.0, X0, intersection(NLOS)) == 0.0
+    assert success(silent) == 1.0
+    assert laplace(intersection(NLOS), 0.0) == 1.0
+    assert _axis_exponent_derivatives(intersection(NLOS), "x", 0.0, 0,
+                                      DEFAULT_EVAL)[0] == 0.0
 
     # m = 1 product reduction.
     sc = intersection(NLOS, d=150.0)
     g_arg = sc.laplace_argument
-    product = (laplace_numeric(g_arg, Lane("x", 0.0), sc)
-               * laplace_numeric(g_arg, Lane("y", 0.0), sc))
-    assert abs(success_probability(sc) - product) <= 1e-12 * product
+    product = laplace(sc, g_arg) * laplace(sc, g_arg, axis="y")
+    assert abs(success(sc) - product) <= 1e-12 * product
 
     # Symmetry under theta <-> pi/2 - theta with equal intensities.
     for channel in (LOS, NLOS):
@@ -222,15 +229,13 @@ def test_property_suite_key_limits():
                                                   math.pi / 2 - math.pi / 6),
                      LinkSpec(20.0), RoadLayout.intersection(0.01, 0.01),
                      0.5, 1.0)
-        assert success_probability(a) == pytest.approx(
-            success_probability(b), rel=1e-9)
+        assert success(a) == pytest.approx(success(b), rel=1e-9)
 
     # Multi-lane additivity.
     twin = Scenario(NLOS, DestinationGeometry(0.0, 0.0), LinkSpec(20.0),
                     RoadLayout((0.0, 0.0), (0.0, 0.0), 0.01, 0.01), 0.5, 1.0)
     merged = intersection(NLOS, lam=0.02)
-    assert success_probability(twin) == pytest.approx(
-        success_probability(merged), rel=1e-10)
+    assert success(twin) == pytest.approx(success(merged), rel=1e-10)
 
     # Monotonicity in density.
     outs = [outage_probability(intersection(LOS, lam=lam)).outage_prob

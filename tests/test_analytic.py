@@ -3,16 +3,31 @@ import math
 import numpy as np
 import pytest
 
-from xroad.analytic import (LaplaceEvalConfig,
-                            UnsupportedExponentError, exponent_derivative,
-                            laplace_closed_alpha2, laplace_closed_alpha4,
-                            laplace_derivative, laplace_numeric,
-                            outage_probability, success_probability)
+from xroad.analytic import (DEFAULT_EVAL, LaplaceEvalConfig,
+                            UnsupportedExponentError,
+                            _axis_exponent_derivatives,
+                            _axis_laplace_derivatives, laplace_closed_alpha2,
+                            laplace_closed_alpha4, outage_probability)
 from xroad.model import (LOS, NLOS, ChannelParams, DestinationGeometry, Lane,
                          LinkSpec, RoadLayout, Scenario)
 
-TIGHT = LaplaceEvalConfig(rel_tol=1e-12, truncation=1e4)
+TIGHT = LaplaceEvalConfig(rel_tol=1e-12)
 X0 = Lane("x", 0.0)
+
+
+def laplace(sc, s, n=0, cfg=DEFAULT_EVAL, axis="x"):
+    """n-th derivative of one road axis's Laplace transform at s, through
+    the engine's per-axis path."""
+    return _axis_laplace_derivatives(sc, axis, s, n, cfg)[n]
+
+
+def exponent(sc, s, k=0, cfg=DEFAULT_EVAL):
+    """k-th derivative of the X axis's log-Laplace exponent at s."""
+    return _axis_exponent_derivatives(sc, "x", s, k, cfg)[k]
+
+
+def success(sc):
+    return outage_probability(sc).success_prob
 
 
 def x_lane_scenario(alpha: float, h: float, p: float, lam: float,
@@ -41,9 +56,9 @@ def intersection_scenario(channel=NLOS, d=0.0, theta=0.0, r=20.0, lam_x=0.01,
 
 def test_laplace_trivial_limits():
     sc = x_lane_scenario(4.0, 0.0, 0.5, 0.0)
-    assert laplace_numeric(123.0, X0, sc) == 1.0       # empty field
+    assert laplace(sc, 123.0) == 1.0                    # empty field
     sc = x_lane_scenario(4.0, 0.0, 0.5, 0.01)
-    assert laplace_numeric(0.0, X0, sc) == 1.0          # s = 0
+    assert laplace(sc, 0.0) == 1.0                      # s = 0
     assert laplace_closed_alpha4(0.0, X0, sc) == 1.0
     sc2 = x_lane_scenario(2.0, 5.0, 0.5, 0.01)
     assert laplace_closed_alpha2(0.0, X0, sc2) == 1.0
@@ -55,7 +70,7 @@ def test_laplace_alpha4_on_lane_value():
     expected = math.exp(-0.1 * 0.01 * math.pi * 1e4 ** 0.25 / math.sqrt(2))
     assert laplace_closed_alpha4(1e4, X0, sc) == pytest.approx(expected,
                                                                rel=1e-12)
-    assert laplace_numeric(1e4, X0, sc) == pytest.approx(expected, rel=1e-8)
+    assert laplace(sc, 1e4) == pytest.approx(expected, rel=1e-8)
     assert expected == pytest.approx(0.97803, abs=5e-6)
 
 
@@ -65,7 +80,7 @@ def test_laplace_alpha2_on_lane_value():
     expected = math.exp(-0.01 * math.pi * 2.0)
     assert laplace_closed_alpha2(4.0, X0, sc) == pytest.approx(expected,
                                                                rel=1e-12)
-    assert laplace_numeric(4.0, X0, sc) == pytest.approx(expected, rel=1e-8)
+    assert laplace(sc, 4.0) == pytest.approx(expected, rel=1e-8)
 
 
 @pytest.mark.parametrize("alpha,closed", [(4.0, laplace_closed_alpha4),
@@ -79,7 +94,7 @@ def test_closed_form_matches_quadrature_on_random_draws(alpha, closed):
         lam = 10.0 ** rng.uniform(-3, -1)
         sc = x_lane_scenario(alpha, h, p, lam)
         reference = closed(s, X0, sc)
-        value = laplace_numeric(s, X0, sc)
+        value = laplace(sc, s)
         assert value == pytest.approx(reference, rel=1e-8)
 
 
@@ -93,27 +108,16 @@ def test_closed_forms_reject_other_exponents():
 
 def test_negative_s_rejected():
     sc = x_lane_scenario(4.0, 0.0, 0.5, 0.01)
-    for fn in (laplace_numeric, laplace_closed_alpha4):
-        with pytest.raises(ValueError):
-            fn(-1.0, X0, sc)
     with pytest.raises(ValueError):
-        exponent_derivative(0, -1.0, X0, sc)
+        laplace_closed_alpha4(-1.0, X0, sc)
 
 
 # ---------------------------------------------------------------- derivatives
 
-def test_exponent_derivative_order_zero_is_log_laplace():
-    sc = x_lane_scenario(4.0, 25.0, 0.5, 0.01)
-    for s in (1.0, 300.0, 2e4):
-        g0 = exponent_derivative(0, s, X0, sc)
-        assert g0 == pytest.approx(math.log(laplace_numeric(s, X0, sc)),
-                                   rel=1e-8, abs=1e-12)
-
-
 def test_exponent_derivative_zero_field():
     sc = x_lane_scenario(4.0, 0.0, 0.5, 0.0)
     for k in range(5):
-        assert exponent_derivative(k, 10.0, X0, sc) == 0.0
+        assert exponent(sc, 10.0, k) == 0.0
 
 
 def test_exponent_first_derivative_matches_richardson_difference():
@@ -122,26 +126,13 @@ def test_exponent_first_derivative_matches_richardson_difference():
         sc = x_lane_scenario(alpha, 12.0, 0.5, 0.01)
         for s in (20.0, 500.0, 1e4):
             def g(x):
-                return exponent_derivative(0, x, X0, sc, TIGHT)
+                return exponent(sc, x, 0, TIGHT)
             step = 0.05 * s
             coarse = (g(s + step) - g(s - step)) / (2 * step)
             fine = (g(s + step / 2) - g(s - step / 2)) / step
             fd = (4 * fine - coarse) / 3
-            exact = exponent_derivative(1, s, X0, sc, TIGHT)
+            exact = exponent(sc, s, 1, TIGHT)
             assert exact == pytest.approx(fd, rel=1e-6)
-
-
-def test_exponent_derivative_domain_errors():
-    sc = x_lane_scenario(4.0, 0.0, 0.5, 0.01)
-    with pytest.raises(ValueError):
-        exponent_derivative(1, 0.0, X0, sc)
-    with pytest.raises(ValueError):
-        exponent_derivative(9, 1.0, X0, sc)
-
-
-def test_laplace_derivative_order_zero_equals_transform():
-    sc = x_lane_scenario(2.0, 7.0, 0.4, 0.02)
-    assert laplace_derivative(0, 55.0, X0, sc) == laplace_numeric(55.0, X0, sc)
 
 
 def _fd_first(L, s, step):
@@ -168,10 +159,10 @@ def test_laplace_derivatives_match_finite_differences_on_grid():
             sc = x_lane_scenario(alpha, h, p, lam)
 
             def L(x):
-                return laplace_numeric(x, X0, sc, TIGHT)
+                return laplace(sc, x, 0, TIGHT)
             step = 0.02 * s
-            d1 = laplace_derivative(1, s, X0, sc, TIGHT)
-            d2 = laplace_derivative(2, s, X0, sc, TIGHT)
+            d1 = laplace(sc, s, 1, TIGHT)
+            d2 = laplace(sc, s, 2, TIGHT)
             assert d1 == pytest.approx(_fd_first(L, s, step), rel=1e-4)
             assert d2 == pytest.approx(_fd_second(L, s, step), rel=1e-4)
             checked += 1
@@ -187,7 +178,7 @@ def test_complete_monotonicity_sign_pattern():
                 sc = sc_cache.setdefault(
                     (alpha, h), x_lane_scenario(alpha, h, 0.5, 0.01))
                 for n in range(5):
-                    value = laplace_derivative(n, float(s), X0, sc)
+                    value = laplace(sc, float(s), n)
                     assert (-1.0) ** n * value >= 0.0
 
 
@@ -195,8 +186,8 @@ def test_complete_monotonicity_sign_pattern():
 
 def test_no_interference_gives_certain_success():
     sc = intersection_scenario(lam_x=0.0, lam_y=0.0, channel=LOS)
-    assert success_probability(sc) == 1.0
     res = outage_probability(sc)
+    assert res.success_prob == 1.0
     assert res.outage_prob == 0.0
     assert res.throughput == pytest.approx(math.log2(2.0))
 
@@ -204,9 +195,8 @@ def test_no_interference_gives_certain_success():
 def test_m1_reduces_to_product_of_transforms():
     sc = intersection_scenario(channel=NLOS, d=120.0, theta=0.4)
     g_arg = sc.laplace_argument
-    product = (laplace_numeric(g_arg, Lane("x", 0.0), sc)
-               * laplace_numeric(g_arg, Lane("y", 0.0), sc))
-    assert success_probability(sc) == pytest.approx(product, rel=1e-12)
+    product = laplace(sc, g_arg) * laplace(sc, g_arg, axis="y")
+    assert success(sc) == pytest.approx(product, rel=1e-12)
 
 
 def test_success_per_term_diagnostics():
@@ -234,8 +224,7 @@ def test_symmetric_scenario_invariant_under_road_swap():
         sc = intersection_scenario(theta=math.pi / 4, **base)
         swapped = intersection_scenario(theta=math.pi / 2 - math.pi / 4,
                                         **base)
-        assert success_probability(sc) == pytest.approx(
-            success_probability(swapped), rel=1e-9)
+        assert success(sc) == pytest.approx(success(swapped), rel=1e-9)
 
 
 @pytest.mark.parametrize("channel", [NLOS, LOS])
@@ -297,21 +286,40 @@ def test_two_coincident_lanes_equal_double_intensity():
                         link=LinkSpec(20.0),
                         layout=RoadLayout((0.0, 0.0), (0.0, 0.0), 0.01, 0.01),
                         p=0.5, theta_threshold=1.0)
-        assert success_probability(twin) == pytest.approx(
-            success_probability(doubled), rel=1e-10)
+        assert success(twin) == pytest.approx(success(doubled), rel=1e-10)
+
+
+@pytest.mark.parametrize("alpha,closed", [(4.0, laplace_closed_alpha4),
+                                          (2.0, laplace_closed_alpha2)])
+def test_multi_lane_road_matches_product_of_closed_forms(alpha, closed):
+    # D at (0, 10): the X lanes lie at h = 10, 6.5, 6.5 and 3, so the road
+    # has a duplicate offset and distinct distances.
+    lanes_x = (0.0, 3.5, 3.5, 7.0)
+    sc = Scenario(channel=ChannelParams(alpha=alpha, m=1),
+                  geometry=DestinationGeometry(10.0, math.pi / 2),
+                  link=LinkSpec(20.0),
+                  layout=RoadLayout(lanes_x, (0.0,), 0.01, 0.01),
+                  p=0.5, theta_threshold=1.0)
+    for s in (1.0, 300.0, 2e4, sc.laplace_argument):
+        product = math.prod(closed(s, Lane("x", w), sc) for w in lanes_x)
+        assert laplace(sc, s) == pytest.approx(product, rel=1e-8)
+    g_arg = sc.laplace_argument
+    product = math.prod(closed(g_arg, lane, sc) for lane in sc.lanes())
+    assert outage_probability(sc).outage_prob == pytest.approx(
+        1.0 - product, rel=1e-8)
 
 
 def test_sign_pattern_holds_at_maximum_order():
     sc = intersection_scenario(channel=NLOS, d=20.0, theta=0.5, r=10.0)
     for s in (5.0, 500.0):
         for n in range(9):
-            assert (-1.0) ** n * laplace_derivative(n, s, X0, sc) >= 0.0
+            assert (-1.0) ** n * laplace(sc, s, n) >= 0.0
 
 
 def test_m_beyond_supported_order_raises():
     sc = intersection_scenario(channel=ChannelParams(alpha=4.0, m=10))
     with pytest.raises(ValueError, match="derivative orders"):
-        success_probability(sc)
+        outage_probability(sc)
 
 
 def test_eval_config_validation():
@@ -319,5 +327,3 @@ def test_eval_config_validation():
         LaplaceEvalConfig(rel_tol=1e-3)
     with pytest.raises(ValueError):
         LaplaceEvalConfig(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        LaplaceEvalConfig(truncation=0.0)

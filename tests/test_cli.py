@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import pytest
 
@@ -58,11 +59,31 @@ def test_channel_preset_and_explicit_forms(tmp_path):
     (dict(aloha_p="high"), "must be a number"),
     (dict(typo_key=1), "unknown key 'typo_key'"),
     (dict(layout={"lambda_q": 1}), "unknown key 'lambda_q'"),
+    (dict(sir_threshold_db=4000), "sir_threshold_db"),  # overflows
 ])
 def test_config_errors_name_the_field(tmp_path, mutation, fragment):
     raw = load_config(write_config(tmp_path, **mutation))
     with pytest.raises(ConfigError, match=fragment):
         parse_scenario(raw)
+
+
+@pytest.mark.parametrize("axis,value,fragment", [
+    ("threshold_db", 4000.0, "threshold_db values"),
+    ("lanes", math.inf, "finite"),
+    ("lanes", math.nan, "finite"),
+    ("density", math.nan, "finite"),
+])
+def test_unusable_sweep_values_exit_2(tmp_path, capsys, axis, value,
+                                      fragment):
+    # json writes inf and nan as Infinity and NaN, which json.load accepts.
+    path = write_config(tmp_path, sweep={
+        "axis": axis, "values": [1.0, value], "engines": ["analytic"]})
+    code = cli.main(["sweep", "--config", str(path),
+                     "--out", str(tmp_path / "o.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config error: sweep:" in err and fragment in err
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_parse_sweep_section(tmp_path):
@@ -188,6 +209,18 @@ def test_verify_small_grid_passes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "overall: PASS" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--out", "v.csv"],
+    ["verify", "--engine", "analytic"],
+    ["preset", "fig3", "--config", "cfg.json"],
+])
+def test_options_a_subcommand_ignores_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_verify_zero_trials_exit_2(capsys):

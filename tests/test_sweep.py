@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import pytest
 
@@ -10,7 +11,8 @@ from xroad.montecarlo import SimConfig
 from xroad.sweep import (CSV_COLUMNS, ComparisonReport, SweepSpec, Variant,
                          apply_axis_value, apply_variant, compare_engines,
                          default_verification_grid, row_seed, run_sweep,
-                         validate_sweep, write_csv, write_metadata)
+                         sweep_points, validate_sweep, write_csv,
+                         write_metadata)
 
 
 def base_scenario(**overrides) -> Scenario:
@@ -36,6 +38,26 @@ def test_validate_sweep_rejects_bad_specs():
         validate_sweep(SweepSpec(base, "density", (0.01,), engines=("mc",)))
     with pytest.raises(ValueError, match="lane counts"):
         validate_sweep(SweepSpec(base, "lanes", (1.5, 2.0)))
+    for axis, values in (("lanes", (1.0, math.inf)), ("lanes", (math.nan,)),
+                         ("density", (0.01, math.nan, 0.02))):
+        with pytest.raises(ValueError, match="finite"):
+            validate_sweep(SweepSpec(base, axis, values))
+    for values in ((0.0, 4000.0), (-4000.0, 0.0)):
+        with pytest.raises(ValueError, match="threshold_db"):
+            validate_sweep(SweepSpec(base, "threshold_db", values))
+    ok = SweepSpec(base, "threshold_db", (-300.0, 300.0))
+    assert validate_sweep(ok) is ok
+
+
+def test_sweep_points_follow_variant_then_value_order():
+    spec = SweepSpec(base_scenario(), "distance_d", (0.0, 50.0),
+                     variants=(Variant("NLOS"), Variant("LOS", channel=LOS)))
+    points = list(sweep_points(spec))
+    assert [(vi, v.label, xi, x) for vi, v, xi, x, _ in points] == [
+        (0, "NLOS", 0, 0.0), (0, "NLOS", 1, 50.0),
+        (1, "LOS", 0, 0.0), (1, "LOS", 1, 50.0)]
+    assert points[3][4] == apply_axis_value(
+        apply_variant(spec.base, spec.variants[1]), "distance_d", 50.0)
 
 
 def test_apply_axis_density_respects_highway():
