@@ -12,13 +12,15 @@ path for g and L, used by the engine and the tests alike.  The success
 probability of a link with an integer gamma-fading parameter m is a finite
 sum over derivatives of the two per-road transforms at s = m*Theta/(mu*l_SD).
 
-Derivatives of g are taken under the integral sign, where they are exact:
+The lane integral has closed forms for alpha = 2, for alpha = 4, and for
+any alpha when the destination lies on the lane (h = 0).  There g and all
+its derivatives come from one pass of truncated-Taylor ("jet") arithmetic
+on the closed form, with no quadrature.  Otherwise the derivatives of g
+are quadratured under the integral sign, where they are exact:
 
-    d^k/ds^k [ s/(s+a) ] = (-1)^(k+1) * k! * a / (s+a)^(k+1)   (k >= 1),
+    d^k/ds^k [ s/(s+a) ] = (-1)^(k+1) * k! * a / (s+a)^(k+1)   (k >= 1).
 
-and derivatives of L = exp(g) follow by complete-Bell-polynomial
-composition.  Per-lane closed forms exist for alpha = 2 and alpha = 4 and
-are checked against the quadrature path in the test suite.
+Derivatives of L = exp(g) follow by complete-Bell-polynomial composition.
 """
 
 from __future__ import annotations
@@ -149,40 +151,80 @@ def _exponent_integral(k: int, s: float, h: float, alpha: float,
                                      err_cap)
 
 
-def laplace_closed_alpha4(s: float, lane: Lane, scenario: Scenario) -> float:
-    """Closed-form lane Laplace transform for path-loss exponent 4.
+def _jet_mul(a: list[float], b: list[float]) -> list[float]:
+    return [sum(a[j] * b[k - j] for j in range(k + 1)) for k in range(len(a))]
 
-    With w = sqrt(h^4 + s) the exponent integral equals pi * V where
-    V = s / (sqrt(2) * w * sqrt(w + h^2)); the quotient form avoids the
-    cancellation in (w - h^2) when s << h^4.
+
+def _jet_div(a: list[float], b: list[float]) -> list[float]:
+    q: list[float] = []
+    for k in range(len(a)):
+        q.append((a[k] - sum(b[j] * q[k - j] for j in range(1, k + 1)))
+                 / b[0])
+    return q
+
+
+def _jet_sqrt(a: list[float]) -> list[float]:
+    r = [math.sqrt(a[0])]
+    for k in range(1, len(a)):
+        r.append((a[k] - sum(r[j] * r[k - j] for j in range(1, k)))
+                 / (2.0 * r[0]))
+    return r
+
+
+def _lane_integral_jet(s: float, h: float, alpha: float,
+                       order: int) -> list[float] | None:
+    """Taylor coefficients c_0..c_order of J(s + t) = sum_k c_k t^k, where
+    J(s) = int_R s/(s + a(u)) du, when J has a closed form; None otherwise.
+
+    The coefficients come from truncated-Taylor arithmetic on coefficient
+    lists (+, *, /, sqrt), so all orders are exact up to rounding:
+
+      alpha = 2:       J = pi * s / sqrt(s + h^2)
+      alpha = 4:       J = pi * s / (sqrt(2) * w * sqrt(w + h^2)),
+                       w = sqrt(h^4 + s); the quotient form avoids the
+                       cancellation in (w - h^2) when s << h^4
+      h = 0, any alpha: J = 2*pi * s^(1/alpha) / (alpha * sin(pi/alpha))
     """
-    if scenario.channel.alpha != 4.0:
+    t = ([s, 1.0] + [0.0] * order)[:order + 1]      # the jet of s itself
+    if alpha == 2.0:
+        x = [s + h * h] + t[1:]
+        return [math.pi * c for c in _jet_div(t, _jet_sqrt(x))]
+    if alpha == 4.0:
+        w = _jet_sqrt([h ** 4 + s] + t[1:])
+        den = _jet_mul(w, _jet_sqrt([w[0] + h * h] + w[1:]))
+        return [math.pi / math.sqrt(2.0) * c for c in _jet_div(t, den)]
+    if h == 0.0:
+        # Coefficients of (s + t)^beta: binom(beta, k) * s^(beta - k).
+        beta = 1.0 / alpha
+        c = [2.0 * math.pi * s ** beta / (alpha * math.sin(math.pi / alpha))]
+        for k in range(1, order + 1):
+            c.append(c[-1] * (beta - k + 1) / (k * s))
+        return c
+    return None
+
+
+def _laplace_closed(alpha: float, s: float, lane: Lane,
+                    scenario: Scenario) -> float:
+    if scenario.channel.alpha != alpha:
         raise UnsupportedExponentError(
-            f"closed form needs alpha = 4, got {scenario.channel.alpha}")
+            f"closed form needs alpha = {alpha:g}, got {scenario.channel.alpha}")
     if s < 0.0:
         raise ValueError("transform argument s must be nonnegative")
     if s == 0.0:
         return 1.0
-    h = _lane_h(lane, scenario)
-    w = math.sqrt(h ** 4 + s)
-    v = s / (math.sqrt(2.0) * w * math.sqrt(w + h * h))
     rate = scenario.p * scenario.lane_intensity(lane)
-    return math.exp(-rate * math.pi * v)
+    j = _lane_integral_jet(s, _lane_h(lane, scenario), alpha, 0)[0]
+    return math.exp(-rate * j)
+
+
+def laplace_closed_alpha4(s: float, lane: Lane, scenario: Scenario) -> float:
+    """Closed-form lane Laplace transform for path-loss exponent 4."""
+    return _laplace_closed(4.0, s, lane, scenario)
 
 
 def laplace_closed_alpha2(s: float, lane: Lane, scenario: Scenario) -> float:
-    """Closed-form lane Laplace transform for path-loss exponent 2:
-    int_R s/(s + h^2 + u^2) du = pi * s / sqrt(s + h^2)."""
-    if scenario.channel.alpha != 2.0:
-        raise UnsupportedExponentError(
-            f"closed form needs alpha = 2, got {scenario.channel.alpha}")
-    if s < 0.0:
-        raise ValueError("transform argument s must be nonnegative")
-    if s == 0.0:
-        return 1.0
-    h = _lane_h(lane, scenario)
-    rate = scenario.p * scenario.lane_intensity(lane)
-    return math.exp(-rate * math.pi * s / math.sqrt(s + h * h))
+    """Closed-form lane Laplace transform for path-loss exponent 2."""
+    return _laplace_closed(2.0, s, lane, scenario)
 
 
 def _axis_exponent_derivatives(scenario: Scenario, axis: str, s: float,
@@ -193,7 +235,8 @@ def _axis_exponent_derivatives(scenario: Scenario, axis: str, s: float,
     Per lane, g = -p*lam*J_0 and g^(k) = (-1)^k * k! * p*lam*J_k (k >= 1), so
     -g is a Bernstein function.  Lanes on the same axis are independent
     point processes, so their exponents (and exponent derivatives) add.
-    Lanes sharing a perpendicular distance are quadratured once.
+    Lanes sharing a perpendicular distance are evaluated once, from the
+    closed-form jet where one exists and by quadrature otherwise.
     """
     layout = scenario.layout
     offsets = layout.lanes_x if axis == "x" else layout.lanes_y
@@ -209,11 +252,17 @@ def _axis_exponent_derivatives(scenario: Scenario, axis: str, s: float,
     out = [0.0] * (max_order + 1)
     alpha = scenario.channel.alpha
     for h, count in h_counts.items():
-        cap = 1.0 / (rate * count)
+        weight = count * rate
+        coeffs = _lane_integral_jet(s, h, alpha, max_order)
+        if coeffs is not None:
+            for k, c in enumerate(coeffs):
+                out[k] -= weight * math.factorial(k) * c
+            continue
+        cap = 1.0 / weight
         for k in range(max_order + 1):
             j = _exponent_integral(k, s, h, alpha, cfg, err_cap=cap)
             sign = -1.0 if k == 0 else (-1.0) ** k * math.factorial(k)
-            out[k] += count * rate * sign * j
+            out[k] += weight * sign * j
     return out
 
 

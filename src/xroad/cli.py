@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from importlib import resources
@@ -22,10 +23,10 @@ from . import __version__, analytic
 from .config import (ConfigError, load_config, parse_scenario, parse_sim,
                      parse_sweep, scenario_to_dict)
 from .model import ValidationError
-from .montecarlo import SimConfig, estimate
-from .sweep import (ENGINES, SweepRow, compare_engines,
-                    default_verification_grid, run_sweep, sweep_points,
-                    write_csv, write_metadata)
+from .montecarlo import SimConfig
+from .sweep import (ENGINES, compare_engines, default_verification_grid,
+                    run_sweep, sweep_points, sweep_row, write_csv,
+                    write_metadata)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -107,33 +108,24 @@ def _cmd_point(args) -> int:
     scenario = parse_scenario(raw)
     sim = parse_sim(raw.get("sim", {}), seed=args.seed, trials=args.trials)
     engines = _ENGINE_CHOICES[args.engine]
-    report: dict[str, object] = {}
-    if "analytic" in engines:
-        res = analytic.outage_probability(scenario)
-        report["outage_analytic"] = res.outage_prob
-        report["throughput_analytic"] = res.throughput
-        print(f"outage (analytic)      {res.outage_prob:.6f}")
-        print(f"throughput (analytic)  {res.throughput:.6f} bit/s/Hz")
-    if "montecarlo" in engines:
-        est = estimate(scenario, sim, workers=args.workers)
-        report.update(outage_mc=est.p_hat, mc_stderr=est.stderr,
-                      ci_low=est.ci_low, ci_high=est.ci_high,
-                      trials=est.trials)
+    row = sweep_row(scenario, engines, sim, args.workers, "point", "none", 0.0)
+    if row.outage_analytic is not None:
+        print(f"outage (analytic)      {row.outage_analytic:.6f}")
+        print(f"throughput (analytic)  {row.throughput_analytic:.6f} "
+              "bit/s/Hz")
+    if row.error:
+        print(f"numeric error: {row.error}", file=sys.stderr)
+        return EXIT_NUMERIC
+    if row.outage_mc is not None:
         pct = 100.0 * sim.confidence
-        print(f"outage (monte-carlo)   {est.p_hat:.6f} "
-              f"(stderr {est.stderr:.6f}, {pct:.0f}% CI "
-              f"[{est.ci_low:.6f}, {est.ci_high:.6f}], "
-              f"{est.trials} trials, seed {est.seed})")
-        print(f"throughput (mc)        {est.throughput:.6f} bit/s/Hz")
+        throughput = ((1.0 - row.outage_mc)
+                      * math.log2(1.0 + scenario.theta_threshold))
+        print(f"outage (monte-carlo)   {row.outage_mc:.6f} "
+              f"(stderr {row.mc_stderr:.6f}, {pct:.0f}% CI "
+              f"[{row.ci_low:.6f}, {row.ci_high:.6f}], "
+              f"{row.trials} trials, seed {sim.master_seed})")
+        print(f"throughput (mc)        {throughput:.6f} bit/s/Hz")
     if args.out:
-        row = SweepRow(variant="point", axis="none", value=0.0,
-                       outage_analytic=report.get("outage_analytic"),
-                       throughput_analytic=report.get("throughput_analytic"),
-                       outage_mc=report.get("outage_mc"),
-                       mc_stderr=report.get("mc_stderr"),
-                       ci_low=report.get("ci_low"),
-                       ci_high=report.get("ci_high"),
-                       trials=report.get("trials"))
         write_csv([row], args.out)
         write_metadata(args.out,
                        _metadata(scenario_to_dict(scenario), sim, engines))
@@ -186,6 +178,9 @@ def _cmd_verify(args) -> int:
         if "sweep" not in raw:
             raise ConfigError("verify with --config needs a 'sweep' section")
         spec = parse_sweep(raw["sweep"], scenario)
+        if set(spec.engines) != set(ENGINES):
+            raise ConfigError("verify compares both engines, so "
+                              f"sweep.engines must list {list(ENGINES)}")
         grid = [(f"{variant.label} {spec.axis}={value:g}", point)
                 for _, variant, _, value, point in sweep_points(spec)]
         sim = parse_sim(raw.get("sim", {}), seed=args.seed,

@@ -158,6 +158,36 @@ def row_seed(master_seed: int, variant_index: int, value_index: int) -> int:
     return _splitmix64(mixed ^ value_index)
 
 
+def sweep_row(scenario: Scenario, engines: tuple[str, ...], sim: SimConfig,
+              workers: int, variant: str, axis: str,
+              value: float) -> SweepRow:
+    """The row of one validated scenario, from the requested engines, with
+    Monte-Carlo seeded by sim.master_seed as given.
+
+    An engine error lands in the row's error column and the other engine
+    still runs.
+    """
+    fields: dict = {}
+    errors: list[str] = []
+    if "analytic" in engines:
+        try:
+            res = analytic.outage_probability(scenario)
+            fields["outage_analytic"] = res.outage_prob
+            fields["throughput_analytic"] = res.throughput
+        except (ValueError, ArithmeticError) as exc:
+            errors.append(f"analytic: {exc}")
+    if "montecarlo" in engines:
+        try:
+            est = estimate(scenario, sim, workers=workers)
+            fields.update(outage_mc=est.p_hat, mc_stderr=est.stderr,
+                          ci_low=est.ci_low, ci_high=est.ci_high,
+                          trials=est.trials)
+        except (ValueError, ArithmeticError) as exc:
+            errors.append(f"montecarlo: {exc}")
+    return SweepRow(variant=variant, axis=axis, value=value,
+                    error="; ".join(errors), **fields)
+
+
 def run_sweep(spec: SweepSpec, sim: SimConfig,
               workers: int = 1) -> list[SweepRow]:
     """All sweep rows in (variant, value) order.
@@ -168,28 +198,10 @@ def run_sweep(spec: SweepSpec, sim: SimConfig,
     spec = validate_sweep(spec)
     rows: list[SweepRow] = []
     for vi, variant, xi, value, scenario in sweep_points(spec):
-        scenario = validate_scenario(scenario)
-        fields: dict = {}
-        errors: list[str] = []
-        if "analytic" in spec.engines:
-            try:
-                res = analytic.outage_probability(scenario)
-                fields["outage_analytic"] = res.outage_prob
-                fields["throughput_analytic"] = res.throughput
-            except (ValueError, ArithmeticError) as exc:
-                errors.append(f"analytic: {exc}")
-        if "montecarlo" in spec.engines:
-            try:
-                point_sim = replace(
-                    sim, master_seed=row_seed(sim.master_seed, vi, xi))
-                est = estimate(scenario, point_sim, workers=workers)
-                fields.update(outage_mc=est.p_hat, mc_stderr=est.stderr,
-                              ci_low=est.ci_low, ci_high=est.ci_high,
-                              trials=est.trials)
-            except (ValueError, ArithmeticError) as exc:
-                errors.append(f"montecarlo: {exc}")
-        rows.append(SweepRow(variant=variant.label, axis=spec.axis,
-                             value=value, error="; ".join(errors), **fields))
+        point_sim = replace(sim, master_seed=row_seed(sim.master_seed, vi, xi))
+        rows.append(sweep_row(validate_scenario(scenario), spec.engines,
+                              point_sim, workers, variant.label, spec.axis,
+                              value))
     return rows
 
 

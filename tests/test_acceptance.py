@@ -15,8 +15,9 @@ import pytest
 from xroad import cli
 from xroad.analytic import (DEFAULT_EVAL, LaplaceEvalConfig,
                             _axis_exponent_derivatives,
-                            _axis_laplace_derivatives, laplace_closed_alpha2,
-                            laplace_closed_alpha4, outage_probability)
+                            _axis_laplace_derivatives, _exponent_integral,
+                            laplace_closed_alpha2, laplace_closed_alpha4,
+                            outage_probability)
 from xroad.config import parse_scenario, parse_sim, parse_sweep
 from xroad.model import (LOS, NLOS, ChannelParams, DestinationGeometry, Lane,
                          LinkSpec, RoadLayout, Scenario)
@@ -77,8 +78,11 @@ def test_closed_form_correctness():
             p = rng.uniform(0.05, 1.0)
             lam = 10.0 ** rng.uniform(-3, -1)
             sc = x_lane_scenario(alpha, h, p, lam)
-            reference = closed(s, X0, sc)
-            value = laplace(sc, s)
+            rate = p * lam
+            reference = math.exp(-rate * _exponent_integral(
+                0, s, h, alpha, DEFAULT_EVAL, err_cap=1.0 / rate))
+            value = closed(s, X0, sc)
+            assert value == laplace(sc, s)
             assert abs(value - reference) <= 1e-8 * reference, \
                 (alpha, s, h, p, lam)
     elapsed = time.monotonic() - start

@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from xroad import analytic, cli
 from xroad.analytic import (DEFAULT_EVAL, LaplaceEvalConfig,
                             UnsupportedExponentError,
                             _axis_exponent_derivatives,
-                            _axis_laplace_derivatives, laplace_closed_alpha2,
-                            laplace_closed_alpha4, outage_probability)
+                            _axis_laplace_derivatives, _exponent_integral,
+                            laplace_closed_alpha2, laplace_closed_alpha4,
+                            outage_probability)
 from xroad.model import (LOS, NLOS, ChannelParams, DestinationGeometry, Lane,
                          LinkSpec, RoadLayout, Scenario)
+from xroad.sweep import default_verification_grid
 
 TIGHT = LaplaceEvalConfig(rel_tol=1e-12)
 X0 = Lane("x", 0.0)
@@ -28,6 +31,13 @@ def exponent(sc, s, k=0, cfg=DEFAULT_EVAL):
 
 def success(sc):
     return outage_probability(sc).success_prob
+
+
+def quadrature_exponent(k, s, h, alpha, rate):
+    """k-th derivative of one lane's exponent from the quadratured J_k:
+    g = -rate*J_0 and g^(k) = (-1)^k * k! * rate * J_k."""
+    sign = -1.0 if k == 0 else (-1.0) ** k * math.factorial(k)
+    return rate * sign * _exponent_integral(k, s, h, alpha, DEFAULT_EVAL)
 
 
 def x_lane_scenario(alpha: float, h: float, p: float, lam: float,
@@ -93,8 +103,11 @@ def test_closed_form_matches_quadrature_on_random_draws(alpha, closed):
         p = rng.uniform(0.05, 1.0)
         lam = 10.0 ** rng.uniform(-3, -1)
         sc = x_lane_scenario(alpha, h, p, lam)
-        reference = closed(s, X0, sc)
+        rate = p * lam
+        reference = math.exp(-rate * _exponent_integral(
+            0, s, h, alpha, DEFAULT_EVAL, err_cap=1.0 / rate))
         value = laplace(sc, s)
+        assert closed(s, X0, sc) == value
         assert value == pytest.approx(reference, rel=1e-8)
 
 
@@ -110,6 +123,86 @@ def test_negative_s_rejected():
     sc = x_lane_scenario(4.0, 0.0, 0.5, 0.01)
     with pytest.raises(ValueError):
         laplace_closed_alpha4(-1.0, X0, sc)
+
+
+# ----------------------------------------------------------- closed-form jets
+
+@pytest.mark.parametrize("alpha", [2.0, 4.0])
+@pytest.mark.parametrize("h", [0.0, 3.0, 400.0])
+def test_jets_match_quadrature(alpha, h):
+    # On the lane (h = 0) and below s = 1, QUADPACK's piece beyond 8x the
+    # peak scale reports convergence it has not reached (6e-5 off at
+    # alpha = 2, s = 1e-3, k = 3), so there the Beta-integral test below
+    # is the oracle.
+    sc = x_lane_scenario(alpha, h, 0.5, 0.01)
+    for s in ((1.0, 1e3, 1e6) if h == 0.0 else (1e-3, 1.0, 1e3, 1e6)):
+        g = _axis_exponent_derivatives(sc, "x", s, 8, DEFAULT_EVAL)
+        for k in range(9):
+            assert g[k] == pytest.approx(
+                quadrature_exponent(k, s, h, alpha, 0.005), rel=1e-8), (s, k)
+
+
+@pytest.mark.parametrize("alpha", [1.3, 2.5, 3.7, 6.0])
+def test_on_lane_jet_matches_quadrature_for_general_alpha(alpha):
+    # Quadrature reaches its tail bound at alpha = 1.3 only for small s.
+    sc = x_lane_scenario(alpha, 0.0, 0.5, 0.01)
+    for s in (1.0, 10.0):
+        g = _axis_exponent_derivatives(sc, "x", s, 8, DEFAULT_EVAL)
+        for k in range(9):
+            assert g[k] == pytest.approx(
+                quadrature_exponent(k, s, 0.0, alpha, 0.005), rel=1e-8)
+
+
+@pytest.mark.parametrize("alpha", [1.3, 2.0, 2.5, 3.7, 4.0, 6.0])
+def test_on_lane_jet_matches_beta_integrals(alpha):
+    # With a = |u|^alpha, u^alpha = s*x turns J_0 and J_k into Beta
+    # integrals: J_0 = (2/alpha) s^(1/alpha) B(1/alpha, 1 - 1/alpha) and
+    # J_k = (2/alpha) s^(1/alpha - k) B(1 + 1/alpha, k - 1/alpha).
+    def beta(a, b):
+        return math.gamma(a) * math.gamma(b) / math.gamma(a + b)
+    b = 1.0 / alpha
+    sc = x_lane_scenario(alpha, 0.0, 0.5, 0.01)
+    for s in np.logspace(-3, 6, 10):
+        s = float(s)
+        g = _axis_exponent_derivatives(sc, "x", s, 8, DEFAULT_EVAL)
+        j0 = 2.0 * b * s ** b * beta(b, 1.0 - b)
+        assert g[0] == pytest.approx(-0.005 * j0, rel=1e-12)
+        for k in range(1, 9):
+            jk = 2.0 * b * s ** (b - k) * beta(1.0 + b, k - b)
+            expected = (-1.0) ** k * math.factorial(k) * 0.005 * jk
+            assert g[k] == pytest.approx(expected, rel=1e-12), (s, k)
+
+
+def test_alpha2_jet_matches_two_term_split():
+    # s/sqrt(s + h^2) = (s + h^2)^(1/2) - h^2 (s + h^2)^(-1/2): for k >= 1
+    # each derivative is two same-signed power terms.  At k = 0 the split
+    # cancels when s << h^2, so order 0 is checked against the direct form.
+    def falling(beta, k):
+        return math.prod(beta - i for i in range(k))
+    for h in (0.0, 3.0, 400.0):
+        sc = x_lane_scenario(2.0, h, 0.5, 0.01)
+        for s in np.logspace(-3, 6, 10):
+            s = float(s)
+            x = s + h * h
+            g = _axis_exponent_derivatives(sc, "x", s, 8, DEFAULT_EVAL)
+            assert g[0] == pytest.approx(
+                -0.005 * math.pi * s / math.sqrt(x), rel=1e-12)
+            for k in range(1, 9):
+                dj = math.pi * (falling(0.5, k) * x ** (0.5 - k)
+                                - h * h * falling(-0.5, k) * x ** (-0.5 - k))
+                assert g[k] == pytest.approx(-0.005 * dj, rel=1e-12), (h, s, k)
+
+
+def test_verify_grid_and_presets_need_no_quadrature(monkeypatch, tmp_path):
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quad called")
+    monkeypatch.setattr(analytic, "quad", no_quadrature)
+    for _, sc in default_verification_grid():
+        assert 0.0 <= outage_probability(sc).outage_prob <= 1.0
+    for name in cli.PRESETS:
+        out = tmp_path / f"{name}.csv"
+        assert cli.main(["preset", name, "--engine", "analytic",
+                         "--out", str(out)]) == 0
 
 
 # ---------------------------------------------------------------- derivatives

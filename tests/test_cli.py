@@ -252,3 +252,14 @@ def test_verify_custom_config(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "overall: PASS" in out
+
+
+@pytest.mark.parametrize("engines", [["analytic"], ["montecarlo"]])
+def test_verify_config_must_list_both_engines(tmp_path, capsys, engines):
+    path = write_config(tmp_path, sweep={
+        "axis": "density", "values": [0.005], "engines": engines})
+    code = cli.main(["verify", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "sweep.engines" in captured.err
+    assert captured.out == ""
