@@ -8,10 +8,9 @@ and ships a CLI for parameter sweeps.
 
 __version__ = "0.1.0"
 
-from .analytic import (AnalyticResult, ConsistencyError, LaplaceEvalConfig,
-                       QuadratureError, UnsupportedExponentError,
-                       laplace_closed_alpha2, laplace_closed_alpha4,
-                       outage_probability)
+from .analytic import (AnalyticResult, ConsistencyError, QuadratureError,
+                       UnsupportedExponentError, laplace_closed_alpha2,
+                       laplace_closed_alpha4, outage_probability)
 from .model import (LOS, NLOS, ChannelParams, DestinationGeometry, Lane,
                     LinkSpec, RoadLayout, Scenario, ValidationError,
                     destination_position, perpendicular_distance,
@@ -24,8 +23,8 @@ from .sweep import (ComparisonReport, SweepRow, SweepSpec, Variant,
 __all__ = [
     "__version__",
     "AnalyticResult", "ChannelParams", "ComparisonReport", "ConsistencyError",
-    "DestinationGeometry", "LOS", "Lane", "LaplaceEvalConfig", "LinkSpec",
-    "NLOS", "OutageEstimate", "QuadratureError", "RoadLayout", "Scenario",
+    "DestinationGeometry", "LOS", "Lane", "LinkSpec", "NLOS",
+    "OutageEstimate", "QuadratureError", "RoadLayout", "Scenario",
     "SimConfig", "SweepRow", "SweepSpec", "UnsupportedExponentError",
     "ValidationError", "Variant", "compare_engines",
     "default_verification_grid", "destination_position", "estimate",

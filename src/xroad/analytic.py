@@ -1,26 +1,32 @@
 """Analytic outage engine.
 
-Everything is assembled from the Laplace transform of the aggregate
-interference seen from one road axis,
+Everything is assembled from the Laplace transform of the total
+interference from both roads,
 
-    L(s) = exp(g(s)),   g(s) = -p*lam * sum_lanes int_R  s / (s + a(u)) du,
+    L(s) = exp(g(s)),   g(s) = -p * sum_lanes lam * int_R s / (s + a(u)) du,
 
 where a(u) = (h^2 + u^2)^(alpha/2) is the path-loss distance term of an
 interferer at along-lane coordinate u, and h is the perpendicular distance
-from the destination to the lane.  The _axis_* functions are the one code
-path for g and L, used by the engine and the tests alike.  The success
-probability of a link with an integer gamma-fading parameter m is a finite
-sum over derivatives of the two per-road transforms at s = m*Theta/(mu*l_SD).
+from the destination to the lane.  The lanes carry independent Poisson
+fields, so one exponent g sums them all; lanes at the same h, on either
+road, share one evaluation.  The success probability of a link with an
+integer gamma-fading parameter m is
 
-The lane integral has closed forms for alpha = 2, for alpha = 4, and for
-any alpha when the destination lies on the lane (h = 0).  There g and all
-its derivatives come from one pass of truncated-Taylor ("jet") arithmetic
-on the closed form, with no quadrature.  Otherwise the derivatives of g
-are quadratured under the integral sign, where they are exact:
+    P_s = sum_{k<m} (-s)^k / k! * L^(k)(s),   s = m*Theta/(mu*l_SD),
+
+and since s^k L^(k)(s) = exp(g) * B_k(x_1, ..., x_k) with x_j = s^j g^(j)(s)
+(B_k is homogeneous of weight k), the engine works in the scaled variable:
+one set of x_j and one complete-Bell-polynomial composition per point.  The
+x_j stay of the order of g itself, so no power of s can overflow.
+
+The lane integral J(s) has closed forms for alpha = 2, for alpha = 4, and
+for any alpha when the destination lies on the lane (h = 0).  There the
+x_j come from one pass of truncated-Taylor ("jet") arithmetic on the closed
+form seeded with s*(1 + tau), with no quadrature.  Otherwise the
+derivatives of J are quadratured under the integral sign, where they are
+exact:
 
     d^k/ds^k [ s/(s+a) ] = (-1)^(k+1) * k! * a / (s+a)^(k+1)   (k >= 1).
-
-Derivatives of L = exp(g) follow by complete-Bell-polynomial composition.
 """
 
 from __future__ import annotations
@@ -42,6 +48,9 @@ _MAX_SEGMENTS = 96
 #: Initial half-width of the quadrature window, m.
 _TRUNCATION = 1e4
 
+#: Relative error requested from the quadrature of each J_k.
+_REL_TOL = 1e-9
+
 
 class UnsupportedExponentError(ValueError):
     """A closed form was requested for a path-loss exponent it does not cover."""
@@ -57,20 +66,6 @@ class QuadratureError(ArithmeticError):
 
 class ConsistencyError(ArithmeticError):
     """A probability landed outside [0, 1] by more than rounding allows."""
-
-
-@dataclass(frozen=True)
-class LaplaceEvalConfig:
-    """Quadrature controls for the numeric Laplace-transform path."""
-
-    rel_tol: float = 1e-9       # requested total relative error
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol <= 1e-6):
-            raise ValueError("rel_tol must lie in (0, 1e-6]")
-
-
-DEFAULT_EVAL = LaplaceEvalConfig()
 
 
 @dataclass(frozen=True)
@@ -90,8 +85,7 @@ def _lane_h(lane: Lane, scenario: Scenario) -> float:
 
 
 def _half_line_integral(f, tail_coeff: float, tail_pow: float,
-                        peak_scale: float, cfg: LaplaceEvalConfig,
-                        err_cap: float) -> float:
+                        peak_scale: float, err_cap: float) -> float:
     """integral of f over [0, inf) for a positive integrand bounded above by
     tail_coeff * u**(-tail_pow) once u is large.
 
@@ -101,20 +95,24 @@ def _half_line_integral(f, tail_coeff: float, tail_pow: float,
     err_cap additionally bounds the absolute error so that a large integral
     (a strongly interfered lane) does not lose accuracy in exp().
     """
-    piece_rel = cfg.rel_tol / 16.0
+    piece_rel = _REL_TOL / 16.0
     T = _TRUNCATION
     # Initial breakpoints make QUADPACK resolve the peak near u = 0 even
-    # when the window is much wider than the integrand.
-    pts = sorted({min(peak_scale, T * 0.5), min(8.0 * peak_scale, T * 0.75)})
+    # when the window is much wider than the integrand.  When the peak
+    # scale is small, the piece beyond 8x it spans decades, and QUADPACK
+    # can report convergence there while off by 3e-3 relative; the fixed
+    # breakpoints split it by decade.
+    pts = {min(peak_scale, T * 0.5), min(8.0 * peak_scale, T * 0.75)}
+    pts.update(x for x in (1.0, 10.0, 100.0) if x > 8.0 * peak_scale)
     total, err, _ = quad(f, 0.0, T, epsabs=0.0, epsrel=piece_rel,
-                         limit=200, points=[x for x in pts if x > 0.0],
+                         limit=200, points=sorted(x for x in pts if x > 0.0),
                          full_output=True)[:3]
     err_sum = err
     for _ in range(_MAX_SEGMENTS):
-        budget = 0.5 * cfg.rel_tol * min(total, err_cap)
+        budget = 0.5 * _REL_TOL * min(total, err_cap)
         tail_bound = tail_coeff * T ** (1.0 - tail_pow) / (tail_pow - 1.0)
         if tail_bound <= budget:
-            if err_sum + tail_bound > cfg.rel_tol * total:
+            if err_sum + tail_bound > _REL_TOL * total:
                 raise QuadratureError(
                     "interference integral did not converge",
                     (err_sum + tail_bound) / total if total else math.inf)
@@ -130,7 +128,7 @@ def _half_line_integral(f, tail_coeff: float, tail_pow: float,
 
 
 def _exponent_integral(k: int, s: float, h: float, alpha: float,
-                       cfg: LaplaceEvalConfig, err_cap: float = math.inf) -> float:
+                       err_cap: float = math.inf) -> float:
     """J_0 = int_R s/(s+a) du for k = 0, or J_k = int_R a/(s+a)^(k+1) du for
     k >= 1, with a(u) = (h^2 + u^2)^(alpha/2).  Both integrands are even, so
     only the half line is quadratured."""
@@ -147,8 +145,7 @@ def _exponent_integral(k: int, s: float, h: float, alpha: float,
             a = (h * h + u * u) ** half
             return a / (s + a) ** kk
         tail_coeff, tail_pow = 1.0, alpha * k
-    return 2.0 * _half_line_integral(f, tail_coeff, tail_pow, scale, cfg,
-                                     err_cap)
+    return 2.0 * _half_line_integral(f, tail_coeff, tail_pow, scale, err_cap)
 
 
 def _jet_mul(a: list[float], b: list[float]) -> list[float]:
@@ -173,7 +170,8 @@ def _jet_sqrt(a: list[float]) -> list[float]:
 
 def _lane_integral_jet(s: float, h: float, alpha: float,
                        order: int) -> list[float] | None:
-    """Taylor coefficients c_0..c_order of J(s + t) = sum_k c_k t^k, where
+    """Scaled Taylor coefficients c_0..c_order of J(s*(1 + tau)) =
+    sum_k c_k tau^k, so c_k = s^k J^(k)(s) / k!, where
     J(s) = int_R s/(s + a(u)) du, when J has a closed form; None otherwise.
 
     The coefficients come from truncated-Taylor arithmetic on coefficient
@@ -185,7 +183,7 @@ def _lane_integral_jet(s: float, h: float, alpha: float,
                        cancellation in (w - h^2) when s << h^4
       h = 0, any alpha: J = 2*pi * s^(1/alpha) / (alpha * sin(pi/alpha))
     """
-    t = ([s, 1.0] + [0.0] * order)[:order + 1]      # the jet of s itself
+    t = ([s, s] + [0.0] * order)[:order + 1]     # the jet of s*(1 + tau)
     if alpha == 2.0:
         x = [s + h * h] + t[1:]
         return [math.pi * c for c in _jet_div(t, _jet_sqrt(x))]
@@ -194,11 +192,11 @@ def _lane_integral_jet(s: float, h: float, alpha: float,
         den = _jet_mul(w, _jet_sqrt([w[0] + h * h] + w[1:]))
         return [math.pi / math.sqrt(2.0) * c for c in _jet_div(t, den)]
     if h == 0.0:
-        # Coefficients of (s + t)^beta: binom(beta, k) * s^(beta - k).
+        # (s*(1 + tau))^beta = s^beta * sum_k binom(beta, k) tau^k.
         beta = 1.0 / alpha
         c = [2.0 * math.pi * s ** beta / (alpha * math.sin(math.pi / alpha))]
         for k in range(1, order + 1):
-            c.append(c[-1] * (beta - k + 1) / (k * s))
+            c.append(c[-1] * (beta - k + 1) / k)
         return c
     return None
 
@@ -227,55 +225,40 @@ def laplace_closed_alpha2(s: float, lane: Lane, scenario: Scenario) -> float:
     return _laplace_closed(2.0, s, lane, scenario)
 
 
-def _axis_exponent_derivatives(scenario: Scenario, axis: str, s: float,
-                               max_order: int,
-                               cfg: LaplaceEvalConfig) -> list[float]:
-    """g and its derivatives for one road axis with all lanes folded in.
+def _scaled_exponent_derivatives(scenario: Scenario, s: float,
+                                 max_order: int) -> list[float]:
+    """x_k = s^k * g^(k)(s) for k = 0..max_order, where g is the exponent of
+    the Laplace transform of the total interference from both roads.
 
-    Per lane, g = -p*lam*J_0 and g^(k) = (-1)^k * k! * p*lam*J_k (k >= 1), so
-    -g is a Bernstein function.  Lanes on the same axis are independent
-    point processes, so their exponents (and exponent derivatives) add.
-    Lanes sharing a perpendicular distance are evaluated once, from the
-    closed-form jet where one exists and by quadrature otherwise.
+    The lanes are independent point processes, so g = -sum_h rate_h * J(s; h)
+    over the distinct perpendicular distances h, with rate_h the summed
+    p*lam of the lanes at h on either road; -g is a Bernstein function.
+    Each h is evaluated once, from the closed-form jet where one exists and
+    otherwise by quadrature, whose J_k = (-1)^(k+1) J^(k)(s) / k! (k >= 1)
+    are scaled by s^k outside the integrand.
     """
-    layout = scenario.layout
-    offsets = layout.lanes_x if axis == "x" else layout.lanes_y
-    lam = layout.lambda_x if axis == "x" else layout.lambda_y
-    rate = scenario.p * lam
-    if rate == 0.0 or not offsets or s == 0.0:
-        return [0.0] * (max_order + 1)
-    pos = destination_position(scenario.geometry)
-    h_counts: dict[float, int] = {}
-    for w in offsets:
-        h = perpendicular_distance(pos, axis, w)
-        h_counts[h] = h_counts.get(h, 0) + 1
     out = [0.0] * (max_order + 1)
+    if s == 0.0:
+        return out
+    rates: dict[float, float] = {}
+    for lane in scenario.lanes():
+        h = _lane_h(lane, scenario)
+        rate = scenario.p * scenario.lane_intensity(lane)
+        rates[h] = rates.get(h, 0.0) + rate
     alpha = scenario.channel.alpha
-    for h, count in h_counts.items():
-        weight = count * rate
-        coeffs = _lane_integral_jet(s, h, alpha, max_order)
-        if coeffs is not None:
-            for k, c in enumerate(coeffs):
-                out[k] -= weight * math.factorial(k) * c
+    for h, rate in rates.items():
+        if rate == 0.0:
             continue
-        cap = 1.0 / weight
-        for k in range(max_order + 1):
-            j = _exponent_integral(k, s, h, alpha, cfg, err_cap=cap)
-            sign = -1.0 if k == 0 else (-1.0) ** k * math.factorial(k)
-            out[k] += weight * sign * j
+        coeffs = _lane_integral_jet(s, h, alpha, max_order)
+        if coeffs is None:
+            cap = 1.0 / rate
+            coeffs = [_exponent_integral(0, s, h, alpha, err_cap=cap)]
+            coeffs += [-(-s) ** k * _exponent_integral(k, s, h, alpha,
+                                                       err_cap=cap)
+                       for k in range(1, max_order + 1)]
+        for k, c in enumerate(coeffs):
+            out[k] -= rate * math.factorial(k) * c
     return out
-
-
-def _axis_laplace_derivatives(scenario: Scenario, axis: str, s: float,
-                              max_order: int,
-                              cfg: LaplaceEvalConfig) -> list[float]:
-    """L and its derivatives up to max_order for one whole road axis."""
-    g = _axis_exponent_derivatives(scenario, axis, s, max_order, cfg)
-    if all(v == 0.0 for v in g):
-        # No interferers on this axis: L == 1 with vanishing derivatives.
-        return [1.0] + [0.0] * max_order
-    scale = math.exp(g[0])
-    return [scale * b for b in complete_bell_sequence(g[1:])]
 
 
 def _clamp_probability(value: float) -> float:
@@ -289,25 +272,25 @@ def _clamp_probability(value: float) -> float:
         f"success probability {value} outside [0, 1] beyond rounding")
 
 
-def outage_probability(scenario: Scenario,
-                       cfg: LaplaceEvalConfig = DEFAULT_EVAL) -> AnalyticResult:
+def outage_probability(scenario: Scenario) -> AnalyticResult:
     """Outage probability, success probability and throughput of the link;
     success is the sum of m nonnegative per-order summands (per_term)."""
     m = scenario.channel.m
     if m - 1 > MAX_ORDER:
         raise ValueError(
             f"fading parameter m = {m} needs derivative orders beyond {MAX_ORDER}")
-    g_arg = scenario.laplace_argument
-    lx = _axis_laplace_derivatives(scenario, "x", g_arg, m - 1, cfg)
-    ly = _axis_laplace_derivatives(scenario, "y", g_arg, m - 1, cfg)
-    terms = []
-    for k in range(m):
-        inner = math.fsum(math.comb(k, n) * lx[k - n] * ly[n]
-                          for n in range(k + 1))
-        if inner == 0.0:
-            terms.append(0.0)  # avoids inf * 0 when g_arg**k overflows
-            continue
-        terms.append((-g_arg) ** k / math.factorial(k) * inner)
+    s = scenario.laplace_argument
+    x = _scaled_exponent_derivatives(scenario, s, m - 1)
+    scale = math.exp(x[0])
+    if scale == 0.0:
+        # exp(x_0) underflowed.  Each |x_k| is at most a fixed multiple of
+        # |x_0| (-g is a Bernstein function), so every summand
+        # exp(x_0) * B_k / k! is negligible; B_k alone may overflow, and
+        # 0 * inf would give nan.
+        terms = [0.0] * m
+    else:
+        terms = [(-1.0) ** k * scale * b / math.factorial(k)
+                 for k, b in enumerate(complete_bell_sequence(x[1:]))]
     success = _clamp_probability(math.fsum(terms))
     return AnalyticResult(
         success_prob=success,

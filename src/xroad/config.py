@@ -45,6 +45,20 @@ def _number(obj: dict, where: str, key: str, default=None) -> float:
     return float(value)
 
 
+def _integer(obj: dict, where: str, key: str, default=None) -> int:
+    """An integral JSON number; 3.0 passes, 2.5, NaN and Infinity do not."""
+    if key not in obj:
+        if default is None:
+            raise ConfigError(f"missing key '{key}' in {where}")
+        return default
+    value = obj[key]
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where}.{key} must be an integer")
+    return value
+
+
 def parse_channel(obj: dict, where: str = "channel") -> ChannelParams:
     if "preset" in obj:
         _check_keys(obj, where, {"preset"})
@@ -54,10 +68,8 @@ def parse_channel(obj: dict, where: str = "channel") -> ChannelParams:
                 f"{where}.preset must be one of {sorted(CHANNEL_PRESETS)}")
         return CHANNEL_PRESETS[name]
     _check_keys(obj, where, {"alpha", "m", "mu"}, {"alpha", "m"})
-    m = _number(obj, where, "m")
-    if m != int(m):
-        raise ConfigError(f"{where}.m: non-integer Nakagami m")
-    return ChannelParams(alpha=_number(obj, where, "alpha"), m=int(m),
+    return ChannelParams(alpha=_number(obj, where, "alpha"),
+                         m=_integer(obj, where, "m"),
                          mu=_number(obj, where, "mu", 1.0))
 
 
@@ -115,10 +127,9 @@ def parse_scenario(obj: dict) -> Scenario:
 def parse_sim(obj: dict, seed: int | None = None,
               trials: int | None = None) -> SimConfig:
     _check_keys(obj, "sim", {"trials", "half_length", "seed", "confidence"})
-    cfg_trials = trials if trials is not None else int(
-        _number(obj, "sim", "trials", 50_000))
-    cfg_seed = seed if seed is not None else int(
-        _number(obj, "sim", "seed", 0))
+    cfg_trials = trials if trials is not None else _integer(
+        obj, "sim", "trials", 50_000)
+    cfg_seed = seed if seed is not None else _integer(obj, "sim", "seed", 0)
     try:
         return SimConfig(
             trials=cfg_trials,

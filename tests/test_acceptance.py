@@ -13,11 +13,10 @@ import numpy as np
 import pytest
 
 from xroad import cli
-from xroad.analytic import (DEFAULT_EVAL, LaplaceEvalConfig,
-                            _axis_exponent_derivatives,
-                            _axis_laplace_derivatives, _exponent_integral,
+from xroad.analytic import (_exponent_integral, _scaled_exponent_derivatives,
                             laplace_closed_alpha2, laplace_closed_alpha4,
                             outage_probability)
+from xroad.bell import complete_bell_sequence
 from xroad.config import parse_scenario, parse_sim, parse_sweep
 from xroad.model import (LOS, NLOS, ChannelParams, DestinationGeometry, Lane,
                          LinkSpec, RoadLayout, Scenario)
@@ -25,13 +24,13 @@ from xroad.montecarlo import SimConfig
 from xroad.sweep import compare_engines, default_verification_grid, run_sweep
 
 X0 = Lane("x", 0.0)
-TIGHT = LaplaceEvalConfig(rel_tol=1e-12)
 
 
-def laplace(sc, s, n=0, cfg=DEFAULT_EVAL, axis="x"):
-    """n-th derivative of one road axis's Laplace transform at s, through
-    the engine's per-axis path."""
-    return _axis_laplace_derivatives(sc, axis, s, n, cfg)[n]
+def laplace(sc, s, n=0):
+    """n-th derivative of the total interference's Laplace transform at s,
+    composed as the engine does: s^n L^(n) = exp(x_0) * B_n(x_1..x_n)."""
+    x = _scaled_exponent_derivatives(sc, s, n)
+    return math.exp(x[0]) * complete_bell_sequence(x[1:])[n] / s ** n
 
 
 def success(sc):
@@ -39,10 +38,11 @@ def success(sc):
 
 
 def x_lane_scenario(alpha, h, p, lam, m=1):
+    """A single X lane, with no Y road, at distance h from D."""
     return Scenario(channel=ChannelParams(alpha=alpha, m=m),
                     geometry=DestinationGeometry(d=h, theta=math.pi / 2),
                     link=LinkSpec(20.0),
-                    layout=RoadLayout.intersection(lam, lam),
+                    layout=RoadLayout.highway(lam),
                     p=p, theta_threshold=1.0)
 
 
@@ -80,7 +80,7 @@ def test_closed_form_correctness():
             sc = x_lane_scenario(alpha, h, p, lam)
             rate = p * lam
             reference = math.exp(-rate * _exponent_integral(
-                0, s, h, alpha, DEFAULT_EVAL, err_cap=1.0 / rate))
+                0, s, h, alpha, err_cap=1.0 / rate))
             value = closed(s, X0, sc)
             assert value == laplace(sc, s)
             assert abs(value - reference) <= 1e-8 * reference, \
@@ -108,14 +108,14 @@ def test_derivative_soundness():
             sc = x_lane_scenario(alpha, h, p, lam)
 
             def L(x):
-                return laplace(sc, x, 0, TIGHT)
+                return laplace(sc, x, 0)
             step = 0.02 * s
             fd1 = (-L(s + 2 * step) + 8 * L(s + step) - 8 * L(s - step)
                    + L(s - 2 * step)) / (12 * step)
             fd2 = (-L(s + 2 * step) + 16 * L(s + step) - 30 * L(s)
                    + 16 * L(s - step) - L(s - 2 * step)) / (12 * step ** 2)
-            d1 = laplace(sc, s, 1, TIGHT)
-            d2 = laplace(sc, s, 2, TIGHT)
+            d1 = laplace(sc, s, 1)
+            d2 = laplace(sc, s, 2)
             assert abs(d1 - fd1) <= 1e-4 * abs(fd1)
             assert abs(d2 - fd2) <= 1e-4 * abs(fd2)
             assert -d1 >= 0.0 and d2 >= 0.0  # (-1)^n L^(n) >= 0
@@ -215,13 +215,13 @@ def test_property_suite_key_limits():
     silent = intersection(NLOS, p=0.0)
     assert success(silent) == 1.0
     assert laplace(intersection(NLOS), 0.0) == 1.0
-    assert _axis_exponent_derivatives(intersection(NLOS), "x", 0.0, 0,
-                                      DEFAULT_EVAL)[0] == 0.0
+    assert _scaled_exponent_derivatives(intersection(NLOS), 0.0, 0) == [0.0]
 
     # m = 1 product reduction.
     sc = intersection(NLOS, d=150.0)
     g_arg = sc.laplace_argument
-    product = laplace(sc, g_arg) * laplace(sc, g_arg, axis="y")
+    product = math.prod(laplace_closed_alpha4(g_arg, lane, sc)
+                        for lane in sc.lanes())
     assert abs(success(sc) - product) <= 1e-12 * product
 
     # Symmetry under theta <-> pi/2 - theta with equal intensities.

@@ -4,29 +4,35 @@ import numpy as np
 import pytest
 
 from xroad import analytic, cli
-from xroad.analytic import (DEFAULT_EVAL, LaplaceEvalConfig,
-                            UnsupportedExponentError,
-                            _axis_exponent_derivatives,
-                            _axis_laplace_derivatives, _exponent_integral,
+from xroad.analytic import (UnsupportedExponentError,
+                            _exponent_integral, _scaled_exponent_derivatives,
                             laplace_closed_alpha2, laplace_closed_alpha4,
                             outage_probability)
+from xroad.bell import complete_bell_sequence
 from xroad.model import (LOS, NLOS, ChannelParams, DestinationGeometry, Lane,
                          LinkSpec, RoadLayout, Scenario)
-from xroad.sweep import default_verification_grid
+from xroad.sweep import db_to_linear, default_verification_grid
 
-TIGHT = LaplaceEvalConfig(rel_tol=1e-12)
 X0 = Lane("x", 0.0)
 
 
-def laplace(sc, s, n=0, cfg=DEFAULT_EVAL, axis="x"):
-    """n-th derivative of one road axis's Laplace transform at s, through
-    the engine's per-axis path."""
-    return _axis_laplace_derivatives(sc, axis, s, n, cfg)[n]
+def exponent_derivatives(sc, s, max_order):
+    """g, g', ..., g^(max_order) of the total interference at s > 0, from
+    the engine's scaled s^k * g^(k)(s)."""
+    return [x / s ** k for k, x in
+            enumerate(_scaled_exponent_derivatives(sc, s, max_order))]
 
 
-def exponent(sc, s, k=0, cfg=DEFAULT_EVAL):
-    """k-th derivative of the X axis's log-Laplace exponent at s."""
-    return _axis_exponent_derivatives(sc, "x", s, k, cfg)[k]
+def laplace(sc, s, n=0):
+    """n-th derivative of the total interference's Laplace transform at s,
+    composed as the engine does: s^n L^(n) = exp(x_0) * B_n(x_1..x_n)."""
+    x = _scaled_exponent_derivatives(sc, s, n)
+    return math.exp(x[0]) * complete_bell_sequence(x[1:])[n] / s ** n
+
+
+def exponent(sc, s, k=0):
+    """k-th derivative of the log-Laplace exponent at s."""
+    return exponent_derivatives(sc, s, k)[k]
 
 
 def success(sc):
@@ -37,17 +43,18 @@ def quadrature_exponent(k, s, h, alpha, rate):
     """k-th derivative of one lane's exponent from the quadratured J_k:
     g = -rate*J_0 and g^(k) = (-1)^k * k! * rate * J_k."""
     sign = -1.0 if k == 0 else (-1.0) ** k * math.factorial(k)
-    return rate * sign * _exponent_integral(k, s, h, alpha, DEFAULT_EVAL)
+    return rate * sign * _exponent_integral(k, s, h, alpha)
 
 
 def x_lane_scenario(alpha: float, h: float, p: float, lam: float,
                     m: int = 1) -> Scenario:
-    """Single X lane whose perpendicular distance to D is h."""
+    """A single X lane, with no Y road, whose perpendicular distance to D
+    is h."""
     return Scenario(
         channel=ChannelParams(alpha=alpha, m=m),
         geometry=DestinationGeometry(d=h, theta=math.pi / 2),
         link=LinkSpec(r=20.0),
-        layout=RoadLayout.intersection(lam, lam),
+        layout=RoadLayout.highway(lam),
         p=p,
         theta_threshold=1.0,
     )
@@ -105,7 +112,7 @@ def test_closed_form_matches_quadrature_on_random_draws(alpha, closed):
         sc = x_lane_scenario(alpha, h, p, lam)
         rate = p * lam
         reference = math.exp(-rate * _exponent_integral(
-            0, s, h, alpha, DEFAULT_EVAL, err_cap=1.0 / rate))
+            0, s, h, alpha, err_cap=1.0 / rate))
         value = laplace(sc, s)
         assert closed(s, X0, sc) == value
         assert value == pytest.approx(reference, rel=1e-8)
@@ -128,18 +135,31 @@ def test_negative_s_rejected():
 # ----------------------------------------------------------- closed-form jets
 
 @pytest.mark.parametrize("alpha", [2.0, 4.0])
-@pytest.mark.parametrize("h", [0.0, 3.0, 400.0])
+@pytest.mark.parametrize("h", [0.0, 1e-3, 0.01, 0.1, 3.0, 400.0])
 def test_jets_match_quadrature(alpha, h):
-    # On the lane (h = 0) and below s = 1, QUADPACK's piece beyond 8x the
-    # peak scale reports convergence it has not reached (6e-5 off at
-    # alpha = 2, s = 1e-3, k = 3), so there the Beta-integral test below
-    # is the oracle.
+    # Lanes at h <= 0.1 and s <= 1 put the peak scale far below the 1e4 m
+    # window; without the fixed breakpoints QUADPACK reported convergence
+    # there while up to 3e-3 off.
     sc = x_lane_scenario(alpha, h, 0.5, 0.01)
-    for s in ((1.0, 1e3, 1e6) if h == 0.0 else (1e-3, 1.0, 1e3, 1e6)):
-        g = _axis_exponent_derivatives(sc, "x", s, 8, DEFAULT_EVAL)
+    for s in (1e-6, 1e-4, 1e-3, 0.1, 1.0, 1e3, 1e6):
+        g = exponent_derivatives(sc, s, 8)
         for k in range(9):
             assert g[k] == pytest.approx(
                 quadrature_exponent(k, s, h, alpha, 0.005), rel=1e-8), (s, k)
+
+
+@pytest.mark.parametrize("alpha", [2.0, 4.0])
+def test_engine_quadrature_branch_matches_jets(monkeypatch, alpha):
+    # The engine quadratures only where no jet exists (general alpha off
+    # the lane).  Forcing that branch at alpha in {2, 4} checks its s^k
+    # scaling, signs and factorials against the jets.
+    sc = intersection_scenario(channel=ChannelParams(alpha=alpha, m=9),
+                               d=30.0, theta=0.4)
+    s = sc.laplace_argument
+    expected = _scaled_exponent_derivatives(sc, s, 8)
+    monkeypatch.setattr(analytic, "_lane_integral_jet", lambda *args: None)
+    assert _scaled_exponent_derivatives(sc, s, 8) == pytest.approx(
+        expected, rel=1e-8)
 
 
 @pytest.mark.parametrize("alpha", [1.3, 2.5, 3.7, 6.0])
@@ -147,7 +167,7 @@ def test_on_lane_jet_matches_quadrature_for_general_alpha(alpha):
     # Quadrature reaches its tail bound at alpha = 1.3 only for small s.
     sc = x_lane_scenario(alpha, 0.0, 0.5, 0.01)
     for s in (1.0, 10.0):
-        g = _axis_exponent_derivatives(sc, "x", s, 8, DEFAULT_EVAL)
+        g = exponent_derivatives(sc, s, 8)
         for k in range(9):
             assert g[k] == pytest.approx(
                 quadrature_exponent(k, s, 0.0, alpha, 0.005), rel=1e-8)
@@ -164,7 +184,7 @@ def test_on_lane_jet_matches_beta_integrals(alpha):
     sc = x_lane_scenario(alpha, 0.0, 0.5, 0.01)
     for s in np.logspace(-3, 6, 10):
         s = float(s)
-        g = _axis_exponent_derivatives(sc, "x", s, 8, DEFAULT_EVAL)
+        g = exponent_derivatives(sc, s, 8)
         j0 = 2.0 * b * s ** b * beta(b, 1.0 - b)
         assert g[0] == pytest.approx(-0.005 * j0, rel=1e-12)
         for k in range(1, 9):
@@ -184,7 +204,7 @@ def test_alpha2_jet_matches_two_term_split():
         for s in np.logspace(-3, 6, 10):
             s = float(s)
             x = s + h * h
-            g = _axis_exponent_derivatives(sc, "x", s, 8, DEFAULT_EVAL)
+            g = exponent_derivatives(sc, s, 8)
             assert g[0] == pytest.approx(
                 -0.005 * math.pi * s / math.sqrt(x), rel=1e-12)
             for k in range(1, 9):
@@ -219,12 +239,12 @@ def test_exponent_first_derivative_matches_richardson_difference():
         sc = x_lane_scenario(alpha, 12.0, 0.5, 0.01)
         for s in (20.0, 500.0, 1e4):
             def g(x):
-                return exponent(sc, x, 0, TIGHT)
+                return exponent(sc, x, 0)
             step = 0.05 * s
             coarse = (g(s + step) - g(s - step)) / (2 * step)
             fine = (g(s + step / 2) - g(s - step / 2)) / step
             fd = (4 * fine - coarse) / 3
-            exact = exponent(sc, s, 1, TIGHT)
+            exact = exponent(sc, s, 1)
             assert exact == pytest.approx(fd, rel=1e-6)
 
 
@@ -252,10 +272,10 @@ def test_laplace_derivatives_match_finite_differences_on_grid():
             sc = x_lane_scenario(alpha, h, p, lam)
 
             def L(x):
-                return laplace(sc, x, 0, TIGHT)
+                return laplace(sc, x, 0)
             step = 0.02 * s
-            d1 = laplace(sc, s, 1, TIGHT)
-            d2 = laplace(sc, s, 2, TIGHT)
+            d1 = laplace(sc, s, 1)
+            d2 = laplace(sc, s, 2)
             assert d1 == pytest.approx(_fd_first(L, s, step), rel=1e-4)
             assert d2 == pytest.approx(_fd_second(L, s, step), rel=1e-4)
             checked += 1
@@ -288,7 +308,8 @@ def test_no_interference_gives_certain_success():
 def test_m1_reduces_to_product_of_transforms():
     sc = intersection_scenario(channel=NLOS, d=120.0, theta=0.4)
     g_arg = sc.laplace_argument
-    product = laplace(sc, g_arg) * laplace(sc, g_arg, axis="y")
+    product = math.prod(laplace_closed_alpha4(g_arg, lane, sc)
+                        for lane in sc.lanes())
     assert success(sc) == pytest.approx(product, rel=1e-12)
 
 
@@ -394,7 +415,7 @@ def test_multi_lane_road_matches_product_of_closed_forms(alpha, closed):
                   layout=RoadLayout(lanes_x, (0.0,), 0.01, 0.01),
                   p=0.5, theta_threshold=1.0)
     for s in (1.0, 300.0, 2e4, sc.laplace_argument):
-        product = math.prod(closed(s, Lane("x", w), sc) for w in lanes_x)
+        product = math.prod(closed(s, lane, sc) for lane in sc.lanes())
         assert laplace(sc, s) == pytest.approx(product, rel=1e-8)
     g_arg = sc.laplace_argument
     product = math.prod(closed(g_arg, lane, sc) for lane in sc.lanes())
@@ -415,8 +436,36 @@ def test_m_beyond_supported_order_raises():
         outage_probability(sc)
 
 
-def test_eval_config_validation():
-    with pytest.raises(ValueError):
-        LaplaceEvalConfig(rel_tol=1e-3)
-    with pytest.raises(ValueError):
-        LaplaceEvalConfig(rel_tol=0.0)
+def test_roads_at_equal_distance_share_one_evaluation(monkeypatch):
+    # At d = 46 the two coordinates of D round to the same float, so the
+    # lanes of both roads lie at the same h and one quadrature per order
+    # serves both.
+    orders = []
+    real = analytic._exponent_integral
+
+    def counted(k, *args, **kwargs):
+        orders.append(k)
+        return real(k, *args, **kwargs)
+    monkeypatch.setattr(analytic, "_exponent_integral", counted)
+    channel = ChannelParams(alpha=3.0, m=3)
+    sc = intersection_scenario(channel=channel, d=46.0, theta=math.pi / 4)
+    res = outage_probability(sc)
+    assert orders == [0, 1, 2]
+    # The same field as one road carrying both intensities.
+    merged = Scenario(channel=channel, geometry=sc.geometry, link=sc.link,
+                      layout=RoadLayout.highway(0.02), p=0.5,
+                      theta_threshold=1.0)
+    assert res.success_prob == pytest.approx(success(merged), rel=1e-12)
+
+
+@pytest.mark.parametrize("m", [3, 9])
+@pytest.mark.parametrize("db,expected", [(-1000.0, 0.0), (-3000.0, 0.0),
+                                         (3000.0, 1.0)])
+def test_extreme_thresholds_evaluate(db, expected, m):
+    # With D on both lanes, s = m*Theta*r^alpha spans 1e-297 to 1e306;
+    # powers of s and the Bell terms must neither overflow nor give nan.
+    for alpha in (2.0, 3.0, 4.0):
+        sc = intersection_scenario(channel=ChannelParams(alpha=alpha, m=m),
+                                   thresh=db_to_linear(db))
+        assert outage_probability(sc).outage_prob == pytest.approx(
+            expected, abs=1e-12), alpha

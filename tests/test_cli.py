@@ -55,7 +55,7 @@ def test_channel_preset_and_explicit_forms(tmp_path):
 
 @pytest.mark.parametrize("mutation,fragment", [
     (dict(channel={"preset": "FOO"}), "preset"),
-    (dict(channel={"alpha": 4.0, "m": 2.5}), "non-integer Nakagami m"),
+    (dict(channel={"alpha": 4.0, "m": 2.5}), "channel.m must be an integer"),
     (dict(aloha_p="high"), "must be a number"),
     (dict(typo_key=1), "unknown key 'typo_key'"),
     (dict(layout={"lambda_q": 1}), "unknown key 'lambda_q'"),
@@ -130,7 +130,30 @@ def test_point_invalid_config_exit_2(tmp_path, capsys):
     code = cli.main(["point", "--config", str(path)])
     err = capsys.readouterr().err
     assert code == 2
-    assert "non-integer Nakagami m" in err
+    assert "channel.m must be an integer" in err
+
+
+@pytest.mark.parametrize("mutation,field", [
+    (dict(channel={"alpha": 4.0, "m": math.nan}), "channel.m"),
+    (dict(channel={"alpha": 4.0, "m": math.inf}), "channel.m"),
+    (dict(sim={"trials": math.inf}), "sim.trials"),
+    (dict(sim={"trials": 1.5}), "sim.trials"),
+    (dict(sim={"seed": math.nan}), "sim.seed"),
+    (dict(sim={"seed": 2.5}), "sim.seed"),
+])
+def test_config_integers_must_be_integral(tmp_path, capsys, mutation, field):
+    # json writes inf and nan as Infinity and NaN, which json.load accepts.
+    path = write_config(tmp_path, **mutation)
+    assert cli.main(["point", "--config", str(path)]) == 2
+    assert f"{field} must be an integer" in capsys.readouterr().err
+
+
+def test_integral_floats_are_accepted(tmp_path):
+    raw = load_config(write_config(tmp_path, channel={"alpha": 4.0, "m": 3.0},
+                                   sim={"trials": 300.0, "seed": 7.0}))
+    assert parse_scenario(raw).channel.m == 3
+    sim = parse_sim(raw["sim"])
+    assert (sim.trials, sim.master_seed) == (300, 7)
 
 
 def test_point_bad_sim_values_exit_2(tmp_path, capsys):

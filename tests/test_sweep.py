@@ -159,11 +159,11 @@ def test_run_sweep_byte_identical_output(tmp_path):
 def test_run_sweep_marks_failed_rows_and_continues(monkeypatch):
     calls = {"n": 0}
 
-    def explode(scenario, cfg=analytic.DEFAULT_EVAL):
+    def explode(scenario):
         calls["n"] += 1
         if calls["n"] == 1:
             raise analytic.ConsistencyError("forced failure")
-        return real(scenario, cfg)
+        return real(scenario)
 
     real = analytic.outage_probability
     monkeypatch.setattr(analytic, "outage_probability", explode)
