@@ -249,6 +249,10 @@ def _scaled_exponent_derivatives(scenario: Scenario, s: float,
     for h, rate in rates.items():
         if rate == 0.0:
             continue
+        if s == math.inf:
+            # laplace_argument overflowed: every J(s; h) diverges, so
+            # exp(x_0) = 0 and the caller's underflow guard gives outage 1.
+            return [-math.inf] + out[1:]
         coeffs = _lane_integral_jet(s, h, alpha, max_order)
         if coeffs is None:
             cap = 1.0 / rate

@@ -193,13 +193,14 @@ def _cmd_verify(args) -> int:
     print(f"{'point':38s} {'analytic':>10s} {'mc':>10s} {'diff':>9s} "
           f"{'tol':>9s}  result")
     for pt in report.points:
-        if pt.error:
+        row = pt.row
+        if row.error:
             print(f"{pt.label:38s} {'-':>10s} {'-':>10s} {'-':>9s} {'-':>9s} "
-                  f" FAIL ({pt.error})")
+                  f" FAIL ({row.error})")
             continue
         verdict = "pass" if pt.passed else "FAIL"
-        print(f"{pt.label:38s} {pt.outage_analytic:10.6f} "
-              f"{pt.outage_mc:10.6f} {pt.abs_diff:9.6f} {pt.tolerance:9.6f} "
+        print(f"{pt.label:38s} {row.outage_analytic:10.6f} "
+              f"{row.outage_mc:10.6f} {pt.abs_diff:9.6f} {pt.tolerance:9.6f} "
               f" {verdict}")
     print(f"overall: {'PASS' if report.passed else 'FAIL'}")
     return EXIT_OK if report.passed else EXIT_VERIFY

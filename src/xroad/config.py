@@ -34,15 +34,30 @@ def _check_keys(obj: dict, where: str, allowed: set[str],
             raise ConfigError(f"missing key '{key}' in {where}")
 
 
+def _float(value, field: str) -> float:
+    """A JSON number as a float.  Booleans, non-numbers and integers beyond
+    the float range raise a ConfigError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{field} must be a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{field} is an integer too large for a "
+                          "float") from None
+
+
+def _floats(value, field: str) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        raise ConfigError(f"{field} must be a list of numbers")
+    return tuple(_float(v, f"{field}[{i}]") for i, v in enumerate(value))
+
+
 def _number(obj: dict, where: str, key: str, default=None) -> float:
     if key not in obj:
         if default is None:
             raise ConfigError(f"missing key '{key}' in {where}")
         return default
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number")
-    return float(value)
+    return _float(obj[key], f"{where}.{key}")
 
 
 def _integer(obj: dict, where: str, key: str, default=None) -> int:
@@ -77,12 +92,7 @@ def _offsets(obj: dict, where: str, key: str,
              default: tuple[float, ...]) -> tuple[float, ...]:
     if key not in obj:
         return default
-    value = obj[key]
-    if not isinstance(value, list) or any(
-            isinstance(w, bool) or not isinstance(w, (int, float))
-            for w in value):
-        raise ConfigError(f"{where}.{key} must be a list of numbers")
-    return tuple(float(w) for w in value)
+    return _floats(obj[key], f"{where}.{key}")
 
 
 def parse_layout(obj: dict, where: str = "layout") -> RoadLayout:
@@ -156,11 +166,7 @@ def parse_sweep(obj: dict, base: Scenario) -> SweepSpec:
     _check_keys(obj, "sweep",
                 {"axis", "values", "engines", "variants", "lane_spacing"},
                 {"axis", "values"})
-    values = obj["values"]
-    if not isinstance(values, list) or any(
-            isinstance(v, bool) or not isinstance(v, (int, float))
-            for v in values):
-        raise ConfigError("sweep.values must be a list of numbers")
+    values = _floats(obj["values"], "sweep.values")
     engines = obj.get("engines", list(ENGINES))
     if (not isinstance(engines, list)
             or any(e not in ENGINES for e in engines)):
@@ -173,7 +179,7 @@ def parse_sweep(obj: dict, base: Scenario) -> SweepSpec:
     spec = SweepSpec(
         base=base,
         axis=obj["axis"],
-        values=tuple(float(v) for v in values),
+        values=values,
         engines=tuple(engines),
         variants=variants,
         lane_spacing=_number(obj, "sweep", "lane_spacing", 3.5),

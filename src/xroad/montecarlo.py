@@ -14,8 +14,10 @@ _SLICE interferers, and np.bincount reduces the received powers per trial.
 Blocks are the unit of work handed to worker processes, so the estimate is
 bit-identical for any worker count or scheduling order.
 
+Only the total interference from both roads decides an outage, so the
+engine carries one interference sum per trial over all lanes.
+
 The per-trial functions (trial_rng, sample_interferers, _aggregate,
-sample_aggregate_interference, sample_outage_event,
 outage_from_interference) simulate one realization at a time with a
 Philox stream per trial.  They are the small reference oracle the tests
 check the block engine against.
@@ -101,8 +103,8 @@ def sample_interferers(lane: Lane, scenario: Scenario, sim: SimConfig,
 
 
 def _aggregate(scenario: Scenario, sim: SimConfig,
-               rng: np.random.Generator) -> tuple[float, float, int]:
-    """(I_X, I_Y, excluded) for one realization.
+               rng: np.random.Generator) -> tuple[float, int]:
+    """(interference, excluded) for one realization.
 
     Per lane, in layout order: sample the point process, keep each point
     with probability p, attach an exponential fade, convert to received
@@ -111,7 +113,7 @@ def _aggregate(scenario: Scenario, sim: SimConfig,
     """
     dest = destination_position(scenario.geometry)
     alpha = scenario.channel.alpha
-    totals = {"x": 0.0, "y": 0.0}
+    total = 0.0
     excluded = 0
     for lane in scenario.lanes():
         pts = sample_interferers(lane, scenario, sim, rng)
@@ -123,42 +125,21 @@ def _aggregate(scenario: Scenario, sim: SimConfig,
         if at_dest.any():
             excluded += int(at_dest.sum())
             fades, dist_sq = fades[~at_dest], dist_sq[~at_dest]
-        totals[lane.axis] += float(np.sum(fades * dist_sq ** (-0.5 * alpha)))
-    return totals["x"], totals["y"], excluded
-
-
-def sample_aggregate_interference(scenario: Scenario, sim: SimConfig,
-                                  rng: np.random.Generator
-                                  ) -> tuple[float, float]:
-    """Aggregate interference powers (I_X, I_Y) for one realization."""
-    ix, iy, excluded = _aggregate(scenario, sim, rng)
-    if excluded:
-        warnings.warn(f"excluded {excluded} interferer(s) located exactly "
-                      "at the destination", RuntimeWarning, stacklevel=2)
-    return ix, iy
+        total += float(np.sum(fades * dist_sq ** (-0.5 * alpha)))
+    return total, excluded
 
 
 def outage_from_interference(scenario: Scenario, signal_fade: float,
-                             i_x: float, i_y: float) -> bool:
+                             interference: float) -> bool:
     """SIR < Theta decision given a drawn signal fade and interference.
 
     Zero interference means infinite SIR, never an outage; an exact tie
     with the threshold counts as success.
     """
-    total = i_x + i_y
-    if total == 0.0:
+    if interference == 0.0:
         return False
-    sir = signal_fade * scenario.link_path_loss / total
+    sir = signal_fade * scenario.link_path_loss / interference
     return sir < scenario.theta_threshold
-
-
-def sample_outage_event(scenario: Scenario, sim: SimConfig,
-                        rng: np.random.Generator) -> bool:
-    """One realization: True when the link is in outage."""
-    ix, iy, _ = _aggregate(scenario, sim, rng)
-    ch = scenario.channel
-    fade = rng.gamma(ch.m, ch.mu / ch.m)  # rate m/mu, mean mu
-    return outage_from_interference(scenario, fade, ix, iy)
 
 
 def _received_power(fades: np.ndarray, dist_sq: np.ndarray,
@@ -211,8 +192,8 @@ def _slices(counts: np.ndarray):
 
 def _block_interference(scenario: Scenario, sim: SimConfig,
                         rng: np.random.Generator, count: int
-                        ) -> tuple[np.ndarray, np.ndarray, int]:
-    """(I_X, I_Y, excluded) for `count` realizations drawn from `rng`.
+                        ) -> tuple[np.ndarray, int]:
+    """(interference, excluded) for `count` realizations drawn from `rng`.
 
     Per lane, in layout order: all trials' Aloha-thinned interferer counts
     in one Poisson draw, then positions and fades slice by slice.
@@ -220,7 +201,7 @@ def _block_interference(scenario: Scenario, sim: SimConfig,
     dest = destination_position(scenario.geometry)
     alpha = scenario.channel.alpha
     half = sim.half_length
-    totals = {"x": np.zeros(count), "y": np.zeros(count)}
+    total = np.zeros(count)
     excluded = 0
     for lane in scenario.lanes():
         mean = scenario.p * scenario.lane_intensity(lane) * 2.0 * half
@@ -233,18 +214,18 @@ def _block_interference(scenario: Scenario, sim: SimConfig,
             fades = rng.exponential(1.0, n)
             power, ex = _slice_interference(lane, dest, alpha, along, fades,
                                             owner, hi - lo)
-            totals[lane.axis][lo:hi] += power
+            total[lo:hi] += power
             excluded += ex
-    return totals["x"], totals["y"], excluded
+    return total, excluded
 
 
 def _outage_events(scenario: Scenario, signal_fades: np.ndarray,
-                   i_x: np.ndarray, i_y: np.ndarray) -> np.ndarray:
+                   interference: np.ndarray) -> np.ndarray:
     """Elementwise outage_from_interference over arrays of trials."""
     with np.errstate(divide="ignore", invalid="ignore"):
         # Zero interference gives an SIR of inf (nan for a zero signal
         # fade); neither compares below the threshold, so neither fails.
-        sir = signal_fades * scenario.link_path_loss / (i_x + i_y)
+        sir = signal_fades * scenario.link_path_loss / interference
     return sir < scenario.theta_threshold
 
 
@@ -259,10 +240,10 @@ def _run_block(scenario: Scenario, sim: SimConfig, start: int,
         raise ValueError(f"trials [{start}, {start + count}) are not a "
                          f"prefix of one {_BLOCK}-trial block")
     rng = _philox(sim.master_seed, start // _BLOCK)
-    ix, iy, excluded = _block_interference(scenario, sim, rng, count)
+    interference, excluded = _block_interference(scenario, sim, rng, count)
     ch = scenario.channel
     fades = rng.gamma(ch.m, ch.mu / ch.m, count)
-    outages = _outage_events(scenario, fades, ix, iy)
+    outages = _outage_events(scenario, fades, interference)
     return int(np.count_nonzero(outages)), excluded
 
 

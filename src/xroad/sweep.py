@@ -10,7 +10,7 @@ from pathlib import Path
 
 from . import analytic
 from .model import (LOS, NLOS, ChannelParams, DestinationGeometry, LinkSpec,
-                    RoadLayout, Scenario, validate_scenario)
+                    RoadLayout, Scenario, ValidationError, validate_scenario)
 from .montecarlo import SimConfig, estimate
 
 AXES = ("density", "distance_d", "lanes", "threshold_db", "aloha_p")
@@ -233,14 +233,14 @@ def write_metadata(csv_path: str | Path, payload: dict) -> Path:
 
 @dataclass(frozen=True)
 class PointComparison:
+    """One verify grid point: its engine row and the agreement verdict;
+    tolerance and abs_diff are None when the row carries an error."""
+
     label: str
-    outage_analytic: float | None
-    outage_mc: float | None
-    stderr: float | None
+    row: SweepRow
     tolerance: float | None
     abs_diff: float | None
     passed: bool
-    error: str = ""
 
 
 @dataclass(frozen=True)
@@ -252,8 +252,7 @@ class ComparisonReport:
         return all(p.passed for p in self.points)
 
 
-def default_verification_grid(r: float = 10.0, p: float = 0.5,
-                              theta: float = 1.0) -> list[tuple[str, Scenario]]:
+def default_verification_grid() -> list[tuple[str, Scenario]]:
     """12 scenarios spanning both channel presets, three destination
     distances and two densities.
 
@@ -269,44 +268,41 @@ def default_verification_grid(r: float = 10.0, p: float = 0.5,
                 grid.append((label, Scenario(
                     channel=ch,
                     geometry=DestinationGeometry(d=d, theta=0.0),
-                    link=LinkSpec(r=r),
+                    link=LinkSpec(r=10.0),
                     layout=RoadLayout.intersection(lam, lam),
-                    p=p,
-                    theta_threshold=theta,
+                    p=0.5,
+                    theta_threshold=1.0,
                 )))
     return grid
 
 
-def compare_engines(grid: list[tuple[str, Scenario]] | None = None,
-                    sim: SimConfig | None = None,
+def compare_engines(grid: list[tuple[str, Scenario]], sim: SimConfig,
                     workers: int = 1) -> ComparisonReport:
     """Analytic vs Monte-Carlo outage on every grid point.
 
-    A point passes when |analytic - mc| <= max(0.01, 3 * stderr), so
-    small-trial runs widen their own tolerance instead of failing
-    spuriously.  An engine error fails the point, not the run.
+    Each point's row comes from sweep_row with both engines, Monte-Carlo
+    seeded by row_seed(sim.master_seed, 0, index).  A point passes when
+    |analytic - mc| <= max(0.01, 3 * stderr), so small-trial runs widen
+    their own tolerance instead of failing spuriously.  An invalid scenario
+    or an engine error fails the point, not the run.
     """
-    if grid is None:
-        grid = default_verification_grid()
-    if sim is None:
-        sim = SimConfig(trials=50_000, half_length=4000.0, master_seed=0)
     points = []
     for index, (label, scenario) in enumerate(grid):
         try:
             scenario = validate_scenario(scenario)
-            ana = analytic.outage_probability(scenario).outage_prob
+        except ValidationError as exc:
+            row = SweepRow(variant=label, axis="none", value=0.0,
+                           error=str(exc))
+        else:
             point_sim = replace(sim,
                                 master_seed=row_seed(sim.master_seed, 0, index))
-            est = estimate(scenario, point_sim, workers=workers)
-            tol = max(0.01, 3.0 * est.stderr)
-            diff = abs(ana - est.p_hat)
-            points.append(PointComparison(
-                label=label, outage_analytic=ana, outage_mc=est.p_hat,
-                stderr=est.stderr, tolerance=tol, abs_diff=diff,
-                passed=diff <= tol))
-        except (ValueError, ArithmeticError) as exc:
-            points.append(PointComparison(
-                label=label, outage_analytic=None, outage_mc=None,
-                stderr=None, tolerance=None, abs_diff=None,
-                passed=False, error=str(exc)))
+            row = sweep_row(scenario, ENGINES, point_sim, workers, label,
+                            "none", 0.0)
+        tol = diff = None
+        if not row.error:
+            tol = max(0.01, 3.0 * row.mc_stderr)
+            diff = abs(row.outage_analytic - row.outage_mc)
+        points.append(PointComparison(label=label, row=row, tolerance=tol,
+                                      abs_diff=diff,
+                                      passed=diff is not None and diff <= tol))
     return ComparisonReport(points=tuple(points))

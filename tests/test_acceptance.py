@@ -136,8 +136,8 @@ def test_analytic_montecarlo_agreement():
         workers=2)
     print()
     for pt in report.points:
-        print(f"  {pt.label:26s} analytic={pt.outage_analytic:.5f} "
-              f"mc={pt.outage_mc:.5f} diff={pt.abs_diff:.5f} "
+        print(f"  {pt.label:26s} analytic={pt.row.outage_analytic:.5f} "
+              f"mc={pt.row.outage_mc:.5f} diff={pt.abs_diff:.5f} "
               f"tol={pt.tolerance:.5f} "
               f"{'pass' if pt.passed else 'FAIL'}")
     assert report.passed

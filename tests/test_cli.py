@@ -117,6 +117,21 @@ def test_point_reports_zero_outage_for_empty_field(tmp_path, capsys):
     assert "outage (analytic)      0.000000" in out
 
 
+@pytest.mark.parametrize("lam,outage", [(0.01, "1.000000"),
+                                         (0.0, "0.000000")])
+def test_point_with_overflowed_laplace_argument(tmp_path, capsys, lam,
+                                                outage):
+    # +3000 dB at r = 1e6 m, alpha = 4: m*Theta/(mu*l_SD) overflows to inf.
+    # Any interferer then puts the link in outage; an empty field never does.
+    path = write_config(tmp_path, link={"r": 1e6}, sir_threshold_db=3000,
+                        layout={"lanes_x": [0.0], "lanes_y": [0.0],
+                                "lambda_x": lam, "lambda_y": lam})
+    code = cli.main(["point", "--config", str(path), "--engine", "analytic"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert f"outage (analytic)      {outage}" in out
+
+
 def test_point_analytic_only(tmp_path, capsys):
     path = write_config(tmp_path)
     code = cli.main(["point", "--config", str(path), "--engine", "analytic"])
@@ -146,6 +161,27 @@ def test_config_integers_must_be_integral(tmp_path, capsys, mutation, field):
     path = write_config(tmp_path, **mutation)
     assert cli.main(["point", "--config", str(path)]) == 2
     assert f"{field} must be an integer" in capsys.readouterr().err
+
+
+HUGE = 10 ** 400  # json writes it as a 401-digit integer literal
+
+
+@pytest.mark.parametrize("command,mutation,field", [
+    ("point", dict(channel={"alpha": HUGE, "m": 2}), "channel.alpha"),
+    ("point", dict(layout={"lanes_x": [0.0, HUGE], "lambda_x": 0.01}),
+     "layout.lanes_x[1]"),
+    ("sweep", dict(sweep={"axis": "density", "values": [0.01, HUGE],
+                          "engines": ["analytic"]}), "sweep.values[1]"),
+])
+def test_huge_json_integers_exit_2(tmp_path, capsys, command, mutation,
+                                   field):
+    path = write_config(tmp_path, **mutation)
+    code = cli.main([command, "--config", str(path), "--engine", "analytic",
+                     "--out", str(tmp_path / "o.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"config error: {field} is an integer too large" in err
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_integral_floats_are_accepted(tmp_path):
@@ -286,3 +322,21 @@ def test_verify_config_must_list_both_engines(tmp_path, capsys, engines):
     assert code == 2
     assert "sweep.engines" in captured.err
     assert captured.out == ""
+
+
+def test_verify_engine_failure_fails_only_its_point(tmp_path, capsys):
+    # m = 10 validates but needs derivative orders beyond the analytic
+    # engine's; that point fails with the engine named, the other passes.
+    path = write_config(tmp_path, sweep={
+        "axis": "density", "values": [0.005],
+        "variants": [{"label": "NLOS"},
+                     {"label": "m10", "channel": {"alpha": 4.0, "m": 10}}],
+    }, sim={"trials": 1500, "seed": 2})
+    code = cli.main(["verify", "--config", str(path)])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 4
+    nlos = next(ln for ln in lines if ln.startswith("NLOS density=0.005"))
+    m10 = next(ln for ln in lines if ln.startswith("m10 density=0.005"))
+    assert nlos.endswith(" pass")
+    assert "FAIL (analytic: fading parameter m = 10" in m10
+    assert lines[-1] == "overall: FAIL"

@@ -8,9 +8,7 @@ from xroad.analytic import outage_probability
 from xroad.model import (NLOS, DestinationGeometry, Lane, LinkSpec,
                          RoadLayout, Scenario)
 from xroad.montecarlo import (SimConfig, estimate, outage_from_interference,
-                              sample_aggregate_interference,
-                              sample_interferers, sample_outage_event,
-                              trial_rng)
+                              sample_interferers, trial_rng)
 from xroad.montecarlo import (_BLOCK, _SLICE, _aggregate, _block_interference,
                               _outage_events, _philox, _received_power, _run_block,
                               _slice_interference, _slices)
@@ -70,9 +68,8 @@ def test_aggregate_zero_cases():
     sim = SimConfig(trials=1)
     for sc in (nlos_scenario(lam=0.0), nlos_scenario(lam=0.02, p=0.0)):
         for trial in range(10):
-            ix, iy = sample_aggregate_interference(sc, sim,
-                                                   trial_rng(1, trial))
-            assert ix == 0.0 and iy == 0.0
+            interference, excluded = _aggregate(sc, sim, trial_rng(1, trial))
+            assert interference == 0.0 and excluded == 0
 
 
 def test_aggregate_mean_matches_intensity_integral():
@@ -93,15 +90,16 @@ def test_aggregate_mean_matches_intensity_integral():
     trials = 100_000
     total = 0.0
     for t in range(trials):
-        ix, _, _ = _aggregate(sc, sim, trial_rng(2024, t))
-        total += ix
+        interference, _ = _aggregate(sc, sim, trial_rng(2024, t))
+        total += interference
     assert total / trials == pytest.approx(exact, rel=0.05)
 
 
-def test_interferer_at_destination_excluded_with_warning(monkeypatch):
+def test_interferer_at_destination_excluded(monkeypatch):
     # An interferer landing exactly on D has an undefined path loss; force
-    # one through the sampler and check it is dropped with a warning while
-    # the other point still contributes.
+    # one through the sampler and check it is dropped and counted while the
+    # other point still contributes.  estimate() turns the count into a
+    # warning (test_block_exclusion_counted_and_warned).
     import xroad.montecarlo as mc
 
     sc = nlos_scenario(lam=0.01, p=1.0, d=0.0)
@@ -113,29 +111,35 @@ def test_interferer_at_destination_excluded_with_warning(monkeypatch):
         return np.empty((0, 2))
 
     monkeypatch.setattr(mc, "sample_interferers", forced)
-    with pytest.warns(RuntimeWarning, match="exactly"):
-        ix, iy = mc.sample_aggregate_interference(sc, sim, trial_rng(0, 0))
-    assert iy == 0.0
-    assert ix > 0.0  # the 10 m interferer survived
-    assert math.isfinite(ix)
+    interference, excluded = mc._aggregate(sc, sim, trial_rng(0, 0))
+    assert excluded == 1
+    # Replay the stream: both points pass the p=1 thinning, then take one
+    # fade each; only the 10 m interferer's power is left.
+    rng = trial_rng(0, 0)
+    rng.random(2)
+    fades = rng.exponential(1.0, 2)
+    assert interference == pytest.approx(fades[1] * 10.0 ** -4, rel=1e-15)
 
 
 def test_outage_decision_rules():
     sc = nlos_scenario(thresh=1.0, r=20.0)
     # Zero interference: success regardless of fade.
-    assert outage_from_interference(sc, 0.0, 0.0, 0.0) is False
+    assert outage_from_interference(sc, 0.0, 0.0) is False
     lsd = sc.link_path_loss
     # SIR exactly at threshold counts as success.
-    assert outage_from_interference(sc, 1.0, lsd, 0.0) is False
+    assert outage_from_interference(sc, 1.0, lsd) is False
     # Slightly more interference tips into outage.
-    assert outage_from_interference(sc, 1.0, lsd * 1.01, 0.0) is True
+    assert outage_from_interference(sc, 1.0, lsd * 1.01) is True
 
 
 def test_outage_event_zero_intensity_never_outage():
     sc = nlos_scenario(lam=0.0)
     sim = SimConfig(trials=1)
-    assert not any(sample_outage_event(sc, sim, trial_rng(7, t))
-                   for t in range(50))
+    for t in range(50):
+        rng = trial_rng(7, t)
+        interference, _ = _aggregate(sc, sim, rng)
+        fade = rng.gamma(sc.channel.m, sc.channel.mu / sc.channel.m)
+        assert not outage_from_interference(sc, fade, interference)
 
 
 def test_single_interferer_outage_law():
@@ -154,7 +158,7 @@ def test_single_interferer_outage_law():
         rng = trial_rng(99, t)
         interference = rng.exponential() * dist ** -4.0
         signal = rng.gamma(sc.channel.m, sc.channel.mu / sc.channel.m)
-        hits += outage_from_interference(sc, signal, interference, 0.0)
+        hits += outage_from_interference(sc, signal, interference)
     stderr = math.sqrt(oracle * (1.0 - oracle) / trials)
     assert hits / trials == pytest.approx(oracle, abs=3 * stderr)
 
@@ -264,7 +268,7 @@ def test_signal_fade_distribution_matches_gamma_parameterization():
 
 def test_block_interference_campbell_mean_with_folded_thinning():
     # Same lane and integral as the per-trial Campbell test, with p=0.5
-    # folded into the Poisson count: mean I_X = p * lam * int (25+u^2)^-2.
+    # folded into the Poisson count: mean I = p * lam * int (25+u^2)^-2.
     h, lam, p = 5.0, 0.01, 0.5
     sc = Scenario(channel=NLOS, geometry=DestinationGeometry(0.0, 0.0),
                   link=LinkSpec(20.0),
@@ -277,18 +281,20 @@ def test_block_interference_campbell_mean_with_folded_thinning():
     blocks = 100
     total = 0.0
     for b in range(blocks):
-        ix, iy, excluded = _block_interference(sc, sim, _philox(2024, b),
-                                               _BLOCK)
-        assert ix.shape == (_BLOCK,) and not iy.any() and excluded == 0
-        total += ix.sum()
+        interference, excluded = _block_interference(sc, sim,
+                                                     _philox(2024, b), _BLOCK)
+        assert interference.shape == (_BLOCK,) and excluded == 0
+        total += interference.sum()
     assert total / (blocks * _BLOCK) == pytest.approx(exact, rel=0.05)
 
 
 def test_block_interference_zero_cases():
     sim = SimConfig(trials=1)
     for sc in (nlos_scenario(lam=0.0), nlos_scenario(lam=0.02, p=0.0)):
-        ix, iy, excluded = _block_interference(sc, sim, _philox(1, 0), _BLOCK)
-        assert not ix.any() and not iy.any() and excluded == 0
+        interference, excluded = _block_interference(sc, sim, _philox(1, 0),
+                                                     _BLOCK)
+        assert interference.shape == (_BLOCK,)
+        assert not interference.any() and excluded == 0
 
 
 def test_block_single_interferer_outage_law():
@@ -306,8 +312,7 @@ def test_block_single_interferer_outage_law():
     assert excluded == 0
     np.testing.assert_allclose(power, fades * dist ** -4.0, rtol=1e-15)
     signal = rng.gamma(sc.channel.m, sc.channel.mu / sc.channel.m, trials)
-    hits = np.count_nonzero(_outage_events(sc, signal, power,
-                                           np.zeros(trials)))
+    hits = np.count_nonzero(_outage_events(sc, signal, power))
     oracle = a / (1.0 + a)
     stderr = math.sqrt(oracle * (1.0 - oracle) / trials)
     assert hits / trials == pytest.approx(oracle, abs=3 * stderr)
@@ -317,20 +322,20 @@ def test_outage_events_decision_rules_on_arrays():
     sc = nlos_scenario(thresh=1.0, r=20.0)
     lsd = sc.link_path_loss
     signal = np.array([0.0, 1.0, 1.0, 1.0, 2.0])
-    i_x = np.array([0.0, 0.0, lsd, lsd * 1.01, lsd])
-    i_y = np.array([0.0, 0.0, 0.0, 0.0, lsd])
+    interference = np.array([0.0, 0.0, lsd, lsd * 1.01, 2.0 * lsd])
     # Zero interference (with or without signal) never fails; an SIR exactly
     # at the threshold succeeds; slightly more interference tips into outage.
     expected = [False, False, False, True, False]
-    assert _outage_events(sc, signal, i_x, i_y).tolist() == expected
+    assert _outage_events(sc, signal, interference).tolist() == expected
     # Elementwise agreement with the scalar oracle on random draws.
     rng = _philox(4, 0)
     signal = rng.gamma(3, 1.0 / 3, 2000)
     i_x = rng.exponential(lsd, 2000) * (rng.random(2000) < 0.8)
     i_y = rng.exponential(lsd, 2000) * (rng.random(2000) < 0.8)
-    scalar = [outage_from_interference(sc, f, x, y)
-              for f, x, y in zip(signal, i_x, i_y)]
-    assert _outage_events(sc, signal, i_x, i_y).tolist() == scalar
+    interference = i_x + i_y
+    scalar = [outage_from_interference(sc, f, i)
+              for f, i in zip(signal, interference)]
+    assert _outage_events(sc, signal, interference).tolist() == scalar
 
 
 def test_slice_interference_drops_interferer_at_destination():

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -8,11 +9,11 @@ from xroad import analytic
 from xroad.model import (LOS, NLOS, DestinationGeometry, LinkSpec,
                          RoadLayout, Scenario)
 from xroad.montecarlo import SimConfig
-from xroad.sweep import (CSV_COLUMNS, ComparisonReport, SweepSpec, Variant,
-                         apply_axis_value, apply_variant, compare_engines,
-                         default_verification_grid, row_seed, run_sweep,
-                         sweep_points, validate_sweep, write_csv,
-                         write_metadata)
+from xroad.sweep import (CSV_COLUMNS, ENGINES, ComparisonReport, SweepSpec,
+                         Variant, apply_axis_value, apply_variant,
+                         compare_engines, default_verification_grid, row_seed,
+                         run_sweep, sweep_points, sweep_row, validate_sweep,
+                         write_csv, write_metadata)
 
 
 def base_scenario(**overrides) -> Scenario:
@@ -209,12 +210,29 @@ def test_compare_engines_widens_tolerance_for_small_trials():
     assert report.passed
 
 
+def test_compare_engines_rows_come_from_sweep_row():
+    grid = [("dense", base_scenario()),
+            ("sparse", base_scenario(layout=RoadLayout.intersection(0.002,
+                                                                    0.002)))]
+    sim = SimConfig(trials=300, master_seed=6)
+    report = compare_engines(grid, sim)
+    for index, ((label, scenario), point) in enumerate(zip(grid,
+                                                           report.points)):
+        point_sim = replace(sim, master_seed=row_seed(6, 0, index))
+        assert point.row == sweep_row(scenario, ENGINES, point_sim, 1, label,
+                                      "none", 0.0)
+        assert point.label == label
+        assert point.tolerance == max(0.01, 3.0 * point.row.mc_stderr)
+        assert point.abs_diff == abs(point.row.outage_analytic
+                                     - point.row.outage_mc)
+
+
 def test_compare_engines_reports_engine_errors_per_point():
     from xroad.model import ChannelParams
     invalid = base_scenario(channel=ChannelParams(alpha=0.5, m=1))
     report = compare_engines([("bad", invalid), ("ok", base_scenario())],
                              SimConfig(trials=200, master_seed=2))
     assert not report.points[0].passed
-    assert report.points[0].error
+    assert report.points[0].row.error
     assert report.points[1].passed
     assert not report.passed
