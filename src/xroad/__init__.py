@@ -13,8 +13,7 @@ from .analytic import (AnalyticResult, ConsistencyError, QuadratureError,
                        laplace_closed_alpha4, outage_probability)
 from .model import (LOS, NLOS, ChannelParams, DestinationGeometry, Lane,
                     LinkSpec, RoadLayout, Scenario, ValidationError,
-                    destination_position, perpendicular_distance,
-                    validate_scenario)
+                    destination_position, validate_scenario)
 from .montecarlo import OutageEstimate, SimConfig, estimate
 from .sweep import (ComparisonReport, SweepRow, SweepSpec, Variant,
                     compare_engines, default_verification_grid, run_sweep,
@@ -29,5 +28,5 @@ __all__ = [
     "ValidationError", "Variant", "compare_engines",
     "default_verification_grid", "destination_position", "estimate",
     "laplace_closed_alpha2", "laplace_closed_alpha4", "outage_probability",
-    "perpendicular_distance", "run_sweep", "validate_scenario", "write_csv",
+    "run_sweep", "validate_scenario", "write_csv",
 ]

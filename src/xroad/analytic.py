@@ -5,12 +5,12 @@ interference from both roads,
 
     L(s) = exp(g(s)),   g(s) = -p * sum_lanes lam * int_R s / (s + a(u)) du,
 
-where a(u) = (h^2 + u^2)^(alpha/2) is the path-loss distance term of an
-interferer at along-lane coordinate u, and h is the perpendicular distance
-from the destination to the lane.  The lanes carry independent Poisson
-fields, so one exponent g sums them all; lanes at the same h, on either
-road, share one evaluation.  The success probability of a link with an
-integer gamma-fading parameter m is
+where a(u) = (h^2 + u^2)^(alpha/2), h is the lane's distance from the
+destination (Lane.h) and u an interferer's coordinate along the lane from
+the point nearest the destination; the roads are infinite, so Lane.c drops
+out.  The lanes carry independent Poisson fields, so one exponent g sums
+them all; lanes at the same h, on either road, share one evaluation.  The
+success probability of a link with an integer gamma-fading parameter m is
 
     P_s = sum_{k<m} (-s)^k / k! * L^(k)(s),   s = m*Theta/(mu*l_SD),
 
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from scipy.integrate import quad
 
 from .bell import complete_bell_sequence
-from .model import Lane, Scenario, destination_position, perpendicular_distance
+from .model import Lane, Scenario
 
 #: Highest supported derivative order of L (so m can be at most MAX_ORDER+1).
 MAX_ORDER = 8
@@ -77,11 +77,6 @@ class AnalyticResult:
     outage_prob: float
     throughput: float           # bits/s/Hz
     per_term: tuple[float, ...]
-
-
-def _lane_h(lane: Lane, scenario: Scenario) -> float:
-    pos = destination_position(scenario.geometry)
-    return perpendicular_distance(pos, lane.axis, lane.offset)
 
 
 def _half_line_integral(f, tail_coeff: float, tail_pow: float,
@@ -203,6 +198,8 @@ def _lane_integral_jet(s: float, h: float, alpha: float,
 
 def _laplace_closed(alpha: float, s: float, lane: Lane,
                     scenario: Scenario) -> float:
+    """Laplace transform of one lane's interference at s, from the closed
+    form for `alpha`; the lane must come from scenario.lanes()."""
     if scenario.channel.alpha != alpha:
         raise UnsupportedExponentError(
             f"closed form needs alpha = {alpha:g}, got {scenario.channel.alpha}")
@@ -210,18 +207,17 @@ def _laplace_closed(alpha: float, s: float, lane: Lane,
         raise ValueError("transform argument s must be nonnegative")
     if s == 0.0:
         return 1.0
-    rate = scenario.p * scenario.lane_intensity(lane)
-    j = _lane_integral_jet(s, _lane_h(lane, scenario), alpha, 0)[0]
-    return math.exp(-rate * j)
+    j = _lane_integral_jet(s, lane.h, alpha, 0)[0]
+    return math.exp(-scenario.p * lane.intensity * j)
 
 
 def laplace_closed_alpha4(s: float, lane: Lane, scenario: Scenario) -> float:
-    """Closed-form lane Laplace transform for path-loss exponent 4."""
+    """Closed-form Laplace transform, alpha = 4, of a scenario.lanes() lane."""
     return _laplace_closed(4.0, s, lane, scenario)
 
 
 def laplace_closed_alpha2(s: float, lane: Lane, scenario: Scenario) -> float:
-    """Closed-form lane Laplace transform for path-loss exponent 2."""
+    """Closed-form Laplace transform, alpha = 2, of a scenario.lanes() lane."""
     return _laplace_closed(2.0, s, lane, scenario)
 
 
@@ -231,28 +227,30 @@ def _scaled_exponent_derivatives(scenario: Scenario, s: float,
     the Laplace transform of the total interference from both roads.
 
     The lanes are independent point processes, so g = -sum_h rate_h * J(s; h)
-    over the distinct perpendicular distances h, with rate_h the summed
-    p*lam of the lanes at h on either road; -g is a Bernstein function.
-    Each h is evaluated once, from the closed-form jet where one exists and
-    otherwise by quadrature, whose J_k = (-1)^(k+1) J^(k)(s) / k! (k >= 1)
-    are scaled by s^k outside the integrand.
+    over the distinct lane distances h of scenario.lanes(), with rate_h the
+    summed p*lam of the lanes at h on either road; -g is a Bernstein
+    function.  Each h is evaluated once, from the closed-form jet where one
+    exists and otherwise by quadrature, whose J_k = (-1)^(k+1) J^(k)(s) / k!
+    (k >= 1) are scaled by s^k outside the integrand.
     """
     out = [0.0] * (max_order + 1)
     if s == 0.0:
         return out
     rates: dict[float, float] = {}
     for lane in scenario.lanes():
-        h = _lane_h(lane, scenario)
-        rate = scenario.p * scenario.lane_intensity(lane)
-        rates[h] = rates.get(h, 0.0) + rate
+        rate = scenario.p * lane.intensity
+        if rate > 0.0:
+            rates[lane.h] = rates.get(lane.h, 0.0) + rate
     alpha = scenario.channel.alpha
+    # a(u) <= s where |u| <= sqrt(rho^2 - h^2), rho = s^(1/alpha), and there
+    # s/(s+a) >= 1/2, so J(s; h) >= sqrt((rho - h)(rho + h)).  Past 800 the
+    # caller's exp(x_0) underflows whatever the rest of J is, so at huge s
+    # (also s = inf, from an overflowed laplace_argument) J is not needed.
+    rho = s ** (1.0 / alpha)
+    if sum(rate * math.sqrt(max(rho - h, 0.0) * (rho + h))
+           for h, rate in rates.items()) > 800.0:
+        return [-math.inf] + out[1:]
     for h, rate in rates.items():
-        if rate == 0.0:
-            continue
-        if s == math.inf:
-            # laplace_argument overflowed: every J(s; h) diverges, so
-            # exp(x_0) = 0 and the caller's underflow guard gives outage 1.
-            return [-math.inf] + out[1:]
         coeffs = _lane_integral_jet(s, h, alpha, max_order)
         if coeffs is None:
             cap = 1.0 / rate

@@ -6,6 +6,11 @@ processes on each lane and transmit with slotted-Aloha probability p.  The
 destination D sits at distance d from the intersection at angle theta from
 the X road; the source S enters only through the link distance r.
 
+Both engines see a lane only from D, as Scenario.lanes() maps it: D's
+distance h to the lane line, D's coordinate c along it, and its intensity.
+An interferer at along-lane coordinate u is sqrt((u - c)^2 + h^2) from D,
+whether D is on a road (theta = 0, a vehicle) or off it (a road-side unit).
+
 All types are frozen dataclasses: once validated they are immutable and can
 be shared freely across worker processes.
 """
@@ -26,10 +31,11 @@ class ValidationError(ValueError):
 
 
 class Lane(NamedTuple):
-    """One lane: a line parallel to the X or Y road at a perpendicular offset."""
+    """One lane as seen from the destination D (see Scenario.lanes)."""
 
-    axis: str     # "x" or "y"
-    offset: float  # meters
+    h: float          # distance from D to the lane line, m
+    c: float          # D's coordinate along the lane, m
+    intensity: float  # vehicles/m
 
 
 @dataclass(frozen=True)
@@ -138,33 +144,21 @@ class Scenario:
         return ch.m * self.theta_threshold / (ch.mu * self.link_path_loss)
 
     def lanes(self) -> list[Lane]:
-        """All lanes of the layout, X road first, in declaration order."""
-        out = [Lane("x", w) for w in self.layout.lanes_x]
-        out += [Lane("y", w) for w in self.layout.lanes_y]
-        return out
+        """Every lane of the layout as seen from D, X road first, in
+        declaration order, duplicates kept.
 
-    def lane_intensity(self, lane: Lane) -> float:
-        return self.layout.lambda_x if lane.axis == "x" else self.layout.lambda_y
+        The X-road lane at offset w is the line y = w, so h = |D_y - w| and
+        c = D_x; a Y-road lane swaps the coordinates.
+        """
+        dx, dy = destination_position(self.geometry)
+        lay = self.layout
+        return ([Lane(abs(dy - w), dx, lay.lambda_x) for w in lay.lanes_x]
+                + [Lane(abs(dx - w), dy, lay.lambda_y) for w in lay.lanes_y])
 
 
 def destination_position(g: DestinationGeometry) -> tuple[float, float]:
     """Cartesian position of D: (d cos theta, d sin theta)."""
     return (g.d * math.cos(g.theta), g.d * math.sin(g.theta))
-
-
-def perpendicular_distance(point: tuple[float, float], axis: str,
-                           lane_offset: float = 0.0) -> float:
-    """Distance from `point` to the lane line parallel to `axis` at `lane_offset`.
-
-    A lane parallel to the X road is the line y = offset, so the distance is
-    |d_y - offset|; for a Y-parallel lane it is |d_x - offset|.
-    """
-    dx, dy = point
-    if axis == "x":
-        return abs(dy - lane_offset)
-    if axis == "y":
-        return abs(dx - lane_offset)
-    raise ValueError(f"unknown road axis {axis!r}")
 
 
 def _check_finite(violations: list[str], name: str, value: float) -> bool:

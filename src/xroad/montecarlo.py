@@ -11,11 +11,13 @@ block every draw is vectorized: per lane, one call draws all the trials'
 interferer counts with the Aloha thinning folded in (Poisson(p * lambda *
 2 * half_length)), positions and fades are drawn in slices of at most
 _SLICE interferers, and np.bincount reduces the received powers per trial.
-Blocks are the unit of work handed to worker processes, so the estimate is
-bit-identical for any worker count or scheduling order.
+Each worker process runs one contiguous range of blocks; the estimate is
+bit-identical for any worker count.
 
 Only the total interference from both roads decides an outage, so the
-engine carries one interference sum per trial over all lanes.
+engine carries one interference sum per trial over all lanes, each lane in
+the frame of Scenario.lanes(): an interferer at along-lane coordinate u is
+at squared distance (u - c)^2 + h^2 from the destination.
 
 The per-trial functions (trial_rng, sample_interferers, _aggregate,
 outage_from_interference) simulate one realization at a time with a
@@ -29,11 +31,12 @@ import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from statistics import NormalDist
 
 import numpy as np
 
-from .model import Lane, Scenario, destination_position
+from .model import Lane, Scenario
 
 _MASK64 = (1 << 64) - 1
 _BLOCK = 1024  # trials per work unit; fixed so reductions never reorder
@@ -85,21 +88,16 @@ def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     return _philox(master_seed, trial_index)
 
 
-def sample_interferers(lane: Lane, scenario: Scenario, sim: SimConfig,
+def sample_interferers(lane: Lane, sim: SimConfig,
                        rng: np.random.Generator) -> np.ndarray:
-    """Positions of one lane's interferers for one realization.
+    """Along-lane coordinates of one lane's interferers for one realization.
 
     Draws N ~ Poisson(lambda * 2 * half_length) points placed uniformly on
-    the lane segment centered on the intersection; returns an (N, 2) array
-    of 2D coordinates.
+    the lane segment centered on the intersection.
     """
-    lam = scenario.lane_intensity(lane)
     half = sim.half_length
-    n = rng.poisson(lam * 2.0 * half)
-    along = rng.uniform(-half, half, n)
-    if lane.axis == "x":
-        return np.column_stack((along, np.full(n, lane.offset)))
-    return np.column_stack((np.full(n, lane.offset), along))
+    n = rng.poisson(lane.intensity * 2.0 * half)
+    return rng.uniform(-half, half, n)
 
 
 def _aggregate(scenario: Scenario, sim: SimConfig,
@@ -111,16 +109,14 @@ def _aggregate(scenario: Scenario, sim: SimConfig,
     power through the path loss.  Interferers landing exactly on D have
     an undefined path loss and are dropped (and counted).
     """
-    dest = destination_position(scenario.geometry)
     alpha = scenario.channel.alpha
     total = 0.0
     excluded = 0
     for lane in scenario.lanes():
-        pts = sample_interferers(lane, scenario, sim, rng)
-        keep = rng.random(len(pts)) < scenario.p
-        pts = pts[keep]
-        fades = rng.exponential(1.0, len(pts))
-        dist_sq = (pts[:, 0] - dest[0]) ** 2 + (pts[:, 1] - dest[1]) ** 2
+        along = sample_interferers(lane, sim, rng)
+        along = along[rng.random(len(along)) < scenario.p]
+        fades = rng.exponential(1.0, len(along))
+        dist_sq = (along - lane.c) ** 2 + lane.h ** 2
         at_dest = dist_sq == 0.0
         if at_dest.any():
             excluded += int(at_dest.sum())
@@ -152,9 +148,8 @@ def _received_power(fades: np.ndarray, dist_sq: np.ndarray,
     return fades * dist_sq ** (-0.5 * alpha)
 
 
-def _slice_interference(lane: Lane, dest: tuple[float, float], alpha: float,
-                        along: np.ndarray, fades: np.ndarray,
-                        owner: np.ndarray, n_trials: int
+def _slice_interference(lane: Lane, alpha: float, along: np.ndarray,
+                        fades: np.ndarray, owner: np.ndarray, n_trials: int
                         ) -> tuple[np.ndarray, int]:
     """Received power per trial from one slice of a lane's interferers.
 
@@ -163,10 +158,9 @@ def _slice_interference(lane: Lane, dest: tuple[float, float], alpha: float,
     to.  Interferers exactly on D have an undefined path loss; they are
     dropped and returned as the exclusion count.
     """
-    on_lane, across = (0, 1) if lane.axis == "x" else (1, 0)
-    dist_sq = along - dest[on_lane]
+    dist_sq = along - lane.c
     dist_sq *= dist_sq
-    dist_sq += (lane.offset - dest[across]) ** 2
+    dist_sq += lane.h ** 2
     at_dest = dist_sq == 0.0
     excluded = int(np.count_nonzero(at_dest))
     if excluded:
@@ -198,13 +192,12 @@ def _block_interference(scenario: Scenario, sim: SimConfig,
     Per lane, in layout order: all trials' Aloha-thinned interferer counts
     in one Poisson draw, then positions and fades slice by slice.
     """
-    dest = destination_position(scenario.geometry)
     alpha = scenario.channel.alpha
     half = sim.half_length
     total = np.zeros(count)
     excluded = 0
     for lane in scenario.lanes():
-        mean = scenario.p * scenario.lane_intensity(lane) * 2.0 * half
+        mean = scenario.p * lane.intensity * 2.0 * half
         counts = rng.poisson(mean, count)
         for lo, hi, n in _slices(counts):
             if n == 0:
@@ -212,8 +205,8 @@ def _block_interference(scenario: Scenario, sim: SimConfig,
             owner = np.repeat(np.arange(hi - lo), counts[lo:hi])
             along = rng.uniform(-half, half, n)
             fades = rng.exponential(1.0, n)
-            power, ex = _slice_interference(lane, dest, alpha, along, fades,
-                                            owner, hi - lo)
+            power, ex = _slice_interference(lane, alpha, along, fades, owner,
+                                            hi - lo)
             total[lo:hi] += power
             excluded += ex
     return total, excluded
@@ -247,6 +240,17 @@ def _run_block(scenario: Scenario, sim: SimConfig, start: int,
     return int(np.count_nonzero(outages)), excluded
 
 
+def _run_blocks(scenario: Scenario, sim: SimConfig, first: int,
+                stop: int) -> tuple[int, int]:
+    """Summed outage and exclusion counts of blocks first .. stop - 1."""
+    outages = excluded = 0
+    for start in range(first * _BLOCK, stop * _BLOCK, _BLOCK):
+        o, e = _run_block(scenario, sim, start, min(_BLOCK, sim.trials - start))
+        outages += o
+        excluded += e
+    return outages, excluded
+
+
 def _confidence_interval(count: int, trials: int,
                          confidence: float) -> tuple[float, float]:
     """Normal interval, switching to Wilson near the 0/1 boundaries where
@@ -270,21 +274,20 @@ def estimate(scenario: Scenario, sim: SimConfig,
              workers: int = 1) -> OutageEstimate:
     """Outage probability averaged over sim.trials realizations.
 
-    Trials are split into fixed blocks handed to worker processes; counts
-    are integers, so the reduction is exact and the result does not depend
-    on the worker count.
+    Trials are split into fixed blocks, and each worker process runs one
+    contiguous range of them; counts are integers, so the reduction is
+    exact and the result does not depend on the worker count.
     """
-    blocks = [(start, min(_BLOCK, sim.trials - start))
-              for start in range(0, sim.trials, _BLOCK)]
-    if workers > 1 and len(blocks) > 1:
+    n_blocks = -(-sim.trials // _BLOCK)
+    workers = min(workers, n_blocks)
+    if workers > 1:
+        cuts = [n_blocks * w // workers for w in range(workers + 1)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_block, scenario, sim, s, c)
-                       for s, c in blocks]
-            results = [f.result() for f in futures]
+            results = list(pool.map(_run_blocks, repeat(scenario),
+                                    repeat(sim), cuts[:-1], cuts[1:]))
     else:
-        results = [_run_block(scenario, sim, s, c) for s, c in blocks]
-    outages = sum(r[0] for r in results)
-    excluded = sum(r[1] for r in results)
+        results = [_run_blocks(scenario, sim, 0, n_blocks)]
+    outages, excluded = map(sum, zip(*results))
     if excluded:
         warnings.warn(f"excluded {excluded} interferer(s) located exactly "
                       "at the destination", RuntimeWarning, stacklevel=2)

@@ -18,13 +18,10 @@ from xroad.analytic import (_exponent_integral, _scaled_exponent_derivatives,
                             outage_probability)
 from xroad.bell import complete_bell_sequence
 from xroad.config import parse_scenario, parse_sim, parse_sweep
-from xroad.model import (LOS, NLOS, ChannelParams, DestinationGeometry, Lane,
+from xroad.model import (LOS, NLOS, ChannelParams, DestinationGeometry,
                          LinkSpec, RoadLayout, Scenario)
 from xroad.montecarlo import SimConfig
 from xroad.sweep import compare_engines, default_verification_grid, run_sweep
-
-X0 = Lane("x", 0.0)
-
 
 def laplace(sc, s, n=0):
     """n-th derivative of the total interference's Laplace transform at s,
@@ -81,7 +78,7 @@ def test_closed_form_correctness():
             rate = p * lam
             reference = math.exp(-rate * _exponent_integral(
                 0, s, h, alpha, err_cap=1.0 / rate))
-            value = closed(s, X0, sc)
+            value = closed(s, sc.lanes()[0], sc)
             assert value == laplace(sc, s)
             assert abs(value - reference) <= 1e-8 * reference, \
                 (alpha, s, h, p, lam)

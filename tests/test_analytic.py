@@ -9,12 +9,9 @@ from xroad.analytic import (UnsupportedExponentError,
                             laplace_closed_alpha2, laplace_closed_alpha4,
                             outage_probability)
 from xroad.bell import complete_bell_sequence
-from xroad.model import (LOS, NLOS, ChannelParams, DestinationGeometry, Lane,
+from xroad.model import (LOS, NLOS, ChannelParams, DestinationGeometry,
                          LinkSpec, RoadLayout, Scenario)
 from xroad.sweep import db_to_linear, default_verification_grid
-
-X0 = Lane("x", 0.0)
-
 
 def exponent_derivatives(sc, s, max_order):
     """g, g', ..., g^(max_order) of the total interference at s > 0, from
@@ -76,17 +73,17 @@ def test_laplace_trivial_limits():
     assert laplace(sc, 123.0) == 1.0                    # empty field
     sc = x_lane_scenario(4.0, 0.0, 0.5, 0.01)
     assert laplace(sc, 0.0) == 1.0                      # s = 0
-    assert laplace_closed_alpha4(0.0, X0, sc) == 1.0
+    assert laplace_closed_alpha4(0.0, sc.lanes()[0], sc) == 1.0
     sc2 = x_lane_scenario(2.0, 5.0, 0.5, 0.01)
-    assert laplace_closed_alpha2(0.0, X0, sc2) == 1.0
+    assert laplace_closed_alpha2(0.0, sc2.lanes()[0], sc2) == 1.0
 
 
 def test_laplace_alpha4_on_lane_value():
     # On-lane destination, s = 1e4: exponent is p*lam*pi*s**0.25/sqrt(2).
     sc = x_lane_scenario(4.0, 0.0, 0.1, 0.01)
     expected = math.exp(-0.1 * 0.01 * math.pi * 1e4 ** 0.25 / math.sqrt(2))
-    assert laplace_closed_alpha4(1e4, X0, sc) == pytest.approx(expected,
-                                                               rel=1e-12)
+    assert laplace_closed_alpha4(1e4, sc.lanes()[0], sc) == pytest.approx(
+        expected, rel=1e-12)
     assert laplace(sc, 1e4) == pytest.approx(expected, rel=1e-8)
     assert expected == pytest.approx(0.97803, abs=5e-6)
 
@@ -95,8 +92,8 @@ def test_laplace_alpha2_on_lane_value():
     # h=0, s=4, p*lam=0.01: exponent integral is pi*s/sqrt(s) = 2*pi.
     sc = x_lane_scenario(2.0, 0.0, 1.0, 0.01)
     expected = math.exp(-0.01 * math.pi * 2.0)
-    assert laplace_closed_alpha2(4.0, X0, sc) == pytest.approx(expected,
-                                                               rel=1e-12)
+    assert laplace_closed_alpha2(4.0, sc.lanes()[0], sc) == pytest.approx(
+        expected, rel=1e-12)
     assert laplace(sc, 4.0) == pytest.approx(expected, rel=1e-8)
 
 
@@ -114,22 +111,22 @@ def test_closed_form_matches_quadrature_on_random_draws(alpha, closed):
         reference = math.exp(-rate * _exponent_integral(
             0, s, h, alpha, err_cap=1.0 / rate))
         value = laplace(sc, s)
-        assert closed(s, X0, sc) == value
+        assert closed(s, sc.lanes()[0], sc) == value
         assert value == pytest.approx(reference, rel=1e-8)
 
 
 def test_closed_forms_reject_other_exponents():
     sc = x_lane_scenario(3.0, 0.0, 0.5, 0.01)
     with pytest.raises(UnsupportedExponentError):
-        laplace_closed_alpha4(1.0, X0, sc)
+        laplace_closed_alpha4(1.0, sc.lanes()[0], sc)
     with pytest.raises(UnsupportedExponentError):
-        laplace_closed_alpha2(1.0, X0, sc)
+        laplace_closed_alpha2(1.0, sc.lanes()[0], sc)
 
 
 def test_negative_s_rejected():
     sc = x_lane_scenario(4.0, 0.0, 0.5, 0.01)
     with pytest.raises(ValueError):
-        laplace_closed_alpha4(-1.0, X0, sc)
+        laplace_closed_alpha4(-1.0, sc.lanes()[0], sc)
 
 
 # ----------------------------------------------------------- closed-form jets

@@ -132,6 +132,19 @@ def test_point_with_overflowed_laplace_argument(tmp_path, capsys, lam,
     assert f"outage (analytic)      {outage}" in out
 
 
+def test_point_general_alpha_at_huge_laplace_argument(tmp_path, capsys):
+    # +3000 dB with alpha = 3 and D off the road: s = 8e303 is finite, but
+    # the quadrature of J(s; h) cannot meet its tail bound there.  A lower
+    # bound on J alone puts exp(x_0) below underflow: the link is in outage.
+    path = write_config(tmp_path, channel={"alpha": 3.0, "m": 1},
+                        geometry={"d": 100.0, "theta": 0.3},
+                        sir_threshold_db=3000)
+    code = cli.main(["point", "--config", str(path), "--engine", "analytic"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "outage (analytic)      1.000000" in out
+
+
 def test_point_analytic_only(tmp_path, capsys):
     path = write_config(tmp_path)
     code = cli.main(["point", "--config", str(path), "--engine", "analytic"])

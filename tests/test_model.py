@@ -4,8 +4,7 @@ import pytest
 
 from xroad.model import (LOS, NLOS, ChannelParams, DestinationGeometry, Lane,
                          LinkSpec, RoadLayout, Scenario, ValidationError,
-                         destination_position, perpendicular_distance,
-                         validate_scenario)
+                         destination_position, validate_scenario)
 
 
 def make_scenario(**overrides) -> Scenario:
@@ -100,12 +99,25 @@ def test_theta_reflection_swaps_coordinates():
         assert a[1] == pytest.approx(b[0], rel=1e-12, abs=1e-9)
 
 
-def test_perpendicular_distance():
-    assert perpendicular_distance((100.0, 0.0), "x", 0.0) == 0.0
-    assert perpendicular_distance((100.0, 0.0), "x", 3.5) == 3.5
-    assert perpendicular_distance((30.0, 40.0), "y", 0.0) == 30.0
-    with pytest.raises(ValueError):
-        perpendicular_distance((0.0, 0.0), "z", 0.0)
+@pytest.mark.parametrize("theta", [0.0, 0.3, math.pi / 2])
+def test_lanes_match_2d_geometry(theta):
+    # A lane's (h, c) frame gives every point of it the same squared
+    # distance to D as the plane does: (u, w) on the X-road lane at offset
+    # w, (w, u) on the Y-road one.  Negative and duplicate offsets included.
+    lay = RoadLayout(lanes_x=(0.0, 3.5, -7.0, 3.5), lanes_y=(-3.5, 0.0, 0.0),
+                     lambda_x=0.01, lambda_y=0.02)
+    sc = make_scenario(geometry=DestinationGeometry(60.0, theta), layout=lay)
+    dx, dy = destination_position(sc.geometry)
+    roads = [("x", w) for w in lay.lanes_x] + [("y", w) for w in lay.lanes_y]
+    lanes = sc.lanes()
+    assert len(lanes) == len(roads)
+    for lane, (road, w) in zip(lanes, roads):
+        assert lane.intensity == (0.01 if road == "x" else 0.02)
+        assert lane.h >= 0.0
+        for u in (-1000.0, -3.5, 0.0, 17.25, dx, dy, 999.0):
+            x, y = (u, w) if road == "x" else (w, u)
+            assert ((u - lane.c) ** 2 + lane.h ** 2
+                    == (x - dx) ** 2 + (y - dy) ** 2)
 
 
 def test_layout_constructors():
@@ -121,9 +133,10 @@ def test_lane_enumeration_order_and_intensity():
     sc = make_scenario(layout=RoadLayout(lanes_x=(0.0, 3.5), lanes_y=(0.0,),
                                          lambda_x=0.01, lambda_y=0.02))
     lanes = sc.lanes()
-    assert lanes == [Lane("x", 0.0), Lane("x", 3.5), Lane("y", 0.0)]
-    assert sc.lane_intensity(lanes[0]) == 0.01
-    assert sc.lane_intensity(lanes[2]) == 0.02
+    # D at (100, 0): on the first X lane, 3.5 m off the second, and 100 m
+    # off the Y lane, at coordinate 0 along it.
+    assert lanes == [Lane(0.0, 100.0, 0.01), Lane(3.5, 100.0, 0.01),
+                     Lane(100.0, 0.0, 0.02)]
 
 
 def test_laplace_argument_and_path_loss():

@@ -5,8 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 from xroad.analytic import outage_probability
-from xroad.model import (NLOS, DestinationGeometry, Lane, LinkSpec,
-                         RoadLayout, Scenario)
+from xroad.model import (NLOS, DestinationGeometry, LinkSpec, RoadLayout,
+                         Scenario)
 from xroad.montecarlo import (SimConfig, estimate, outage_from_interference,
                               sample_interferers, trial_rng)
 from xroad.montecarlo import (_BLOCK, _SLICE, _aggregate, _block_interference,
@@ -36,30 +36,30 @@ def test_sample_interferers_zero_intensity():
     sc = nlos_scenario(lam=0.0)
     sim = SimConfig(trials=1)
     for trial in range(20):
-        pts = sample_interferers(Lane("x", 0.0), sc, sim,
-                                 trial_rng(3, trial))
+        pts = sample_interferers(sc.lanes()[0], sim, trial_rng(3, trial))
         assert len(pts) == 0
 
 
 def test_sample_interferers_support_and_lane_geometry():
-    sc = nlos_scenario(lam=0.05)
+    # The sampler draws along-lane coordinates on [-half, half] for a lane
+    # of either road; how far they lie from D is the lane frame's business
+    # (test_model.test_lanes_match_2d_geometry).
+    sc = nlos_scenario(lam=0.05, layout=RoadLayout((3.5,), (-2.0,), 0.05,
+                                                   0.05))
     sim = SimConfig(trials=1, half_length=1000.0)
     for trial in range(50):
         rng = trial_rng(11, trial)
-        pts_x = sample_interferers(Lane("x", 3.5), sc, sim, rng)
-        assert np.all(np.abs(pts_x[:, 0]) <= 1000.0)
-        assert np.all(pts_x[:, 1] == 3.5)
-        pts_y = sample_interferers(Lane("y", -2.0), sc, sim, rng)
-        assert np.all(np.abs(pts_y[:, 1]) <= 1000.0)
-        assert np.all(pts_y[:, 0] == -2.0)
+        for lane in sc.lanes():
+            along = sample_interferers(lane, sim, rng)
+            assert along.ndim == 1 and len(along) > 0
+            assert np.all(np.abs(along) <= 1000.0)
 
 
 def test_sample_interferers_poisson_mean():
     # lam * 2 * half_length = 20 expected points per realization.
     sc = nlos_scenario(lam=0.01, p=1.0)
     sim = SimConfig(trials=1, half_length=1000.0)
-    total = sum(len(sample_interferers(Lane("x", 0.0), sc, sim,
-                                       trial_rng(5, t)))
+    total = sum(len(sample_interferers(sc.lanes()[0], sim, trial_rng(5, t)))
                 for t in range(10_000))
     assert total / 10_000 == pytest.approx(20.0, abs=0.4)
 
@@ -97,18 +97,17 @@ def test_aggregate_mean_matches_intensity_integral():
 
 def test_interferer_at_destination_excluded(monkeypatch):
     # An interferer landing exactly on D has an undefined path loss; force
-    # one through the sampler and check it is dropped and counted while the
-    # other point still contributes.  estimate() turns the count into a
-    # warning (test_block_exclusion_counted_and_warned).
+    # one through the sampler of the one lane, which runs through D, and
+    # check it is dropped and counted while the other point still
+    # contributes.  estimate() turns the count into a warning
+    # (test_block_exclusion_counted_and_warned).
     import xroad.montecarlo as mc
 
-    sc = nlos_scenario(lam=0.01, p=1.0, d=0.0)
+    sc = nlos_scenario(p=1.0, d=0.0, layout=RoadLayout.highway(0.01))
     sim = SimConfig(trials=1)
 
-    def forced(lane, scenario, cfg, rng):
-        if lane.axis == "x":
-            return np.array([[0.0, 0.0], [10.0, 0.0]])  # first one is D
-        return np.empty((0, 2))
+    def forced(lane, cfg, rng):
+        return np.array([lane.c, lane.c + 10.0])  # the first one is D
 
     monkeypatch.setattr(mc, "sample_interferers", forced)
     interference, excluded = mc._aggregate(sc, sim, trial_rng(0, 0))
@@ -174,12 +173,15 @@ def test_estimate_zero_intensity_exact():
 
 def test_estimate_deterministic_and_worker_independent():
     sc = nlos_scenario(lam=0.02)
-    # 2500 trials: two full blocks plus a partial one.
-    sim = SimConfig(trials=2500, master_seed=77)
-    first = estimate(sc, sim)
-    second = estimate(sc, sim)
-    parallel = estimate(sc, sim, workers=2)
-    assert first == second == parallel
+    # 2500 trials: two full blocks plus a partial one, on 2 workers and on
+    # more workers than blocks; 4596 trials: five blocks, split unevenly
+    # over 3 workers.
+    for trials, workers in ((2500, 2), (2500, 4), (4596, 3)):
+        sim = SimConfig(trials=trials, master_seed=77)
+        first = estimate(sc, sim)
+        second = estimate(sc, sim)
+        parallel = estimate(sc, sim, workers=workers)
+        assert first == second == parallel
 
 
 def test_estimate_matches_analytic_subgrid():
@@ -190,6 +192,22 @@ def test_estimate_matches_analytic_subgrid():
         est = estimate(sc, sim)
         ana = outage_probability(sc).outage_prob
         assert abs(est.p_hat - ana) <= max(0.01, 3.0 * est.stderr)
+
+
+@pytest.mark.parametrize("theta", [0.3, math.pi / 4])
+def test_estimate_matches_analytic_off_road(theta):
+    # D off both roads (a road-side unit), two lanes per road, so every lane
+    # has h > 0 and D's coordinate along it is nonzero.  At half_length
+    # 4000 the finite road's bias is about 2e-9 here, so the gate is 4
+    # standard errors with no floor.
+    sc = Scenario(channel=NLOS, geometry=DestinationGeometry(150.0, theta),
+                  link=LinkSpec(40.0),
+                  layout=RoadLayout((0.0, 3.5), (0.0, 3.5), 0.01, 0.01),
+                  p=0.5, theta_threshold=1.0)
+    est = estimate(sc, SimConfig(trials=2 ** 17, half_length=4000.0,
+                                 master_seed=3))
+    ana = outage_probability(sc).outage_prob
+    assert abs(est.p_hat - ana) <= 4.0 * est.stderr
 
 
 def test_estimate_matches_analytic_at_maximum_fading_order():
@@ -306,9 +324,11 @@ def test_block_single_interferer_outage_law():
     trials = 100_000
     rng = _philox(99, 0)
     fades = rng.exponential(1.0, trials)
+    # D is on the lane, at its coordinate 0: the along-lane coordinate is
+    # the distance.
     power, excluded = _slice_interference(
-        Lane("x", 0.0), (0.0, 0.0), 4.0, np.full(trials, dist), fades,
-        np.arange(trials), trials)
+        sc.lanes()[0], 4.0, np.full(trials, dist), fades, np.arange(trials),
+        trials)
     assert excluded == 0
     np.testing.assert_allclose(power, fades * dist ** -4.0, rtol=1e-15)
     signal = rng.gamma(sc.channel.m, sc.channel.mu / sc.channel.m, trials)
@@ -340,7 +360,7 @@ def test_outage_events_decision_rules_on_arrays():
 
 def test_slice_interference_drops_interferer_at_destination():
     power, excluded = _slice_interference(
-        Lane("x", 0.0), (0.0, 0.0), 4.0, np.array([0.0, 10.0, 20.0]),
+        nlos_scenario().lanes()[0], 4.0, np.array([0.0, 10.0, 20.0]),
         np.array([1.0, 2.0, 3.0]), np.array([0, 0, 1]), 3)
     assert excluded == 1
     np.testing.assert_allclose(power, [2.0 * 10.0 ** -4, 3.0 * 20.0 ** -4,
@@ -348,19 +368,19 @@ def test_slice_interference_drops_interferer_at_destination():
 
 
 def test_block_exclusion_counted_and_warned(monkeypatch):
-    # Move the first interferer of each x-lane slice onto D (the origin);
-    # estimate() must count every such point and warn once.
+    # Move the first interferer of each slice onto D (the origin, where both
+    # lanes cross); estimate() must count every such point and warn once.
     import xroad.montecarlo as mc
 
     real = mc._slice_interference
     moved = []
 
-    def forced(lane, dest, alpha, along, fades, owner, n_trials):
-        if lane.axis == "x":
-            along = along.copy()
-            along[0] = dest[0]
-            moved.append(1)
-        return real(lane, dest, alpha, along, fades, owner, n_trials)
+    def forced(lane, alpha, along, fades, owner, n_trials):
+        assert lane.h == 0.0
+        along = along.copy()
+        along[0] = lane.c
+        moved.append(1)
+        return real(lane, alpha, along, fades, owner, n_trials)
 
     monkeypatch.setattr(mc, "_slice_interference", forced)
     sc = nlos_scenario(lam=0.01, p=1.0, d=0.0)
