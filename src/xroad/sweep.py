@@ -72,6 +72,7 @@ def validate_sweep(spec: SweepSpec) -> SweepSpec:
     if not spec.variants:
         raise ValueError("at least one variant is required")
     validate_scenario(spec.base)
+    list(sweep_points(spec))  # raises on the first invalid point
     return spec
 
 
@@ -93,22 +94,20 @@ def apply_axis_value(scenario: Scenario, axis: str, value: float,
     stays a highway across the sweep.
     """
     lay = scenario.layout
+    x_active = bool(lay.lanes_x) and lay.lambda_x > 0
+    y_active = bool(lay.lanes_y) and lay.lambda_y > 0
     if axis == "density":
         return replace(scenario, layout=replace(
-            lay,
-            lambda_x=value if (lay.lanes_x and lay.lambda_x > 0) else lay.lambda_x,
-            lambda_y=value if (lay.lanes_y and lay.lambda_y > 0) else lay.lambda_y,
-        ))
+            lay, lambda_x=value if x_active else lay.lambda_x,
+            lambda_y=value if y_active else lay.lambda_y))
     if axis == "distance_d":
         return replace(scenario,
                        geometry=replace(scenario.geometry, d=value))
     if axis == "lanes":
         offsets = tuple(i * lane_spacing for i in range(int(value)))
         return replace(scenario, layout=replace(
-            lay,
-            lanes_x=offsets if (lay.lanes_x and lay.lambda_x > 0) else lay.lanes_x,
-            lanes_y=offsets if (lay.lanes_y and lay.lambda_y > 0) else lay.lanes_y,
-        ))
+            lay, lanes_x=offsets if x_active else lay.lanes_x,
+            lanes_y=offsets if y_active else lay.lanes_y))
     if axis == "threshold_db":
         return replace(scenario, theta_threshold=db_to_linear(value))
     if axis == "aloha_p":
@@ -117,13 +116,20 @@ def apply_axis_value(scenario: Scenario, axis: str, value: float,
 
 
 def sweep_points(spec: SweepSpec):
-    """(variant index, variant, value index, value, unvalidated scenario)
-    for every sweep point, in (variant, value) order."""
+    """(variant index, variant, value index, value, validated scenario)
+    for every sweep point, in (variant, value) order; an invalid point
+    raises ValueError naming it ("base aloha_p=1.5: Aloha probability ...").
+    """
     for vi, variant in enumerate(spec.variants):
         base = apply_variant(spec.base, variant)
         for xi, value in enumerate(spec.values):
-            yield (vi, variant, xi, value,
-                   apply_axis_value(base, spec.axis, value, spec.lane_spacing))
+            point = apply_axis_value(base, spec.axis, value, spec.lane_spacing)
+            try:
+                point = validate_scenario(point)
+            except ValidationError as exc:
+                raise ValueError(f"{variant.label} {spec.axis}={value:g}: "
+                                 f"{exc}") from exc
+            yield vi, variant, xi, value, point
 
 
 @dataclass(frozen=True)
@@ -192,16 +198,15 @@ def run_sweep(spec: SweepSpec, sim: SimConfig,
               workers: int = 1) -> list[SweepRow]:
     """All sweep rows in (variant, value) order.
 
-    Partial failures land in the row's error column and the sweep carries
-    on; callers decide what a failed row means for the exit code.
+    Every point is validated before any engine runs.  Engine failures land
+    in the row's error column and the sweep carries on; callers decide
+    what a failed row means for the exit code.
     """
-    spec = validate_sweep(spec)
     rows: list[SweepRow] = []
-    for vi, variant, xi, value, scenario in sweep_points(spec):
+    for vi, variant, xi, value, scenario in sweep_points(validate_sweep(spec)):
         point_sim = replace(sim, master_seed=row_seed(sim.master_seed, vi, xi))
-        rows.append(sweep_row(validate_scenario(scenario), spec.engines,
-                              point_sim, workers, variant.label, spec.axis,
-                              value))
+        rows.append(sweep_row(scenario, spec.engines, point_sim, workers,
+                              variant.label, spec.axis, value))
     return rows
 
 
@@ -276,28 +281,15 @@ def default_verification_grid() -> list[tuple[str, Scenario]]:
     return grid
 
 
-def compare_engines(grid: list[tuple[str, Scenario]], sim: SimConfig,
-                    workers: int = 1) -> ComparisonReport:
-    """Analytic vs Monte-Carlo outage on every grid point.
-
-    Each point's row comes from sweep_row with both engines, Monte-Carlo
-    seeded by row_seed(sim.master_seed, 0, index).  A point passes when
-    |analytic - mc| <= max(0.01, 3 * stderr), so small-trial runs widen
-    their own tolerance instead of failing spuriously.  An invalid scenario
-    or an engine error fails the point, not the run.
-    """
+def compare_rows(rows: list[SweepRow]) -> ComparisonReport:
+    """Verdict per two-engine row: it passes when |analytic - mc| <=
+    max(0.01, 3 * stderr), so small-trial runs widen their own tolerance,
+    and fails on an engine error.  Labels are "<variant> <axis>=<value>",
+    or the bare variant where the axis is "none"."""
     points = []
-    for index, (label, scenario) in enumerate(grid):
-        try:
-            scenario = validate_scenario(scenario)
-        except ValidationError as exc:
-            row = SweepRow(variant=label, axis="none", value=0.0,
-                           error=str(exc))
-        else:
-            point_sim = replace(sim,
-                                master_seed=row_seed(sim.master_seed, 0, index))
-            row = sweep_row(scenario, ENGINES, point_sim, workers, label,
-                            "none", 0.0)
+    for row in rows:
+        label = (row.variant if row.axis == "none"
+                 else f"{row.variant} {row.axis}={row.value:g}")
         tol = diff = None
         if not row.error:
             tol = max(0.01, 3.0 * row.mc_stderr)
@@ -306,3 +298,16 @@ def compare_engines(grid: list[tuple[str, Scenario]], sim: SimConfig,
                                       abs_diff=diff,
                                       passed=diff is not None and diff <= tol))
     return ComparisonReport(points=tuple(points))
+
+
+def compare_engines(grid: list[tuple[str, Scenario]], sim: SimConfig,
+                    workers: int = 1) -> ComparisonReport:
+    """compare_rows on the sweep_row of every grid point, Monte-Carlo
+    seeded by row_seed(sim.master_seed, 0, index).  An invalid scenario
+    raises ValidationError before any engine runs."""
+    grid = [(label, validate_scenario(scenario)) for label, scenario in grid]
+    return compare_rows([
+        sweep_row(scenario, ENGINES,
+                  replace(sim, master_seed=row_seed(sim.master_seed, 0, i)),
+                  workers, label, "none", 0.0)
+        for i, (label, scenario) in enumerate(grid)])

@@ -1,10 +1,13 @@
 import csv
 import json
 import math
+import platform
 
+import numpy
 import pytest
+import scipy
 
-from xroad import cli
+from xroad import analytic, cli, sweep
 from xroad.config import (ConfigError, load_config, parse_scenario,
                           parse_sim, parse_sweep)
 from xroad.model import LOS
@@ -231,6 +234,9 @@ def test_point_writes_csv_and_metadata(tmp_path, capsys):
     meta = json.loads((tmp_path / "point.csv.meta.json").read_text())
     assert meta["trials"] == 200
     assert meta["tool"] == "xroad"
+    assert meta["versions"] == {"python": platform.python_version(),
+                                "numpy": numpy.__version__,
+                                "scipy": scipy.__version__}
 
 
 def test_sweep_command_writes_rows(tmp_path, capsys):
@@ -353,3 +359,44 @@ def test_verify_engine_failure_fails_only_its_point(tmp_path, capsys):
     assert nlos.endswith(" pass")
     assert "FAIL (analytic: fading parameter m = 10" in m10
     assert lines[-1] == "overall: FAIL"
+
+
+@pytest.mark.parametrize("command", ["sweep", "verify"])
+def test_invalid_sweep_point_exits_2_before_any_engine(tmp_path, capsys,
+                                                       monkeypatch, command):
+    def engine_called(*args, **kwargs):
+        pytest.fail("an engine ran before validation finished")
+
+    monkeypatch.setattr(analytic, "outage_probability", engine_called)
+    monkeypatch.setattr(sweep, "estimate", engine_called)
+    path = write_config(tmp_path, sweep={
+        "axis": "aloha_p", "values": [0.2, 0.5, 1.5]})
+    out = tmp_path / "o.csv"
+    argv = [command, "--config", str(path)]
+    if command == "sweep":
+        argv += ["--out", str(out)]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "config error: sweep: base aloha_p=1.5: Aloha probability" \
+        in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_verify_config_judges_the_rows_sweep_writes(tmp_path, capsys):
+    path = write_config(tmp_path, sweep={
+        "axis": "aloha_p", "values": [0.2, 0.5],
+        "variants": [{"label": "NLOS"},
+                     {"label": "LOS", "channel": {"preset": "LOS"}}],
+    }, sim={"trials": 2048, "seed": 0})
+    out = tmp_path / "o.csv"
+    assert cli.main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+    cli.main(["verify", "--config", str(path)])
+    lines = capsys.readouterr().out.splitlines()
+    rows = list(csv.DictReader(out.open()))
+    assert len(rows) == 4
+    for row in rows:
+        label = f"{row['variant']} aloha_p={float(row['value']):g}"
+        line = next(ln for ln in lines if ln.startswith(label + " "))
+        assert line.split()[3] == f"{float(row['outage_mc']):.6f}"

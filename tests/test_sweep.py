@@ -5,15 +5,16 @@ from dataclasses import replace
 
 import pytest
 
-from xroad import analytic
-from xroad.model import (LOS, NLOS, DestinationGeometry, LinkSpec,
-                         RoadLayout, Scenario)
+from xroad import analytic, sweep
+from xroad.model import (LOS, NLOS, ChannelParams, DestinationGeometry,
+                         LinkSpec, RoadLayout, Scenario, ValidationError)
 from xroad.montecarlo import SimConfig
-from xroad.sweep import (CSV_COLUMNS, ENGINES, ComparisonReport, SweepSpec,
-                         Variant, apply_axis_value, apply_variant,
-                         compare_engines, default_verification_grid, row_seed,
-                         run_sweep, sweep_points, sweep_row, validate_sweep,
-                         write_csv, write_metadata)
+from xroad.sweep import (CSV_COLUMNS, ENGINES, ComparisonReport, SweepRow,
+                         SweepSpec, Variant, apply_axis_value, apply_variant,
+                         compare_engines, compare_rows,
+                         default_verification_grid, row_seed, run_sweep,
+                         sweep_points, sweep_row, validate_sweep, write_csv,
+                         write_metadata)
 
 
 def base_scenario(**overrides) -> Scenario:
@@ -227,12 +228,56 @@ def test_compare_engines_rows_come_from_sweep_row():
                                      - point.row.outage_mc)
 
 
-def test_compare_engines_reports_engine_errors_per_point():
-    from xroad.model import ChannelParams
+def forbid_engines(monkeypatch):
+    def engine_called(*args, **kwargs):
+        pytest.fail("an engine ran before validation finished")
+
+    monkeypatch.setattr(analytic, "outage_probability", engine_called)
+    monkeypatch.setattr(sweep, "estimate", engine_called)
+
+
+def test_compare_engines_rejects_invalid_scenario_before_any_engine(
+        monkeypatch):
+    forbid_engines(monkeypatch)
     invalid = base_scenario(channel=ChannelParams(alpha=0.5, m=1))
-    report = compare_engines([("bad", invalid), ("ok", base_scenario())],
+    with pytest.raises(ValidationError, match="alpha must exceed 1"):
+        compare_engines([("ok", base_scenario()), ("bad", invalid)],
+                        SimConfig(trials=200, master_seed=2))
+
+
+def test_compare_engines_reports_engine_errors_per_point():
+    # m = 10 validates but needs derivative orders beyond the analytic
+    # engine's; that point fails, the other still passes.
+    m10 = base_scenario(channel=ChannelParams(alpha=4.0, m=10))
+    report = compare_engines([("m10", m10), ("ok", base_scenario())],
                              SimConfig(trials=200, master_seed=2))
     assert not report.points[0].passed
-    assert report.points[0].row.error
+    assert report.points[0].row.error.startswith("analytic: ")
+    assert report.points[0].tolerance is None
     assert report.points[1].passed
     assert not report.passed
+
+
+def test_invalid_sweep_point_is_named_before_any_engine(monkeypatch):
+    forbid_engines(monkeypatch)
+    spec = SweepSpec(base_scenario(), "aloha_p", (0.2, 0.5, 1.5),
+                     variants=(Variant("NLOS"), Variant("LOS", channel=LOS)))
+    for run in (validate_sweep, lambda s: run_sweep(s, SimConfig(trials=100))):
+        with pytest.raises(ValueError, match="^NLOS aloha_p=1.5: Aloha "
+                                             "probability out of range$"):
+            run(spec)
+
+
+def test_compare_rows_labels_and_verdicts():
+    rows = [SweepRow("NLOS", "density", 0.005, outage_analytic=0.30,
+                     outage_mc=0.305, mc_stderr=0.001),
+            SweepRow("grid point", "none", 0.0, outage_analytic=0.30,
+                     outage_mc=0.35, mc_stderr=0.01),
+            SweepRow("m10", "lanes", 2.0, error="analytic: order")]
+    report = compare_rows(rows)
+    assert [p.label for p in report.points] == [
+        "NLOS density=0.005", "grid point", "m10 lanes=2"]
+    assert [p.passed for p in report.points] == [True, False, False]
+    assert report.points[1].tolerance == pytest.approx(0.03)
+    assert report.points[2].abs_diff is None
+    assert [p.row for p in report.points] == rows
