@@ -27,7 +27,3 @@ def complete_bell_sequence(x: Sequence[float]) -> list[float]:
             math.comb(k - 1, j) * x[j] * b[k - 1 - j] for j in range(k)))
     return b
 
-
-def complete_bell(x: Sequence[float]) -> float:
-    """B_n at x = (x_1, ..., x_n); B_0 = 1 for an empty sequence."""
-    return complete_bell_sequence(x)[-1]

@@ -25,12 +25,12 @@ import scipy
 
 from . import __version__
 from .config import (ConfigError, load_config, parse_scenario, parse_sim,
-                     parse_sweep, scenario_to_dict)
-from .model import Scenario, ValidationError
+                     parse_sweep)
+from .model import ValidationError
 from .montecarlo import SimConfig
-from .sweep import (ENGINES, SweepSpec, compare_engines, compare_rows,
-                    default_verification_grid, run_sweep, sweep_row,
-                    write_csv, write_metadata)
+from .sweep import (ENGINES, SweepRow, SweepSpec, compare_engines,
+                    compare_rows, default_verification_grid, run_sweep,
+                    sweep_row, write_csv, write_metadata)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -80,6 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify", help="check analytic vs Monte-Carlo agreement")
     p_verify.add_argument("--config", help=_CONFIG_HELP)
     _add_common(p_verify, writes_csv=False)
+    p_verify.set_defaults(engine="both")
 
     p_preset = sub.add_parser("preset", help="run a packaged figure sweep")
     p_preset.add_argument("name", choices=PRESETS)
@@ -93,20 +94,29 @@ def _load_preset(name: str) -> dict:
     return json.loads(text)
 
 
-def _metadata(config_echo: dict, sim: SimConfig,
-              engines: tuple[str, ...]) -> dict:
-    return {
+def _write_outputs(rows: list[SweepRow], out: str, raw: dict, sim: SimConfig,
+                   engines: tuple[str, ...]) -> None:
+    """The CSV and its sidecar.  The sidecar's `config` is the config that
+    ran, with `sim` as the overrides left it, so `point` or `sweep` run on
+    it with the recorded engines reproduces the CSV."""
+    meta = {
         "tool": "xroad",
         "version": __version__,
         "engines": list(engines),
-        "seed": sim.master_seed,
-        "trials": sim.trials,
-        "half_length": sim.half_length,
-        "confidence": sim.confidence,
-        "config": config_echo,
+        "config": {**raw, "sim": {"trials": sim.trials,
+                                  "half_length": sim.half_length,
+                                  "seed": sim.master_seed,
+                                  "confidence": sim.confidence}},
         "versions": {"python": platform.python_version(),
                      "numpy": numpy.__version__, "scipy": scipy.__version__},
     }
+    try:
+        write_csv(rows, out)
+        write_metadata(out, meta)
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot write {exc.filename or out}: {exc.strerror or exc}"
+        ) from exc
 
 
 def _cmd_point(args) -> int:
@@ -132,40 +142,27 @@ def _cmd_point(args) -> int:
               f"{row.trials} trials, seed {sim.master_seed})")
         print(f"throughput (mc)        {throughput:.6f} bit/s/Hz")
     if args.out:
-        write_csv([row], args.out)
-        write_metadata(args.out,
-                       _metadata(scenario_to_dict(scenario), sim, engines))
+        _write_outputs([row], args.out, raw, sim, engines)
     return EXIT_OK
 
 
-def _sweep_config(raw: dict, args) -> tuple[Scenario, SweepSpec, SimConfig]:
-    """Base scenario, validated sweep and sim of a config, with overrides."""
+def _sweep_config(raw: dict, args) -> tuple[SweepSpec, SimConfig]:
+    """Validated sweep of a config, running the command's engines, and its
+    sim with the overrides."""
     scenario = parse_scenario(raw)
     if "sweep" not in raw:
         raise ConfigError("config has no 'sweep' section")
-    spec = parse_sweep(raw["sweep"], scenario)
-    if getattr(args, "engine", "both") != "both":  # verify has no --engine
-        spec = replace(spec, engines=_ENGINE_CHOICES[args.engine])
+    spec = replace(parse_sweep(raw["sweep"], scenario),
+                   engines=_ENGINE_CHOICES[args.engine])
     sim = parse_sim(raw.get("sim", {}), seed=args.seed, trials=args.trials)
-    return scenario, spec, sim
+    return spec, sim
 
 
 def _run_sweep_config(raw: dict, args, default_out: str) -> int:
-    scenario, spec, sim = _sweep_config(raw, args)
+    spec, sim = _sweep_config(raw, args)
     rows = run_sweep(spec, sim, workers=args.workers)
     out = args.out or default_out
-    write_csv(rows, out)
-    echo = {
-        "scenario": scenario_to_dict(scenario),
-        "sweep": {
-            "axis": spec.axis,
-            "values": list(spec.values),
-            "engines": list(spec.engines),
-            "lane_spacing": spec.lane_spacing,
-            "variants": [v.label for v in spec.variants],
-        },
-    }
-    write_metadata(out, _metadata(echo, sim, spec.engines))
+    _write_outputs(rows, out, raw, sim, spec.engines)
     failures = [r for r in rows if r.error]
     print(f"wrote {len(rows)} rows to {out}"
           + (f" ({len(failures)} failed)" if failures else ""))
@@ -185,10 +182,7 @@ def _cmd_preset(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.config:
-        _, spec, sim = _sweep_config(load_config(args.config), args)
-        if set(spec.engines) != set(ENGINES):
-            raise ConfigError("verify compares both engines, so "
-                              f"sweep.engines must list {list(ENGINES)}")
+        spec, sim = _sweep_config(load_config(args.config), args)
         report = compare_rows(run_sweep(spec, sim, workers=args.workers))
     else:
         sim = parse_sim({"half_length": 4000.0}, seed=args.seed,

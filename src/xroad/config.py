@@ -15,7 +15,7 @@ from pathlib import Path
 from .model import (CHANNEL_PRESETS, ChannelParams, DestinationGeometry,
                     LinkSpec, RoadLayout, Scenario, validate_scenario)
 from .montecarlo import SimConfig
-from .sweep import ENGINES, SweepSpec, Variant, db_to_linear, validate_sweep
+from .sweep import SweepSpec, Variant, db_to_linear, validate_sweep
 
 
 class ConfigError(ValueError):
@@ -164,13 +164,9 @@ def parse_variant(obj: dict, where: str) -> Variant:
 
 def parse_sweep(obj: dict, base: Scenario) -> SweepSpec:
     _check_keys(obj, "sweep",
-                {"axis", "values", "engines", "variants", "lane_spacing"},
+                {"axis", "values", "variants", "lane_spacing"},
                 {"axis", "values"})
     values = _floats(obj["values"], "sweep.values")
-    engines = obj.get("engines", list(ENGINES))
-    if (not isinstance(engines, list)
-            or any(e not in ENGINES for e in engines)):
-        raise ConfigError(f"sweep.engines entries must come from {ENGINES}")
     raw_variants = obj.get("variants", [{"label": "base"}])
     if not isinstance(raw_variants, list) or not raw_variants:
         raise ConfigError("sweep.variants must be a nonempty list")
@@ -180,7 +176,6 @@ def parse_sweep(obj: dict, base: Scenario) -> SweepSpec:
         base=base,
         axis=obj["axis"],
         values=values,
-        engines=tuple(engines),
         variants=variants,
         lane_spacing=_number(obj, "sweep", "lane_spacing", 3.5),
     )
@@ -202,20 +197,3 @@ def load_config(path: str | Path) -> dict:
         raise ConfigError("config root must be an object")
     return obj
 
-
-def scenario_to_dict(scenario: Scenario) -> dict:
-    """Canonical dict form of a validated scenario, for metadata echoes."""
-    ch = scenario.channel
-    return {
-        "channel": {"alpha": ch.alpha, "m": ch.m, "mu": ch.mu},
-        "geometry": {"d": scenario.geometry.d, "theta": scenario.geometry.theta},
-        "link": {"r": scenario.link.r},
-        "layout": {
-            "lanes_x": list(scenario.layout.lanes_x),
-            "lanes_y": list(scenario.layout.lanes_y),
-            "lambda_x": scenario.layout.lambda_x,
-            "lambda_y": scenario.layout.lambda_y,
-        },
-        "aloha_p": scenario.p,
-        "sir_threshold_db": 10.0 * math.log10(scenario.theta_threshold),
-    }

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from xroad.bell import complete_bell, complete_bell_sequence
+from xroad.bell import complete_bell_sequence
 
 # B_n(1, 1, ..., 1) are the Bell numbers.
 BELL_NUMBERS = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
@@ -45,5 +45,5 @@ def test_exponential_composition():
 
 
 def test_complete_bell_single_value():
-    assert complete_bell([]) == 1.0
-    assert complete_bell([7.0]) == 7.0
+    assert complete_bell_sequence([])[-1] == 1.0
+    assert complete_bell_sequence([7.0])[-1] == 7.0

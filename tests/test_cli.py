@@ -79,9 +79,8 @@ def test_config_errors_name_the_field(tmp_path, mutation, fragment):
 def test_unusable_sweep_values_exit_2(tmp_path, capsys, axis, value,
                                       fragment):
     # json writes inf and nan as Infinity and NaN, which json.load accepts.
-    path = write_config(tmp_path, sweep={
-        "axis": axis, "values": [1.0, value], "engines": ["analytic"]})
-    code = cli.main(["sweep", "--config", str(path),
+    path = write_config(tmp_path, sweep={"axis": axis, "values": [1.0, value]})
+    code = cli.main(["sweep", "--config", str(path), "--engine", "analytic",
                      "--out", str(tmp_path / "o.csv")])
     err = capsys.readouterr().err
     assert code == 2
@@ -93,12 +92,11 @@ def test_parse_sweep_section(tmp_path):
     raw = load_config(write_config(tmp_path, sweep={
         "axis": "density",
         "values": [0.001, 0.01],
-        "engines": ["analytic"],
         "variants": [{"label": "LOS", "channel": {"preset": "LOS"}}],
     }))
     spec = parse_sweep(raw["sweep"], parse_scenario(raw))
     assert spec.axis == "density"
-    assert spec.engines == ("analytic",)
+    assert spec.engines == sweep.ENGINES
     assert spec.variants[0].channel == LOS
 
 
@@ -186,8 +184,8 @@ HUGE = 10 ** 400  # json writes it as a 401-digit integer literal
     ("point", dict(channel={"alpha": HUGE, "m": 2}), "channel.alpha"),
     ("point", dict(layout={"lanes_x": [0.0, HUGE], "lambda_x": 0.01}),
      "layout.lanes_x[1]"),
-    ("sweep", dict(sweep={"axis": "density", "values": [0.01, HUGE],
-                          "engines": ["analytic"]}), "sweep.values[1]"),
+    ("sweep", dict(sweep={"axis": "density", "values": [0.01, HUGE]}),
+     "sweep.values[1]"),
 ])
 def test_huge_json_integers_exit_2(tmp_path, capsys, command, mutation,
                                    field):
@@ -232,7 +230,7 @@ def test_point_writes_csv_and_metadata(tmp_path, capsys):
     rows = list(csv.reader(out.open()))
     assert rows[0][0] == "variant"
     meta = json.loads((tmp_path / "point.csv.meta.json").read_text())
-    assert meta["trials"] == 200
+    assert meta["config"]["sim"]["trials"] == 200
     assert meta["tool"] == "xroad"
     assert meta["versions"] == {"python": platform.python_version(),
                                 "numpy": numpy.__version__,
@@ -242,11 +240,11 @@ def test_point_writes_csv_and_metadata(tmp_path, capsys):
 def test_sweep_command_writes_rows(tmp_path, capsys):
     path = write_config(tmp_path, sweep={
         "axis": "density", "values": [0.005, 0.02],
-        "engines": ["analytic"],
         "variants": [{"label": "NLOS"}],
     })
     out = tmp_path / "o.csv"
-    code = cli.main(["sweep", "--config", str(path), "--out", str(out)])
+    code = cli.main(["sweep", "--config", str(path), "--engine", "analytic",
+                     "--out", str(out)])
     assert code == 0
     rows = list(csv.reader(out.open()))
     assert len(rows) == 3
@@ -277,6 +275,46 @@ def test_preset_runs_with_overrides(tmp_path, capsys):
     assert code == 0
     rows = list(csv.reader(out.open()))
     assert len(rows) == 1 + 6 * 2  # header + lanes 1..6 for LOS and NLOS
+
+
+@pytest.mark.parametrize("command", ["preset", "sweep"])
+def test_sidecar_config_reproduces_the_csv(tmp_path, capsys, command):
+    if command == "preset":
+        argv = ["preset", "fig3", "--engine", "both", "--trials", "2048",
+                "--seed", "5"]
+    else:
+        path = write_config(tmp_path, sweep={
+            "axis": "distance_d", "values": [0.0, 300.0],
+            "variants": [{"label": "NLOS"},
+                         {"label": "NLOS highway",
+                          "layout": {"lanes_x": [0.0], "lanes_y": [],
+                                     "lambda_x": 0.01, "lambda_y": 0.0}}],
+        })
+        argv = ["sweep", "--config", str(path), "--engine", "both"]
+    out = tmp_path / "first.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    meta = json.loads((tmp_path / "first.csv.meta.json").read_text())
+    rerun = tmp_path / "sidecar.json"
+    rerun.write_text(json.dumps(meta["config"]))
+    engine = next(flag for flag, engines in cli._ENGINE_CHOICES.items()
+                  if list(engines) == meta["engines"])
+    again = tmp_path / "again.csv"
+    assert cli.main(["sweep", "--config", str(rerun), "--engine", engine,
+                     "--out", str(again)]) == 0
+    assert again.read_bytes() == out.read_bytes()
+    again_meta = json.loads((tmp_path / "again.csv.meta.json").read_text())
+    assert again_meta["config"] == meta["config"]
+
+
+@pytest.mark.parametrize("command", ["point", "sweep"])
+def test_unwritable_out_is_config_error(tmp_path, capsys, command):
+    path = write_config(tmp_path, sweep={"axis": "density",
+                                         "values": [0.005]})
+    out = tmp_path / "missing" / "o.csv"
+    code = cli.main([command, "--config", str(path), "--engine", "analytic",
+                     "--out", str(out)])
+    assert code == 2
+    assert f"config error: cannot write {out}" in capsys.readouterr().err
 
 
 def test_verify_small_grid_passes(tmp_path, capsys):
@@ -332,14 +370,16 @@ def test_verify_custom_config(tmp_path, capsys):
     assert "overall: PASS" in out
 
 
-@pytest.mark.parametrize("engines", [["analytic"], ["montecarlo"]])
-def test_verify_config_must_list_both_engines(tmp_path, capsys, engines):
+@pytest.mark.parametrize("command", ["sweep", "verify"])
+def test_config_engines_key_exits_2(tmp_path, capsys, command):
+    # The command's --engine is the only engine selector.
     path = write_config(tmp_path, sweep={
-        "axis": "density", "values": [0.005], "engines": engines})
-    code = cli.main(["verify", "--config", str(path)])
+        "axis": "density", "values": [0.005],
+        "engines": ["analytic", "montecarlo"]})
+    code = cli.main([command, "--config", str(path)])
     captured = capsys.readouterr()
     assert code == 2
-    assert "sweep.engines" in captured.err
+    assert "unknown key 'engines' in sweep" in captured.err
     assert captured.out == ""
 
 
