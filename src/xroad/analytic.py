@@ -70,12 +70,11 @@ class ConsistencyError(ArithmeticError):
 
 @dataclass(frozen=True)
 class AnalyticResult:
-    """Outage, success and throughput of one scenario, with the per-order
-    summands kept for diagnostics."""
+    """Outage and success of one scenario, with the per-order summands kept
+    for diagnostics."""
 
     success_prob: float
     outage_prob: float
-    throughput: float           # bits/s/Hz
     per_term: tuple[float, ...]
 
 
@@ -126,7 +125,8 @@ def _exponent_integral(k: int, s: float, h: float, alpha: float,
                        err_cap: float = math.inf) -> float:
     """J_0 = int_R s/(s+a) du for k = 0, or J_k = int_R a/(s+a)^(k+1) du for
     k >= 1, with a(u) = (h^2 + u^2)^(alpha/2).  Both integrands are even, so
-    only the half line is quadratured."""
+    only the half line is quadratured.  An integrand value beyond the float
+    range raises ArithmeticError naming k and alpha."""
     half = 0.5 * alpha
     scale = h + s ** (1.0 / alpha)
     if k == 0:
@@ -140,7 +140,12 @@ def _exponent_integral(k: int, s: float, h: float, alpha: float,
             a = (h * h + u * u) ** half
             return a / (s + a) ** kk
         tail_coeff, tail_pow = 1.0, alpha * k
-    return 2.0 * _half_line_integral(f, tail_coeff, tail_pow, scale, err_cap)
+    try:
+        return 2.0 * _half_line_integral(f, tail_coeff, tail_pow, scale,
+                                         err_cap)
+    except OverflowError:
+        raise ArithmeticError(f"the J_k integrand overflows a float at order "
+                              f"k={k}, alpha={alpha:g}") from None
 
 
 def _jet_mul(a: list[float], b: list[float]) -> list[float]:
@@ -275,8 +280,8 @@ def _clamp_probability(value: float) -> float:
 
 
 def outage_probability(scenario: Scenario) -> AnalyticResult:
-    """Outage probability, success probability and throughput of the link;
-    success is the sum of m nonnegative per-order summands (per_term)."""
+    """Outage and success probability of the link; success is the sum of m
+    nonnegative per-order summands (per_term)."""
     m = scenario.channel.m
     if m - 1 > MAX_ORDER:
         raise ValueError(
@@ -297,6 +302,5 @@ def outage_probability(scenario: Scenario) -> AnalyticResult:
     return AnalyticResult(
         success_prob=success,
         outage_prob=1.0 - success,
-        throughput=success * math.log2(1.0 + scenario.theta_threshold),
         per_term=tuple(terms),
     )

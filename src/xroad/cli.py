@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
+import os
 import platform
 import sys
 from dataclasses import replace
@@ -25,12 +25,12 @@ import scipy
 
 from . import __version__
 from .config import (ConfigError, load_config, parse_scenario, parse_sim,
-                     parse_sweep)
+                     parse_sweep, sim_section)
 from .model import ValidationError
 from .montecarlo import SimConfig
 from .sweep import (ENGINES, SweepRow, SweepSpec, compare_engines,
-                    compare_rows, default_verification_grid, run_sweep,
-                    sweep_row, write_csv, write_metadata)
+                    compare_rows, default_verification_grid, point_label,
+                    run_sweep, sweep_row, write_csv)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -94,29 +94,44 @@ def _load_preset(name: str) -> dict:
     return json.loads(text)
 
 
+def _cannot_write(exc: OSError, path: str) -> ConfigError:
+    return ConfigError(
+        f"cannot write {exc.filename or path}: {exc.strerror or exc}")
+
+
+def _check_writable(out: str) -> None:
+    """Fail as writing the CSV at `out` or its sidecar would, before any
+    engine runs; a file this creates is removed again."""
+    for path in (out, out + ".meta.json"):
+        existed = os.path.lexists(path)
+        try:
+            open(path, "a").close()
+        except OSError as exc:
+            raise _cannot_write(exc, path) from exc
+        if not existed:
+            os.remove(path)
+
+
 def _write_outputs(rows: list[SweepRow], out: str, raw: dict, sim: SimConfig,
                    engines: tuple[str, ...]) -> None:
-    """The CSV and its sidecar.  The sidecar's `config` is the config that
-    ran, with `sim` as the overrides left it, so `point` or `sweep` run on
-    it with the recorded engines reproduces the CSV."""
+    """The CSV and its <out>.meta.json sidecar.  The sidecar's `config` is
+    the config that ran, with `sim` as the overrides left it, so `point` or
+    `sweep` run on it with the recorded engines reproduces the CSV."""
     meta = {
         "tool": "xroad",
         "version": __version__,
         "engines": list(engines),
-        "config": {**raw, "sim": {"trials": sim.trials,
-                                  "half_length": sim.half_length,
-                                  "seed": sim.master_seed,
-                                  "confidence": sim.confidence}},
+        "config": {**raw, "sim": sim_section(sim)},
         "versions": {"python": platform.python_version(),
                      "numpy": numpy.__version__, "scipy": scipy.__version__},
     }
     try:
         write_csv(rows, out)
-        write_metadata(out, meta)
+        with open(out + ".meta.json", "w", encoding="utf-8") as fh:
+            json.dump(meta, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     except OSError as exc:
-        raise ConfigError(
-            f"cannot write {exc.filename or out}: {exc.strerror or exc}"
-        ) from exc
+        raise _cannot_write(exc, out) from exc
 
 
 def _cmd_point(args) -> int:
@@ -124,6 +139,8 @@ def _cmd_point(args) -> int:
     scenario = parse_scenario(raw)
     sim = parse_sim(raw.get("sim", {}), seed=args.seed, trials=args.trials)
     engines = _ENGINE_CHOICES[args.engine]
+    if args.out:
+        _check_writable(args.out)
     row = sweep_row(scenario, engines, sim, args.workers, "point", "none", 0.0)
     if row.outage_analytic is not None:
         print(f"outage (analytic)      {row.outage_analytic:.6f}")
@@ -134,8 +151,7 @@ def _cmd_point(args) -> int:
         return EXIT_NUMERIC
     if row.outage_mc is not None:
         pct = 100.0 * sim.confidence
-        throughput = ((1.0 - row.outage_mc)
-                      * math.log2(1.0 + scenario.theta_threshold))
+        throughput = scenario.throughput(1.0 - row.outage_mc)
         print(f"outage (monte-carlo)   {row.outage_mc:.6f} "
               f"(stderr {row.mc_stderr:.6f}, {pct:.0f}% CI "
               f"[{row.ci_low:.6f}, {row.ci_high:.6f}], "
@@ -160,14 +176,16 @@ def _sweep_config(raw: dict, args) -> tuple[SweepSpec, SimConfig]:
 
 def _run_sweep_config(raw: dict, args, default_out: str) -> int:
     spec, sim = _sweep_config(raw, args)
-    rows = run_sweep(spec, sim, workers=args.workers)
     out = args.out or default_out
+    _check_writable(out)
+    rows = run_sweep(spec, sim, workers=args.workers)
     _write_outputs(rows, out, raw, sim, spec.engines)
     failures = [r for r in rows if r.error]
     print(f"wrote {len(rows)} rows to {out}"
           + (f" ({len(failures)} failed)" if failures else ""))
     for row in failures:
-        print(f"  FAILED {row.variant} {row.axis}={row.value}: {row.error}")
+        print(f"  FAILED {point_label(row.variant, row.axis, row.value)}: "
+              f"{row.error}")
     return EXIT_NUMERIC if failures else EXIT_OK
 
 
@@ -185,8 +203,8 @@ def _cmd_verify(args) -> int:
         spec, sim = _sweep_config(load_config(args.config), args)
         report = compare_rows(run_sweep(spec, sim, workers=args.workers))
     else:
-        sim = parse_sim({"half_length": 4000.0}, seed=args.seed,
-                        trials=args.trials)
+        sim = replace(parse_sim({}, seed=args.seed, trials=args.trials),
+                      half_length=4000.0)
         report = compare_engines(default_verification_grid(), sim,
                                  workers=args.workers)
     print(f"{'point':38s} {'analytic':>10s} {'mc':>10s} {'diff':>9s} "

@@ -136,19 +136,27 @@ def parse_scenario(obj: dict) -> Scenario:
 
 def parse_sim(obj: dict, seed: int | None = None,
               trials: int | None = None) -> SimConfig:
+    """The `sim` section over SimConfig's defaults; `seed` and `trials`,
+    when given, replace the section's values."""
     _check_keys(obj, "sim", {"trials", "half_length", "seed", "confidence"})
-    cfg_trials = trials if trials is not None else _integer(
-        obj, "sim", "trials", 50_000)
-    cfg_seed = seed if seed is not None else _integer(obj, "sim", "seed", 0)
+    if trials is None:
+        trials = _integer(obj, "sim", "trials", SimConfig.trials)
+    if seed is None:
+        seed = _integer(obj, "sim", "seed", SimConfig.master_seed)
     try:
         return SimConfig(
-            trials=cfg_trials,
-            half_length=_number(obj, "sim", "half_length", 1000.0),
-            master_seed=cfg_seed,
-            confidence=_number(obj, "sim", "confidence", 0.95),
-        )
+            trials=trials, master_seed=seed,
+            half_length=_number(obj, "sim", "half_length",
+                                SimConfig.half_length),
+            confidence=_number(obj, "sim", "confidence", SimConfig.confidence))
     except ValueError as exc:
         raise ConfigError(f"sim: {exc}") from exc
+
+
+def sim_section(sim: SimConfig) -> dict:
+    """The `sim` section that parse_sim reads back as `sim`."""
+    return {"trials": sim.trials, "half_length": sim.half_length,
+            "seed": sim.master_seed, "confidence": sim.confidence}
 
 
 def parse_variant(obj: dict, where: str) -> Variant:

@@ -143,6 +143,10 @@ class Scenario:
         ch = self.channel
         return ch.m * self.theta_threshold / (ch.mu * self.link_path_loss)
 
+    def throughput(self, success: float) -> float:
+        """Bits/s/Hz of a link that decodes with probability `success`."""
+        return success * math.log2(1.0 + self.theta_threshold)
+
     def lanes(self) -> list[Lane]:
         """Every lane of the layout as seen from D, X road first, in
         declaration order, duplicates kept.

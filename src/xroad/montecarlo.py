@@ -73,8 +73,6 @@ class OutageEstimate:
     ci_low: float
     ci_high: float
     trials: int
-    seed: int
-    throughput: float            # (1 - p_hat) * log2(1 + Theta)
     excluded_interferers: int = 0
 
 
@@ -301,8 +299,5 @@ def estimate(scenario: Scenario, sim: SimConfig,
         ci_low=ci_low,
         ci_high=ci_high,
         trials=sim.trials,
-        seed=sim.master_seed,
-        throughput=(1.0 - p_hat)
-        * math.log2(1.0 + scenario.theta_threshold),
         excluded_interferers=excluded,
     )

@@ -3,23 +3,17 @@
 from __future__ import annotations
 
 import csv
-import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import analytic
 from .model import (LOS, NLOS, ChannelParams, DestinationGeometry, LinkSpec,
-                    RoadLayout, Scenario, ValidationError, validate_scenario)
+                    RoadLayout, Scenario, validate_scenario)
 from .montecarlo import SimConfig, estimate
 
 AXES = ("density", "distance_d", "lanes", "threshold_db", "aloha_p")
 ENGINES = ("analytic", "montecarlo")
-
-#: Stable CSV schema; missing engine values are written as empty fields.
-CSV_COLUMNS = ("variant", "axis", "value", "outage_analytic",
-               "throughput_analytic", "outage_mc", "mc_stderr",
-               "ci_low", "ci_high", "trials", "error")
 
 
 @dataclass(frozen=True)
@@ -91,11 +85,16 @@ def apply_axis_value(scenario: Scenario, axis: str, value: float,
 
     The density and lanes axes touch only roads that are active in the
     variant (nonempty lanes with positive intensity), so a highway variant
-    stays a highway across the sweep.
+    stays a highway across the sweep; with no active road they raise
+    ValueError, since they would change nothing.
     """
     lay = scenario.layout
     x_active = bool(lay.lanes_x) and lay.lambda_x > 0
     y_active = bool(lay.lanes_y) and lay.lambda_y > 0
+    if axis in ("density", "lanes") and not (x_active or y_active):
+        raise ValueError(f"no road has lanes and a positive intensity, so "
+                         f"the {axis} axis changes nothing; set "
+                         "lambda_x/lambda_y")
     if axis == "density":
         return replace(scenario, layout=replace(
             lay, lambda_x=value if x_active else lay.lambda_x,
@@ -115,6 +114,11 @@ def apply_axis_value(scenario: Scenario, axis: str, value: float,
     raise ValueError(f"unknown sweep axis {axis!r}")
 
 
+def point_label(variant: str, axis: str, value: float) -> str:
+    """"<variant> <axis>=<value>", or the bare variant on axis "none"."""
+    return variant if axis == "none" else f"{variant} {axis}={value:g}"
+
+
 def sweep_points(spec: SweepSpec):
     """(variant index, variant, value index, value, validated scenario)
     for every sweep point, in (variant, value) order; an invalid point
@@ -123,18 +127,19 @@ def sweep_points(spec: SweepSpec):
     for vi, variant in enumerate(spec.variants):
         base = apply_variant(spec.base, variant)
         for xi, value in enumerate(spec.values):
-            point = apply_axis_value(base, spec.axis, value, spec.lane_spacing)
             try:
-                point = validate_scenario(point)
-            except ValidationError as exc:
-                raise ValueError(f"{variant.label} {spec.axis}={value:g}: "
-                                 f"{exc}") from exc
+                point = validate_scenario(apply_axis_value(
+                    base, spec.axis, value, spec.lane_spacing))
+            except ValueError as exc:
+                label = point_label(variant.label, spec.axis, value)
+                raise ValueError(f"{label}: {exc}") from exc
             yield vi, variant, xi, value, point
 
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One CSV record; engine fields left None when not computed."""
+    """One CSV record, its fields the columns; engine fields left None when
+    not computed."""
 
     variant: str
     axis: str
@@ -147,6 +152,10 @@ class SweepRow:
     ci_high: float | None = None
     trials: int | None = None
     error: str = ""
+
+
+#: Stable CSV schema; missing engine values are written as empty fields.
+CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
 def _splitmix64(state: int) -> int:
@@ -173,25 +182,26 @@ def sweep_row(scenario: Scenario, engines: tuple[str, ...], sim: SimConfig,
     An engine error lands in the row's error column and the other engine
     still runs.
     """
-    fields: dict = {}
+    cells: dict = {}
     errors: list[str] = []
     if "analytic" in engines:
         try:
             res = analytic.outage_probability(scenario)
-            fields["outage_analytic"] = res.outage_prob
-            fields["throughput_analytic"] = res.throughput
+            cells["outage_analytic"] = res.outage_prob
+            cells["throughput_analytic"] = scenario.throughput(
+                res.success_prob)
         except (ValueError, ArithmeticError) as exc:
             errors.append(f"analytic: {exc}")
     if "montecarlo" in engines:
         try:
             est = estimate(scenario, sim, workers=workers)
-            fields.update(outage_mc=est.p_hat, mc_stderr=est.stderr,
-                          ci_low=est.ci_low, ci_high=est.ci_high,
-                          trials=est.trials)
+            cells.update(outage_mc=est.p_hat, mc_stderr=est.stderr,
+                         ci_low=est.ci_low, ci_high=est.ci_high,
+                         trials=est.trials)
         except (ValueError, ArithmeticError) as exc:
             errors.append(f"montecarlo: {exc}")
     return SweepRow(variant=variant, axis=axis, value=value,
-                    error="; ".join(errors), **fields)
+                    error="; ".join(errors), **cells)
 
 
 def run_sweep(spec: SweepSpec, sim: SimConfig,
@@ -225,15 +235,6 @@ def write_csv(rows: list[SweepRow], path: str | Path) -> None:
         for row in rows:
             writer.writerow([_format_cell(getattr(row, col))
                              for col in CSV_COLUMNS])
-
-
-def write_metadata(csv_path: str | Path, payload: dict) -> Path:
-    """Companion <out>.meta.json describing how the CSV was produced."""
-    meta_path = Path(str(csv_path) + ".meta.json")
-    with open(meta_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return meta_path
 
 
 @dataclass(frozen=True)
@@ -284,12 +285,10 @@ def default_verification_grid() -> list[tuple[str, Scenario]]:
 def compare_rows(rows: list[SweepRow]) -> ComparisonReport:
     """Verdict per two-engine row: it passes when |analytic - mc| <=
     max(0.01, 3 * stderr), so small-trial runs widen their own tolerance,
-    and fails on an engine error.  Labels are "<variant> <axis>=<value>",
-    or the bare variant where the axis is "none"."""
+    and fails on an engine error; each point is labeled by point_label."""
     points = []
     for row in rows:
-        label = (row.variant if row.axis == "none"
-                 else f"{row.variant} {row.axis}={row.value:g}")
+        label = point_label(row.variant, row.axis, row.value)
         tol = diff = None
         if not row.error:
             tol = max(0.01, 3.0 * row.mc_stderr)

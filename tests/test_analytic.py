@@ -299,7 +299,7 @@ def test_no_interference_gives_certain_success():
     res = outage_probability(sc)
     assert res.success_prob == 1.0
     assert res.outage_prob == 0.0
-    assert res.throughput == pytest.approx(math.log2(2.0))
+    assert sc.throughput(res.success_prob) == pytest.approx(math.log2(2.0))
 
 
 def test_m1_reduces_to_product_of_transforms():
@@ -318,8 +318,6 @@ def test_success_per_term_diagnostics():
     assert math.fsum(res.per_term) == pytest.approx(res.success_prob,
                                                     rel=1e-12)
     assert res.outage_prob == 1.0 - res.success_prob
-    assert res.throughput == pytest.approx(
-        res.success_prob * math.log2(1.0 + sc.theta_threshold))
 
 
 def test_outage_approaches_one_for_huge_threshold():

@@ -9,8 +9,9 @@ import scipy
 
 from xroad import analytic, cli, sweep
 from xroad.config import (ConfigError, load_config, parse_scenario,
-                          parse_sim, parse_sweep)
+                          parse_sim, parse_sweep, sim_section)
 from xroad.model import LOS
+from xroad.montecarlo import SimConfig
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -206,6 +207,14 @@ def test_integral_floats_are_accepted(tmp_path):
     assert (sim.trials, sim.master_seed) == (300, 7)
 
 
+def test_sim_section_round_trips_through_parse_sim():
+    assert parse_sim({}) == SimConfig()
+    for sim in (SimConfig(), SimConfig(trials=7, half_length=250.5,
+                                       master_seed=2 ** 63, confidence=0.9)):
+        assert parse_sim(sim_section(sim)) == sim
+        assert parse_sim(json.loads(json.dumps(sim_section(sim)))) == sim
+
+
 def test_point_bad_sim_values_exit_2(tmp_path, capsys):
     path = write_config(tmp_path)
     assert cli.main(["point", "--config", str(path), "--trials", "0"]) == 2
@@ -214,11 +223,28 @@ def test_point_bad_sim_values_exit_2(tmp_path, capsys):
 
 
 def test_point_numeric_failure_exit_3(tmp_path, capsys):
-    # m = 12 validates but exceeds the supported derivative order.
+    # m = 12 validates but exceeds the supported derivative order.  The
+    # failed point writes no CSV, and checking --out leaves no file behind.
     path = write_config(tmp_path, channel={"alpha": 4.0, "m": 12})
-    code = cli.main(["point", "--config", str(path), "--engine", "analytic"])
+    out = tmp_path / "o.csv"
+    code = cli.main(["point", "--config", str(path), "--engine", "analytic",
+                     "--out", str(out)])
     assert code == 3
     assert "numeric error" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_integrand_overflow_is_a_named_numeric_error(tmp_path, capsys):
+    # Accepted by validation; (s + a)^(k+1) in the J_k integrand overflows.
+    path = write_config(tmp_path, channel={"alpha": 10.0, "m": 9},
+                        geometry={"d": 50.0, "theta": 0.5})
+    code = cli.main(["point", "--config", str(path), "--engine", "analytic"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "numeric error: analytic: the J_k integrand overflows a float " \
+        "at order k=" in err
+    assert "alpha=10" in err
+    assert "Numerical result out of range" not in err
 
 
 def test_point_writes_csv_and_metadata(tmp_path, capsys):
@@ -277,11 +303,14 @@ def test_preset_runs_with_overrides(tmp_path, capsys):
     assert len(rows) == 1 + 6 * 2  # header + lanes 1..6 for LOS and NLOS
 
 
-@pytest.mark.parametrize("command", ["preset", "sweep"])
+@pytest.mark.parametrize("command", ["preset", "sweep", "point"])
 def test_sidecar_config_reproduces_the_csv(tmp_path, capsys, command):
     if command == "preset":
         argv = ["preset", "fig3", "--engine", "both", "--trials", "2048",
                 "--seed", "5"]
+    elif command == "point":
+        argv = ["point", "--config", str(write_config(tmp_path)),
+                "--trials", "1500", "--seed", "4"]
     else:
         path = write_config(tmp_path, sweep={
             "axis": "distance_d", "values": [0.0, 300.0],
@@ -299,22 +328,74 @@ def test_sidecar_config_reproduces_the_csv(tmp_path, capsys, command):
     engine = next(flag for flag, engines in cli._ENGINE_CHOICES.items()
                   if list(engines) == meta["engines"])
     again = tmp_path / "again.csv"
-    assert cli.main(["sweep", "--config", str(rerun), "--engine", engine,
+    rerun_command = "point" if command == "point" else "sweep"
+    assert cli.main([rerun_command, "--config", str(rerun), "--engine", engine,
                      "--out", str(again)]) == 0
     assert again.read_bytes() == out.read_bytes()
     again_meta = json.loads((tmp_path / "again.csv.meta.json").read_text())
     assert again_meta["config"] == meta["config"]
 
 
-@pytest.mark.parametrize("command", ["point", "sweep"])
-def test_unwritable_out_is_config_error(tmp_path, capsys, command):
+@pytest.mark.parametrize("command", ["point", "sweep", "preset"])
+def test_unwritable_out_is_config_error(tmp_path, capsys, monkeypatch,
+                                        command):
+    def engine_called(*args, **kwargs):
+        pytest.fail("an engine ran before --out was checked")
+
+    monkeypatch.setattr(analytic, "outage_probability", engine_called)
+    monkeypatch.setattr(sweep, "estimate", engine_called)
     path = write_config(tmp_path, sweep={"axis": "density",
                                          "values": [0.005]})
     out = tmp_path / "missing" / "o.csv"
-    code = cli.main([command, "--config", str(path), "--engine", "analytic",
-                     "--out", str(out)])
+    argv = (["preset", "fig3"] if command == "preset"
+            else [command, "--config", str(path)])
+    code = cli.main(argv + ["--out", str(out)])
+    captured = capsys.readouterr()
     assert code == 2
-    assert f"config error: cannot write {out}" in capsys.readouterr().err
+    assert captured.err == (f"config error: cannot write {out}: "
+                            "No such file or directory\n")
+    assert captured.out == ""
+
+
+def test_unwritable_sidecar_exits_2_and_leaves_no_csv(tmp_path, capsys):
+    path = write_config(tmp_path)
+    out = tmp_path / "o.csv"
+    (tmp_path / "o.csv.meta.json").mkdir()
+    code = cli.main(["point", "--config", str(path), "--out", str(out)])
+    assert code == 2
+    assert f"cannot write {out}.meta.json" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_road_axis_sweep_without_an_active_road_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "channel": {"preset": "NLOS"}, "link": {"r": 20}, "aloha_p": 0.5,
+        "sweep": {"axis": "density", "values": [0.001, 0.01, 0.1]}}))
+    out = tmp_path / "o.csv"
+    code = cli.main(["sweep", "--config", str(path), "--engine", "analytic",
+                     "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(
+        "config error: sweep: base density=0.001: no road has lanes and a "
+        "positive intensity")
+    assert "set lambda_x/lambda_y" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_failed_sweep_points_are_labeled_like_verify(tmp_path, capsys):
+    # m = 10 fails in the analytic engine at every lane count.
+    path = write_config(tmp_path, channel={"alpha": 4.0, "m": 10}, sweep={
+        "axis": "lanes", "values": [1, 3]})
+    code = cli.main(["sweep", "--config", str(path), "--engine", "analytic",
+                     "--out", str(tmp_path / "o.csv")])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 3
+    assert lines[0].endswith("(2 failed)")
+    assert lines[1].startswith("  FAILED base lanes=1: analytic: ")
+    assert lines[2].startswith("  FAILED base lanes=3: analytic: ")
 
 
 def test_verify_small_grid_passes(tmp_path, capsys):

@@ -144,3 +144,10 @@ def test_laplace_argument_and_path_loss():
                        link=LinkSpec(10.0), theta_threshold=2.0)
     assert sc.link_path_loss == pytest.approx(1e-4)
     assert sc.laplace_argument == pytest.approx(2 * 2.0 / (0.5 * 1e-4))
+
+
+def test_throughput_is_success_times_log2_one_plus_threshold():
+    assert make_scenario(theta_threshold=1.0).throughput(0.25) == 0.25
+    sc = make_scenario(theta_threshold=7.0)
+    assert sc.throughput(0.5) == 1.5
+    assert sc.throughput(0.0) == 0.0

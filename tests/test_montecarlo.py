@@ -168,7 +168,7 @@ def test_estimate_zero_intensity_exact():
     assert est.p_hat == 0.0
     assert est.stderr == 0.0
     assert est.ci_low == 0.0
-    assert est.throughput == pytest.approx(math.log2(2.0))
+    assert sc.throughput(1.0 - est.p_hat) == pytest.approx(math.log2(2.0))
 
 
 def test_estimate_deterministic_and_worker_independent():

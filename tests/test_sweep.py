@@ -1,5 +1,4 @@
 import csv
-import json
 import math
 from dataclasses import replace
 
@@ -13,8 +12,7 @@ from xroad.sweep import (CSV_COLUMNS, ENGINES, ComparisonReport, SweepRow,
                          SweepSpec, Variant, apply_axis_value, apply_variant,
                          compare_engines, compare_rows,
                          default_verification_grid, row_seed, run_sweep,
-                         sweep_points, sweep_row, validate_sweep, write_csv,
-                         write_metadata)
+                         sweep_points, sweep_row, validate_sweep, write_csv)
 
 
 def base_scenario(**overrides) -> Scenario:
@@ -133,6 +131,23 @@ def test_run_sweep_row_order_and_missing_engine_fields(tmp_path):
     assert parsed == rows[0].outage_analytic
 
 
+def test_csv_columns_are_the_sweep_row_fields():
+    assert CSV_COLUMNS == (
+        "variant", "axis", "value", "outage_analytic", "throughput_analytic",
+        "outage_mc", "mc_stderr", "ci_low", "ci_high", "trials", "error")
+    row = SweepRow("v", "none", 0.0)
+    assert CSV_COLUMNS == tuple(vars(row))
+
+
+def test_throughput_column_is_derived_from_the_analytic_outage():
+    sc = base_scenario(theta_threshold=3.0)
+    row = sweep_row(sc, ("analytic",), SimConfig(trials=1), 1, "v", "none",
+                    0.0)
+    res = analytic.outage_probability(sc)
+    assert row.throughput_analytic == res.success_prob * 2.0
+    assert row.throughput_analytic == sc.throughput(1.0 - row.outage_analytic)
+
+
 def test_run_sweep_both_engines_fills_all_columns():
     spec = validate_sweep(SweepSpec(
         base=base_scenario(), axis="aloha_p", values=(0.2, 0.6)))
@@ -177,13 +192,6 @@ def test_run_sweep_marks_failed_rows_and_continues(monkeypatch):
     assert rows[0].outage_analytic is None
     assert rows[1].error == ""
     assert rows[1].outage_analytic is not None
-
-
-def test_write_metadata_sidecar(tmp_path):
-    out = tmp_path / "x.csv"
-    meta = write_metadata(out, {"tool": "xroad", "seed": 3})
-    assert meta.name == "x.csv.meta.json"
-    assert json.loads(meta.read_text())["seed"] == 3
 
 
 def test_default_verification_grid_shape():
@@ -266,6 +274,23 @@ def test_invalid_sweep_point_is_named_before_any_engine(monkeypatch):
         with pytest.raises(ValueError, match="^NLOS aloha_p=1.5: Aloha "
                                              "probability out of range$"):
             run(spec)
+
+
+@pytest.mark.parametrize("axis", ["density", "lanes"])
+def test_road_axis_sweep_needs_an_active_road(monkeypatch, axis):
+    forbid_engines(monkeypatch)
+    for layout in (RoadLayout.intersection(0.0, 0.0),
+                   RoadLayout((), (), 0.01, 0.01)):
+        spec = SweepSpec(base_scenario(), axis, (1.0, 2.0),
+                         variants=(Variant("NLOS"),
+                                   Variant("empty", layout=layout)))
+        with pytest.raises(ValueError, match=rf"^empty {axis}=1: no road has "
+                                             r"lanes.*set lambda_x/lambda_y$"):
+            validate_sweep(spec)
+    # The other axes still apply to an empty field.
+    spec = SweepSpec(base_scenario(layout=RoadLayout.intersection(0.0, 0.0)),
+                     "aloha_p", (0.2, 0.5))
+    assert validate_sweep(spec) is spec
 
 
 def test_compare_rows_labels_and_verdicts():
