@@ -14,19 +14,24 @@ success probability of a link with an integer gamma-fading parameter m is
 
     P_s = sum_{k<m} (-s)^k / k! * L^(k)(s),   s = m*Theta/(mu*l_SD),
 
-and since s^k L^(k)(s) = exp(g) * B_k(x_1, ..., x_k) with x_j = s^j g^(j)(s)
-(B_k is homogeneous of weight k), the engine works in the scaled variable:
-one set of x_j and one complete-Bell-polynomial composition per point.  The
-x_j stay of the order of g itself, so no power of s can overflow.
+the sum of the first m Taylor coefficients of L(s*(1 - tau)) in tau.  The
+engine works in those coefficients: g~_k of g(s*(1 - tau)), and e~_k of its
+exponential, from the derivative of exp(G) being G' exp(G):
+
+    e~_0 = exp(g~_0),   e~_k = (1/k) * sum_{j=1..k} j * g~_j * e~_{k-j}.
+
+-g is a Bernstein function, so g~_k >= 0 for k >= 1 and every e~_k is a
+sum of nonnegative terms; the g~_k (k >= 1) sum to -g~_0, so the e~_k sum
+to L(0) = 1.  No factorial, power of s or alternating sign is formed.
 
 The lane integral J(s) has closed forms for alpha = 2, for alpha = 4, and
 for any alpha when the destination lies on the lane (h = 0).  There the
-x_j come from one pass of truncated-Taylor ("jet") arithmetic on the closed
-form seeded with s*(1 + tau), with no quadrature.  Otherwise the
-derivatives of J are quadratured under the integral sign, where they are
-exact:
+coefficients come from one pass of truncated-Taylor ("jet") arithmetic on
+the closed form seeded with s*(1 - tau), with no quadrature.  Otherwise
+they are quadratured under the integral sign, over integrands in [0, 1]:
+with y = s/(s + a),
 
-    d^k/ds^k [ s/(s+a) ] = (-1)^(k+1) * k! * a / (s+a)^(k+1)   (k >= 1).
+    s(1 - tau) / (s(1 - tau) + a) = y - (1 - y) * sum_{k>=1} y^k tau^k.
 """
 
 from __future__ import annotations
@@ -36,11 +41,7 @@ from dataclasses import dataclass
 
 from scipy.integrate import quad
 
-from .bell import complete_bell_sequence
 from .model import Lane, Scenario
-
-#: Highest supported derivative order of L (so m can be at most MAX_ORDER+1).
-MAX_ORDER = 8
 
 #: Hard cap on window doublings while chasing the analytic tail bound.
 _MAX_SEGMENTS = 96
@@ -48,7 +49,7 @@ _MAX_SEGMENTS = 96
 #: Initial half-width of the quadrature window, m.
 _TRUNCATION = 1e4
 
-#: Relative error requested from the quadrature of each J_k.
+#: Relative error requested from the quadrature of each integral.
 _REL_TOL = 1e-9
 
 
@@ -78,16 +79,18 @@ class AnalyticResult:
     per_term: tuple[float, ...]
 
 
-def _half_line_integral(f, tail_coeff: float, tail_pow: float,
-                        peak_scale: float, err_cap: float) -> float:
+def _half_line_integral(f, rho: float, tail_pow: float, peak_scale: float,
+                        err_cap: float) -> float:
     """integral of f over [0, inf) for a positive integrand bounded above by
-    tail_coeff * u**(-tail_pow) once u is large.
+    (rho/u)**tail_pow once u is large.
 
     Integrates [0, T] adaptively, then doubles T until the analytic tail
-    bound tail_coeff * T**(1-tail_pow) / (tail_pow-1) drops below half the
-    error budget; the quadrature errors reported by QUADPACK cover the rest.
+    bound T * (rho/T)**tail_pow / (tail_pow-1) drops below half the error
+    budget; the quadrature errors reported by QUADPACK cover the rest.
     err_cap additionally bounds the absolute error so that a large integral
-    (a strongly interfered lane) does not lose accuracy in exp().
+    (a strongly interfered lane) does not lose accuracy in the success
+    probability, which an absolute error d in any g~_j moves by at most d
+    times itself (the derivative of e~_k in g~_j is e~_{k-j}).
     """
     piece_rel = _REL_TOL / 16.0
     T = _TRUNCATION
@@ -103,9 +106,11 @@ def _half_line_integral(f, tail_coeff: float, tail_pow: float,
                          full_output=True)[:3]
     err_sum = err
     for _ in range(_MAX_SEGMENTS):
-        budget = 0.5 * _REL_TOL * min(total, err_cap)
-        tail_bound = tail_coeff * T ** (1.0 - tail_pow) / (tail_pow - 1.0)
-        if tail_bound <= budget:
+        # While T <= rho the power may overflow; the bound is then at
+        # least T/(tail_pow-1), far above the budget.
+        tail_bound = (T * (rho / T) ** tail_pow / (tail_pow - 1.0)
+                      if rho < T else math.inf)
+        if tail_bound <= 0.5 * _REL_TOL * min(total, err_cap):
             if err_sum + tail_bound > _REL_TOL * total:
                 raise QuadratureError(
                     "interference integral did not converge",
@@ -117,35 +122,25 @@ def _half_line_integral(f, tail_coeff: float, tail_pow: float,
         err_sum += err
         T *= 2.0
     raise QuadratureError("tail bound never met the tolerance",
-                          tail_coeff * T ** (1.0 - tail_pow)
-                          / max((tail_pow - 1.0) * total, 1e-300))
+                          tail_bound / max(total, 1e-300))
 
 
 def _exponent_integral(k: int, s: float, h: float, alpha: float,
                        err_cap: float = math.inf) -> float:
-    """J_0 = int_R s/(s+a) du for k = 0, or J_k = int_R a/(s+a)^(k+1) du for
-    k >= 1, with a(u) = (h^2 + u^2)^(alpha/2).  Both integrands are even, so
-    only the half line is quadratured.  An integrand value beyond the float
-    range raises ArithmeticError naming k and alpha."""
+    """int_R y du for k = 0, or int_R (1 - y) * y^k du for k >= 1, where
+    y = s/(s + a(u)) and a(u) = (h^2 + u^2)^(alpha/2).  Both integrands lie
+    in [0, 1] and are even, so only the half line is quadratured."""
     half = 0.5 * alpha
-    scale = h + s ** (1.0 / alpha)
-    if k == 0:
-        def f(u: float) -> float:
-            return s / (s + (h * h + u * u) ** half)
-        tail_coeff, tail_pow = s, alpha
-    else:
-        kk = k + 1
 
-        def f(u: float) -> float:
-            a = (h * h + u * u) ** half
-            return a / (s + a) ** kk
-        tail_coeff, tail_pow = 1.0, alpha * k
-    try:
-        return 2.0 * _half_line_integral(f, tail_coeff, tail_pow, scale,
-                                         err_cap)
-    except OverflowError:
-        raise ArithmeticError(f"the J_k integrand overflows a float at order "
-                              f"k={k}, alpha={alpha:g}") from None
+    def f(u: float) -> float:
+        try:
+            y = s / (s + (h * h + u * u) ** half)
+        except OverflowError:       # a(u) beyond the float range: y = 0
+            return 0.0
+        return (1.0 - y) * y ** k if k else y
+    rho = s ** (1.0 / alpha)
+    return 2.0 * _half_line_integral(f, rho, alpha * max(k, 1), h + rho,
+                                     err_cap)
 
 
 def _jet_mul(a: list[float], b: list[float]) -> list[float]:
@@ -170,9 +165,9 @@ def _jet_sqrt(a: list[float]) -> list[float]:
 
 def _lane_integral_jet(s: float, h: float, alpha: float,
                        order: int) -> list[float] | None:
-    """Scaled Taylor coefficients c_0..c_order of J(s*(1 + tau)) =
-    sum_k c_k tau^k, so c_k = s^k J^(k)(s) / k!, where
-    J(s) = int_R s/(s + a(u)) du, when J has a closed form; None otherwise.
+    """Taylor coefficients c_0..c_order of J(s*(1 - tau)) = sum_k c_k tau^k,
+    where J(s) = int_R s/(s + a(u)) du, when J has a closed form; None
+    otherwise.
 
     The coefficients come from truncated-Taylor arithmetic on coefficient
     lists (+, *, /, sqrt), so all orders are exact up to rounding:
@@ -183,7 +178,7 @@ def _lane_integral_jet(s: float, h: float, alpha: float,
                        cancellation in (w - h^2) when s << h^4
       h = 0, any alpha: J = 2*pi * s^(1/alpha) / (alpha * sin(pi/alpha))
     """
-    t = ([s, s] + [0.0] * order)[:order + 1]     # the jet of s*(1 + tau)
+    t = ([s, -s] + [0.0] * order)[:order + 1]    # the jet of s*(1 - tau)
     if alpha == 2.0:
         x = [s + h * h] + t[1:]
         return [math.pi * c for c in _jet_div(t, _jet_sqrt(x))]
@@ -192,11 +187,11 @@ def _lane_integral_jet(s: float, h: float, alpha: float,
         den = _jet_mul(w, _jet_sqrt([w[0] + h * h] + w[1:]))
         return [math.pi / math.sqrt(2.0) * c for c in _jet_div(t, den)]
     if h == 0.0:
-        # (s*(1 + tau))^beta = s^beta * sum_k binom(beta, k) tau^k.
+        # (s*(1 - tau))^beta = s^beta * sum_k binom(beta, k) (-tau)^k.
         beta = 1.0 / alpha
         c = [2.0 * math.pi * s ** beta / (alpha * math.sin(math.pi / alpha))]
         for k in range(1, order + 1):
-            c.append(c[-1] * (beta - k + 1) / k)
+            c.append(c[-1] * (k - 1 - beta) / k)
         return c
     return None
 
@@ -226,19 +221,19 @@ def laplace_closed_alpha2(s: float, lane: Lane, scenario: Scenario) -> float:
     return _laplace_closed(2.0, s, lane, scenario)
 
 
-def _scaled_exponent_derivatives(scenario: Scenario, s: float,
-                                 max_order: int) -> list[float]:
-    """x_k = s^k * g^(k)(s) for k = 0..max_order, where g is the exponent of
-    the Laplace transform of the total interference from both roads.
+def _exponent_coefficients(scenario: Scenario, s: float,
+                           order: int) -> list[float]:
+    """Taylor coefficients g~_0..g~_order of g(s*(1 - tau)), where g is the
+    exponent of the Laplace transform of the total interference from both
+    roads; g~_k = (-s)^k g^(k)(s) / k!.
 
     The lanes are independent point processes, so g = -sum_h rate_h * J(s; h)
     over the distinct lane distances h of scenario.lanes(), with rate_h the
-    summed p*lam of the lanes at h on either road; -g is a Bernstein
-    function.  Each h is evaluated once, from the closed-form jet where one
-    exists and otherwise by quadrature, whose J_k = (-1)^(k+1) J^(k)(s) / k!
-    (k >= 1) are scaled by s^k outside the integrand.
+    summed p*lam of the lanes at h on either road.  Each h is evaluated
+    once, from the closed-form jet where one exists and otherwise by
+    quadrature.
     """
-    out = [0.0] * (max_order + 1)
+    out = [0.0] * (order + 1)
     if s == 0.0:
         return out
     rates: dict[float, float] = {}
@@ -249,22 +244,21 @@ def _scaled_exponent_derivatives(scenario: Scenario, s: float,
     alpha = scenario.channel.alpha
     # a(u) <= s where |u| <= sqrt(rho^2 - h^2), rho = s^(1/alpha), and there
     # s/(s+a) >= 1/2, so J(s; h) >= sqrt((rho - h)(rho + h)).  Past 800 the
-    # caller's exp(x_0) underflows whatever the rest of J is, so at huge s
+    # caller's exp(g~_0) underflows whatever the rest of J is, so at huge s
     # (also s = inf, from an overflowed laplace_argument) J is not needed.
     rho = s ** (1.0 / alpha)
     if sum(rate * math.sqrt(max(rho - h, 0.0) * (rho + h))
            for h, rate in rates.items()) > 800.0:
         return [-math.inf] + out[1:]
     for h, rate in rates.items():
-        coeffs = _lane_integral_jet(s, h, alpha, max_order)
+        coeffs = _lane_integral_jet(s, h, alpha, order)
         if coeffs is None:
             cap = 1.0 / rate
             coeffs = [_exponent_integral(0, s, h, alpha, err_cap=cap)]
-            coeffs += [-(-s) ** k * _exponent_integral(k, s, h, alpha,
-                                                       err_cap=cap)
-                       for k in range(1, max_order + 1)]
+            coeffs += [-_exponent_integral(k, s, h, alpha, err_cap=cap)
+                       for k in range(1, order + 1)]
         for k, c in enumerate(coeffs):
-            out[k] -= rate * math.factorial(k) * c
+            out[k] -= rate * c
     return out
 
 
@@ -281,23 +275,14 @@ def _clamp_probability(value: float) -> float:
 
 def outage_probability(scenario: Scenario) -> AnalyticResult:
     """Outage and success probability of the link; success is the sum of m
-    nonnegative per-order summands (per_term)."""
+    nonnegative per-order summands (per_term), the Taylor coefficients
+    e~_k of L(s*(1 - tau)) = exp(sum_k g~_k tau^k)."""
     m = scenario.channel.m
-    if m - 1 > MAX_ORDER:
-        raise ValueError(
-            f"fading parameter m = {m} needs derivative orders beyond {MAX_ORDER}")
-    s = scenario.laplace_argument
-    x = _scaled_exponent_derivatives(scenario, s, m - 1)
-    scale = math.exp(x[0])
-    if scale == 0.0:
-        # exp(x_0) underflowed.  Each |x_k| is at most a fixed multiple of
-        # |x_0| (-g is a Bernstein function), so every summand
-        # exp(x_0) * B_k / k! is negligible; B_k alone may overflow, and
-        # 0 * inf would give nan.
-        terms = [0.0] * m
-    else:
-        terms = [(-1.0) ** k * scale * b / math.factorial(k)
-                 for k, b in enumerate(complete_bell_sequence(x[1:]))]
+    g = _exponent_coefficients(scenario, scenario.laplace_argument, m - 1)
+    terms = [math.exp(g[0])]
+    for k in range(1, m):
+        terms.append(math.fsum(j * g[j] * terms[k - j]
+                               for j in range(1, k + 1)) / k)
     success = _clamp_probability(math.fsum(terms))
     return AnalyticResult(
         success_prob=success,

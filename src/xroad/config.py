@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 from .model import (CHANNEL_PRESETS, ChannelParams, DestinationGeometry,
@@ -137,18 +138,18 @@ def parse_scenario(obj: dict) -> Scenario:
 def parse_sim(obj: dict, seed: int | None = None,
               trials: int | None = None) -> SimConfig:
     """The `sim` section over SimConfig's defaults; `seed` and `trials`,
-    when given, replace the section's values."""
+    when given, replace the section's values once those have validated."""
     _check_keys(obj, "sim", {"trials", "half_length", "seed", "confidence"})
-    if trials is None:
-        trials = _integer(obj, "sim", "trials", SimConfig.trials)
-    if seed is None:
-        seed = _integer(obj, "sim", "seed", SimConfig.master_seed)
+    section_trials = _integer(obj, "sim", "trials", SimConfig.trials)
+    section_seed = _integer(obj, "sim", "seed", SimConfig.master_seed)
     try:
-        return SimConfig(
-            trials=trials, master_seed=seed,
+        sim = SimConfig(
+            trials=section_trials, master_seed=section_seed,
             half_length=_number(obj, "sim", "half_length",
                                 SimConfig.half_length),
             confidence=_number(obj, "sim", "confidence", SimConfig.confidence))
+        return replace(sim, trials=sim.trials if trials is None else trials,
+                       master_seed=sim.master_seed if seed is None else seed)
     except ValueError as exc:
         raise ConfigError(f"sim: {exc}") from exc
 

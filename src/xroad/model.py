@@ -18,6 +18,7 @@ be shared freely across worker processes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -58,6 +59,9 @@ LOS = ChannelParams(alpha=2.0, m=3, mu=1.0)
 NLOS = ChannelParams(alpha=4.0, m=1, mu=1.0)
 
 CHANNEL_PRESETS = {"LOS": LOS, "NLOS": NLOS}
+
+#: Largest Nakagami m the analytic engine evaluates.
+MAX_M = 100
 
 
 @dataclass(frozen=True)
@@ -191,6 +195,9 @@ def validate_scenario(scenario: Scenario) -> Scenario:
         v.append("non-integer Nakagami m")
     elif int(ch.m) < 1:
         v.append("Nakagami m must be a positive integer")
+    elif int(ch.m) > MAX_M:
+        v.append(f"Nakagami m = {int(ch.m)} exceeds the supported maximum "
+                 f"of {MAX_M}")
     if _check_finite(v, "mu", ch.mu) and ch.mu <= 0.0:
         v.append("fading mean mu must be positive")
 
@@ -202,6 +209,15 @@ def validate_scenario(scenario: Scenario) -> Scenario:
 
     if _check_finite(v, "r", link.r) and link.r <= 0.0:
         v.append("link distance r must be positive")
+    elif math.isfinite(link.r) and math.isfinite(ch.alpha):
+        # Both engines divide by the link's path loss.
+        try:
+            normal = scenario.link_path_loss >= sys.float_info.min
+        except OverflowError:
+            normal = False
+        if not normal:
+            v.append(f"link path loss r^-alpha is not a positive normal "
+                     f"float at r = {link.r:g}, alpha = {ch.alpha:g}")
 
     if _check_finite(v, "lambda_x", lay.lambda_x) and lay.lambda_x < 0.0:
         v.append("lambda_x is negative")

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from xroad import cli
-from xroad.analytic import (_exponent_integral, _scaled_exponent_derivatives,
+from xroad.analytic import (_exponent_coefficients, _exponent_integral,
                             laplace_closed_alpha2, laplace_closed_alpha4,
                             outage_probability)
 from xroad.bell import complete_bell_sequence
@@ -25,8 +25,11 @@ from xroad.sweep import compare_engines, default_verification_grid, run_sweep
 
 def laplace(sc, s, n=0):
     """n-th derivative of the total interference's Laplace transform at s,
-    composed as the engine does: s^n L^(n) = exp(x_0) * B_n(x_1..x_n)."""
-    x = _scaled_exponent_derivatives(sc, s, n)
+    composed independently of the engine's recurrence:
+    s^n L^(n) = exp(x_0) * B_n(x_1..x_n) with x_k = s^k g^(k)(s)
+    = (-1)^k * k! * g~_k."""
+    x = [(-1.0) ** k * math.factorial(k) * c
+         for k, c in enumerate(_exponent_coefficients(sc, s, n))]
     return math.exp(x[0]) * complete_bell_sequence(x[1:])[n] / s ** n
 
 
@@ -212,7 +215,7 @@ def test_property_suite_key_limits():
     silent = intersection(NLOS, p=0.0)
     assert success(silent) == 1.0
     assert laplace(intersection(NLOS), 0.0) == 1.0
-    assert _scaled_exponent_derivatives(intersection(NLOS), 0.0, 0) == [0.0]
+    assert _exponent_coefficients(intersection(NLOS), 0.0, 0) == [0.0]
 
     # m = 1 product reduction.
     sc = intersection(NLOS, d=150.0)

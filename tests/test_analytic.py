@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from xroad import analytic, cli
-from xroad.analytic import (UnsupportedExponentError,
-                            _exponent_integral, _scaled_exponent_derivatives,
+from xroad.analytic import (UnsupportedExponentError, _exponent_coefficients,
+                            _exponent_integral,
                             laplace_closed_alpha2, laplace_closed_alpha4,
                             outage_probability)
 from xroad.bell import complete_bell_sequence
@@ -13,17 +14,24 @@ from xroad.model import (LOS, NLOS, ChannelParams, DestinationGeometry,
                          LinkSpec, RoadLayout, Scenario)
 from xroad.sweep import db_to_linear, default_verification_grid
 
+def scaled_exponent_derivatives(sc, s, max_order):
+    """s^k * g^(k)(s) = (-1)^k * k! * g~_k for k = 0..max_order, from the
+    engine's Taylor coefficients g~_k of g(s*(1 - tau))."""
+    return [(-1.0) ** k * math.factorial(k) * c for k, c in
+            enumerate(_exponent_coefficients(sc, s, max_order))]
+
+
 def exponent_derivatives(sc, s, max_order):
-    """g, g', ..., g^(max_order) of the total interference at s > 0, from
-    the engine's scaled s^k * g^(k)(s)."""
+    """g, g', ..., g^(max_order) of the total interference at s > 0."""
     return [x / s ** k for k, x in
-            enumerate(_scaled_exponent_derivatives(sc, s, max_order))]
+            enumerate(scaled_exponent_derivatives(sc, s, max_order))]
 
 
 def laplace(sc, s, n=0):
     """n-th derivative of the total interference's Laplace transform at s,
-    composed as the engine does: s^n L^(n) = exp(x_0) * B_n(x_1..x_n)."""
-    x = _scaled_exponent_derivatives(sc, s, n)
+    composed independently of the engine's recurrence:
+    s^n L^(n) = exp(x_0) * B_n(x_1..x_n) with x_k = s^k g^(k)(s)."""
+    x = scaled_exponent_derivatives(sc, s, n)
     return math.exp(x[0]) * complete_bell_sequence(x[1:])[n] / s ** n
 
 
@@ -37,10 +45,13 @@ def success(sc):
 
 
 def quadrature_exponent(k, s, h, alpha, rate):
-    """k-th derivative of one lane's exponent from the quadratured J_k:
-    g = -rate*J_0 and g^(k) = (-1)^k * k! * rate * J_k."""
-    sign = -1.0 if k == 0 else (-1.0) ** k * math.factorial(k)
-    return rate * sign * _exponent_integral(k, s, h, alpha)
+    """k-th derivative of one lane's exponent from the quadratured integral
+    I_k: g = -rate*I_0 and, with g~_k = rate*I_k (k >= 1),
+    s^k g^(k) = (-1)^k * k! * g~_k."""
+    if k == 0:
+        return -rate * _exponent_integral(0, s, h, alpha)
+    return ((-1.0) ** k * math.factorial(k) * rate
+            * _exponent_integral(k, s, h, alpha) / s ** k)
 
 
 def x_lane_scenario(alpha: float, h: float, p: float, lam: float,
@@ -148,14 +159,14 @@ def test_jets_match_quadrature(alpha, h):
 @pytest.mark.parametrize("alpha", [2.0, 4.0])
 def test_engine_quadrature_branch_matches_jets(monkeypatch, alpha):
     # The engine quadratures only where no jet exists (general alpha off
-    # the lane).  Forcing that branch at alpha in {2, 4} checks its s^k
-    # scaling, signs and factorials against the jets.
+    # the lane).  Forcing that branch at alpha in {2, 4} checks its
+    # integrands and signs against the jets.
     sc = intersection_scenario(channel=ChannelParams(alpha=alpha, m=9),
                                d=30.0, theta=0.4)
     s = sc.laplace_argument
-    expected = _scaled_exponent_derivatives(sc, s, 8)
+    expected = _exponent_coefficients(sc, s, 8)
     monkeypatch.setattr(analytic, "_lane_integral_jet", lambda *args: None)
-    assert _scaled_exponent_derivatives(sc, s, 8) == pytest.approx(
+    assert _exponent_coefficients(sc, s, 8) == pytest.approx(
         expected, rel=1e-8)
 
 
@@ -188,6 +199,24 @@ def test_on_lane_jet_matches_beta_integrals(alpha):
             jk = 2.0 * b * s ** (b - k) * beta(1.0 + b, k - b)
             expected = (-1.0) ** k * math.factorial(k) * 0.005 * jk
             assert g[k] == pytest.approx(expected, rel=1e-12), (s, k)
+
+
+@pytest.mark.parametrize("alpha", [3.7, 6.5])
+def test_quadrature_matches_beta_integrals_up_to_the_cap(alpha):
+    # With h = 0 the quadratured integrals are Beta integrals:
+    # int y du = (2/alpha) s^(1/alpha) B(1/alpha, 1 - 1/alpha) and
+    # int (1 - y) y^k du = (2/alpha) s^(1/alpha) B(1 + 1/alpha, k - 1/alpha).
+    # At s = 1e40, rho = s^(1/alpha) lies far beyond the first window, where
+    # (rho/T)^(alpha*k) overflows a float at k = 99.
+    def beta(a, b):
+        return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+    b = 1.0 / alpha
+    for s in (10.0, 1e40):
+        for k in (0, 1, 8, 50, 99):
+            expected = 2.0 * b * s ** b * (beta(b, 1.0 - b) if k == 0
+                                           else beta(1.0 + b, k - b))
+            assert _exponent_integral(k, s, 0.0, alpha) == pytest.approx(
+                expected, rel=1e-8), (s, k)
 
 
 def test_alpha2_jet_matches_two_term_split():
@@ -320,6 +349,27 @@ def test_success_per_term_diagnostics():
     assert res.outage_prob == 1.0 - res.success_prob
 
 
+@pytest.mark.parametrize("channel,d,theta", [
+    (LOS, 0.0, 0.0), (ChannelParams(alpha=4.0, m=9), 30.0, 0.4),
+    (ChannelParams(alpha=3.3, m=9), 50.0, 0.5),
+    (ChannelParams(alpha=2.0, m=9), 300.0, 0.0)])
+def test_recurrence_matches_bell_composition(channel, d, theta):
+    # k! * e~_k = (-s)^k L^(k)(s) = (-1)^k * exp(x_0) * B_k(x_1..x_k), with
+    # x_j = s^j g^(j)(s) = (-1)^j * j! * g~_j, for every m up to 9.
+    for m in range(1, channel.m + 1):
+        sc = intersection_scenario(channel=replace(channel, m=m), d=d,
+                                   theta=theta)
+        g = _exponent_coefficients(sc, sc.laplace_argument, m - 1)
+        x = [(-1.0) ** j * math.factorial(j) * c for j, c in enumerate(g)]
+        bell = complete_bell_sequence(x[1:])
+        terms = outage_probability(sc).per_term
+        assert len(terms) == m
+        assert all(term >= 0.0 for term in terms)
+        for k, term in enumerate(terms):
+            assert term * math.factorial(k) == pytest.approx(
+                (-1.0) ** k * math.exp(x[0]) * bell[k], rel=1e-12), (m, k)
+
+
 def test_outage_approaches_one_for_huge_threshold():
     sc = intersection_scenario(channel=NLOS, thresh=1e9)
     assert outage_probability(sc).outage_prob == pytest.approx(1.0, abs=1e-3)
@@ -423,12 +473,6 @@ def test_sign_pattern_holds_at_maximum_order():
     for s in (5.0, 500.0):
         for n in range(9):
             assert (-1.0) ** n * laplace(sc, s, n) >= 0.0
-
-
-def test_m_beyond_supported_order_raises():
-    sc = intersection_scenario(channel=ChannelParams(alpha=4.0, m=10))
-    with pytest.raises(ValueError, match="derivative orders"):
-        outage_probability(sc)
 
 
 def test_roads_at_equal_distance_share_one_evaluation(monkeypatch):

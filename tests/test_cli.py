@@ -11,7 +11,7 @@ from xroad import analytic, cli, sweep
 from xroad.config import (ConfigError, load_config, parse_scenario,
                           parse_sim, parse_sweep, sim_section)
 from xroad.model import LOS
-from xroad.montecarlo import SimConfig
+from xroad.montecarlo import SimConfig, estimate
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -223,9 +223,11 @@ def test_point_bad_sim_values_exit_2(tmp_path, capsys):
 
 
 def test_point_numeric_failure_exit_3(tmp_path, capsys):
-    # m = 12 validates but exceeds the supported derivative order.  The
-    # failed point writes no CSV, and checking --out leaves no file behind.
-    path = write_config(tmp_path, channel={"alpha": 4.0, "m": 12})
+    # alpha = 1.05 with D off the lanes validates, but the quadrature's tail
+    # bound is never met.  The failed point writes no CSV, and checking
+    # --out leaves no file behind.
+    path = write_config(tmp_path, channel={"alpha": 1.05, "m": 1},
+                        geometry={"d": 50.0, "theta": 0.5})
     out = tmp_path / "o.csv"
     code = cli.main(["point", "--config", str(path), "--engine", "analytic",
                      "--out", str(out)])
@@ -234,17 +236,62 @@ def test_point_numeric_failure_exit_3(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
-def test_integrand_overflow_is_a_named_numeric_error(tmp_path, capsys):
-    # Accepted by validation; (s + a)^(k+1) in the J_k integrand overflows.
-    path = write_config(tmp_path, channel={"alpha": 10.0, "m": 9},
-                        geometry={"d": 50.0, "theta": 0.5})
-    code = cli.main(["point", "--config", str(path), "--engine", "analytic"])
-    err = capsys.readouterr().err
-    assert code == 3
-    assert "numeric error: analytic: the J_k integrand overflows a float " \
-        "at order k=" in err
-    assert "alpha=10" in err
-    assert "Numerical result out of range" not in err
+def test_large_alpha_off_the_lane_evaluates(tmp_path, capsys):
+    # Both points failed when the integrand formed (s + a)^(k+1).  At
+    # alpha = 100, a(u) itself overflows a float inside the first window,
+    # where the integrands take y = s/(s + a) = 0.  2^17 trials put the
+    # Monte-Carlo stderr near 6e-5 and 9e-4.
+    for alpha, m, theta in ((10.0, 9, 0.5), (100.0, 3, 0.3)):
+        path = write_config(tmp_path, channel={"alpha": alpha, "m": m},
+                            geometry={"d": 50.0, "theta": theta})
+        assert cli.main(["point", "--config", str(path),
+                         "--engine", "analytic"]) == 0
+        sc = parse_scenario(load_config(path))
+        outage = analytic.outage_probability(sc).outage_prob
+        assert (f"outage (analytic)      {outage:.6f}"
+                in capsys.readouterr().out)
+        est = estimate(sc, SimConfig(trials=2 ** 17, master_seed=7))
+        assert abs(outage - est.p_hat) <= 4.0 * est.stderr, alpha
+
+
+@pytest.mark.parametrize("link,alpha", [(20.0, 1000.0), (1e-300, 3.0)])
+def test_link_path_loss_outside_the_float_range_exits_2(tmp_path, capsys,
+                                                       link, alpha):
+    # r^-alpha underflows to 0 (alpha = 1000) or overflows (r = 1e-300);
+    # both engines divide by it.
+    path = write_config(tmp_path, channel={"alpha": alpha, "m": 3},
+                        link={"r": link})
+    assert cli.main(["point", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "config error: link path loss r^-alpha is not a positive normal "
+        f"float at r = {link:g}, alpha = {alpha:g}\n")
+    assert captured.out == ""
+
+
+def test_m_beyond_the_cap_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, channel={"alpha": 4.0, "m": 101})
+    assert cli.main(["point", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: Nakagami m = 101 exceeds the supported maximum of "
+        "100\n")
+    path = write_config(tmp_path, channel={"alpha": 4.0, "m": 100})
+    assert cli.main(["point", "--config", str(path),
+                     "--engine", "analytic"]) == 0
+
+
+@pytest.mark.parametrize("key,value", [("trials", 2.5), ("seed", 1.5),
+                                       ("trials", 0)])
+def test_sim_section_is_validated_under_an_override(tmp_path, capsys, key,
+                                                     value):
+    # --trials and --seed replace the section's values only once those
+    # have validated, so the override does not hide a bad config.
+    path = write_config(tmp_path, sim={key: value})
+    for override in ([], ["--trials", "100", "--seed", "3"]):
+        assert cli.main(["point", "--config", str(path), "--engine", "mc"]
+                        + override) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and key in err
 
 
 def test_point_writes_csv_and_metadata(tmp_path, capsys):
@@ -386,9 +433,11 @@ def test_road_axis_sweep_without_an_active_road_exits_2(tmp_path, capsys):
 
 
 def test_failed_sweep_points_are_labeled_like_verify(tmp_path, capsys):
-    # m = 10 fails in the analytic engine at every lane count.
-    path = write_config(tmp_path, channel={"alpha": 4.0, "m": 10}, sweep={
-        "axis": "lanes", "values": [1, 3]})
+    # alpha = 1.05 with D off the lanes fails in the analytic engine at
+    # every lane count.
+    path = write_config(tmp_path, channel={"alpha": 1.05, "m": 1},
+                        geometry={"d": 50.0, "theta": 0.5}, sweep={
+                            "axis": "lanes", "values": [1, 3]})
     code = cli.main(["sweep", "--config", str(path), "--engine", "analytic",
                      "--out", str(tmp_path / "o.csv")])
     lines = capsys.readouterr().out.splitlines()
@@ -465,20 +514,21 @@ def test_config_engines_key_exits_2(tmp_path, capsys, command):
 
 
 def test_verify_engine_failure_fails_only_its_point(tmp_path, capsys):
-    # m = 10 validates but needs derivative orders beyond the analytic
-    # engine's; that point fails with the engine named, the other passes.
-    path = write_config(tmp_path, sweep={
+    # alpha = 1.05 with D off the lanes validates, but the analytic
+    # engine's quadrature fails there; that point fails with the engine
+    # named, the other passes.
+    path = write_config(tmp_path, geometry={"d": 50.0, "theta": 0.5}, sweep={
         "axis": "density", "values": [0.005],
         "variants": [{"label": "NLOS"},
-                     {"label": "m10", "channel": {"alpha": 4.0, "m": 10}}],
+                     {"label": "a1.05", "channel": {"alpha": 1.05, "m": 1}}],
     }, sim={"trials": 1500, "seed": 2})
     code = cli.main(["verify", "--config", str(path)])
     lines = capsys.readouterr().out.splitlines()
     assert code == 4
     nlos = next(ln for ln in lines if ln.startswith("NLOS density=0.005"))
-    m10 = next(ln for ln in lines if ln.startswith("m10 density=0.005"))
+    failed = next(ln for ln in lines if ln.startswith("a1.05 density=0.005"))
     assert nlos.endswith(" pass")
-    assert "FAIL (analytic: fading parameter m = 10" in m10
+    assert "FAIL (analytic: tail bound never met the tolerance" in failed
     assert lines[-1] == "overall: FAIL"
 
 

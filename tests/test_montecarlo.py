@@ -211,9 +211,9 @@ def test_estimate_matches_analytic_off_road(theta):
 
 
 def test_estimate_matches_analytic_at_maximum_fading_order():
-    # m = 9 drives the analytic engine through derivative orders up to 8;
-    # the simulation knows nothing about that machinery, so agreement here
-    # checks the whole Bell-composition stack end to end.
+    # m = 9 drives the analytic engine through Taylor orders up to 8; the
+    # simulation knows nothing about that machinery, so agreement here
+    # checks the exponent coefficients and their recurrence end to end.
     from xroad.model import ChannelParams
     sc = Scenario(channel=ChannelParams(alpha=2.0, m=9),
                   geometry=DestinationGeometry(0.0, 0.0),
@@ -426,3 +426,21 @@ def test_run_block_rejects_range_outside_one_block():
     for start, count in ((1, 10), (0, _BLOCK + 1), (_BLOCK, 0)):
         with pytest.raises(ValueError, match="block"):
             _run_block(sc, sim, start, count)
+
+
+@pytest.mark.parametrize("alpha", [2.0, 4.0, 3.3])
+def test_estimate_matches_analytic_at_the_fading_cap(alpha):
+    # m = 100, the largest m validation accepts, with D off both roads:
+    # jets at alpha = 2 and 4, 100 quadratured orders at alpha = 3.3.  The
+    # gate is 4 standard errors with no floor.
+    from xroad.model import MAX_M, ChannelParams
+    sc = Scenario(channel=ChannelParams(alpha=alpha, m=MAX_M),
+                  geometry=DestinationGeometry(50.0, 0.5),
+                  link=LinkSpec(20.0),
+                  layout=RoadLayout.intersection(0.01, 0.01),
+                  p=0.5, theta_threshold=1.0)
+    est = estimate(sc, SimConfig(trials=2 ** 17, half_length=4000.0,
+                                 master_seed=7))
+    ana = outage_probability(sc).outage_prob
+    assert abs(est.p_hat - ana) <= 4.0 * est.stderr, (
+        (est.p_hat - ana) / est.stderr)

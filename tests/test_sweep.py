@@ -254,10 +254,12 @@ def test_compare_engines_rejects_invalid_scenario_before_any_engine(
 
 
 def test_compare_engines_reports_engine_errors_per_point():
-    # m = 10 validates but needs derivative orders beyond the analytic
-    # engine's; that point fails, the other still passes.
-    m10 = base_scenario(channel=ChannelParams(alpha=4.0, m=10))
-    report = compare_engines([("m10", m10), ("ok", base_scenario())],
+    # alpha = 1.05 with D off the lanes validates, but the analytic
+    # engine's quadrature fails there; that point fails, the other still
+    # passes.
+    failing = base_scenario(channel=ChannelParams(alpha=1.05, m=1),
+                            geometry=DestinationGeometry(50.0, 0.5))
+    report = compare_engines([("a1.05", failing), ("ok", base_scenario())],
                              SimConfig(trials=200, master_seed=2))
     assert not report.points[0].passed
     assert report.points[0].row.error.startswith("analytic: ")
