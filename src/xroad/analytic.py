@@ -39,8 +39,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 from .model import Lane, Scenario
 
 #: Hard cap on window doublings while chasing the analytic tail bound.
@@ -51,6 +49,12 @@ _TRUNCATION = 1e4
 
 #: Relative error requested from the quadrature of each integral.
 _REL_TOL = 1e-9
+
+#: Relative error requested from each QUADPACK call: a window or a doubling.
+_PIECE_REL = _REL_TOL / 16.0
+
+#: scipy.integrate.quad, once quad() has loaded it.
+_scipy_quad = None
 
 
 class UnsupportedExponentError(ValueError):
@@ -79,6 +83,21 @@ class AnalyticResult:
     per_term: tuple[float, ...]
 
 
+def quad(f, a: float, b: float, points=None) -> tuple[float, float]:
+    """(integral, error estimate) of f over [a, b] from QUADPACK, at the
+    engine's settings: relative tolerance _PIECE_REL only, up to 200
+    subintervals, breakpoints `points` inside [a, b].  scipy.integrate is
+    imported on the first call, so runs whose integrals all have closed
+    forms never load it."""
+    global _scipy_quad
+    if _scipy_quad is None:
+        from scipy.integrate import quad as _scipy_quad
+    # full_output keeps QUADPACK's warnings out of stderr; the caller judges
+    # the error estimate.
+    return _scipy_quad(f, a, b, epsabs=0.0, epsrel=_PIECE_REL, limit=200,
+                       points=points, full_output=True)[:2]
+
+
 def _half_line_integral(f, rho: float, tail_pow: float, peak_scale: float,
                         err_cap: float) -> float:
     """integral of f over [0, inf) for a positive integrand bounded above by
@@ -92,7 +111,6 @@ def _half_line_integral(f, rho: float, tail_pow: float, peak_scale: float,
     probability, which an absolute error d in any g~_j moves by at most d
     times itself (the derivative of e~_k in g~_j is e~_{k-j}).
     """
-    piece_rel = _REL_TOL / 16.0
     T = _TRUNCATION
     # Initial breakpoints make QUADPACK resolve the peak near u = 0 even
     # when the window is much wider than the integrand.  When the peak
@@ -101,9 +119,7 @@ def _half_line_integral(f, rho: float, tail_pow: float, peak_scale: float,
     # breakpoints split it by decade.
     pts = {min(peak_scale, T * 0.5), min(8.0 * peak_scale, T * 0.75)}
     pts.update(x for x in (1.0, 10.0, 100.0) if x > 8.0 * peak_scale)
-    total, err, _ = quad(f, 0.0, T, epsabs=0.0, epsrel=piece_rel,
-                         limit=200, points=sorted(x for x in pts if x > 0.0),
-                         full_output=True)[:3]
+    total, err = quad(f, 0.0, T, points=sorted(x for x in pts if x > 0.0))
     err_sum = err
     for _ in range(_MAX_SEGMENTS):
         # While T <= rho the power may overflow; the bound is then at
@@ -116,8 +132,7 @@ def _half_line_integral(f, rho: float, tail_pow: float, peak_scale: float,
                     "interference integral did not converge",
                     (err_sum + tail_bound) / total if total else math.inf)
             return total
-        piece, err, _ = quad(f, T, 2.0 * T, epsabs=0.0, epsrel=piece_rel,
-                             limit=200, full_output=True)[:3]
+        piece, err = quad(f, T, 2.0 * T)
         total += piece
         err_sum += err
         T *= 2.0

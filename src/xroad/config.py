@@ -142,12 +142,11 @@ def parse_sim(obj: dict, seed: int | None = None,
     _check_keys(obj, "sim", {"trials", "half_length", "seed", "confidence"})
     section_trials = _integer(obj, "sim", "trials", SimConfig.trials)
     section_seed = _integer(obj, "sim", "seed", SimConfig.master_seed)
+    half_length = _number(obj, "sim", "half_length", SimConfig.half_length)
+    confidence = _number(obj, "sim", "confidence", SimConfig.confidence)
     try:
-        sim = SimConfig(
-            trials=section_trials, master_seed=section_seed,
-            half_length=_number(obj, "sim", "half_length",
-                                SimConfig.half_length),
-            confidence=_number(obj, "sim", "confidence", SimConfig.confidence))
+        sim = SimConfig(trials=section_trials, master_seed=section_seed,
+                        half_length=half_length, confidence=confidence)
         return replace(sim, trials=sim.trials if trials is None else trials,
                        master_seed=sim.master_seed if seed is None else seed)
     except ValueError as exc:

@@ -5,14 +5,20 @@ finite road segment, thins them by the Aloha access probability, attaches
 unit-mean exponential power fades, draws the gamma signal fade, and checks
 the resulting SIR against the threshold.
 
-The engine works on fixed blocks of _BLOCK trials, each driven by one
-counter-based Philox stream keyed by (master_seed, block_index).  Within a
-block every draw is vectorized: per lane, one call draws all the trials'
-interferer counts with the Aloha thinning folded in (Poisson(p * lambda *
-2 * half_length)), positions and fades are drawn in slices of at most
-_SLICE interferers, and np.bincount reduces the received powers per trial.
-Each worker process runs one contiguous range of blocks; the estimate is
-bit-identical for any worker count.
+The engine works on fixed blocks of _BLOCK trials, each driven by its own
+PCG64DXSM stream seeded by SeedSequence((master_seed mod 2**64,
+block_index)).  Within a block every draw is vectorized: per lane, one call
+draws all the trials' interferer counts with the Aloha thinning folded in
+(Poisson(p * lambda * 2 * half_length)), positions and fades are drawn in
+slices of at most _SLICE interferers, and np.bincount reduces the received
+powers per trial.
+
+With workers > 1, estimate() splits the blocks into one contiguous range
+per worker and runs them on this process's worker pool.  There is one pool
+per process: it is forked when first used, reused by every later estimate
+with the same worker count, and replaced when the count changes or a
+worker dies; shutdown_pool() stops it.  The estimate is bit-identical for
+any worker count.
 
 Only the total interference from both roads decides an outage, so the
 engine carries one interference sum per trial over all lanes, each lane in
@@ -20,16 +26,19 @@ the frame of Scenario.lanes(): an interferer at along-lane coordinate u is
 at squared distance (u - c)^2 + h^2 from the destination.
 
 The per-trial functions (trial_rng, sample_interferers, _aggregate,
-outage_from_interference) simulate one realization at a time with a
-Philox stream per trial.  They are the small reference oracle the tests
-check the block engine against.
+outage_from_interference) simulate one realization at a time, with a
+stream per trial keyed like a block's.  They are the small reference
+oracle the tests check the block engine against.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
+import threading
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from itertools import repeat
 from statistics import NormalDist
@@ -76,14 +85,17 @@ class OutageEstimate:
     excluded_interferers: int = 0
 
 
-def _philox(master_seed: int, index: int) -> np.random.Generator:
-    key = ((index & _MASK64) << 64) | (master_seed & _MASK64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _stream(master_seed: int, index: int) -> np.random.Generator:
+    """PCG64DXSM generator keyed by (master_seed, index).  SeedSequence
+    takes nonnegative entropy only, so the seed enters modulo 2**64: -1 and
+    2**64 - 1 name the same streams."""
+    seq = np.random.SeedSequence((master_seed & _MASK64, index))
+    return np.random.Generator(np.random.PCG64DXSM(seq))
 
 
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
-    """Philox generator for one trial, keyed by (seed, trial index)."""
-    return _philox(master_seed, trial_index)
+    """Generator for one trial, keyed by (seed, trial index)."""
+    return _stream(master_seed, trial_index)
 
 
 def sample_interferers(lane: Lane, sim: SimConfig,
@@ -230,7 +242,7 @@ def _run_block(scenario: Scenario, sim: SimConfig, start: int,
     if start % _BLOCK or not 0 < count <= _BLOCK:
         raise ValueError(f"trials [{start}, {start + count}) are not a "
                          f"prefix of one {_BLOCK}-trial block")
-    rng = _philox(sim.master_seed, start // _BLOCK)
+    rng = _stream(sim.master_seed, start // _BLOCK)
     interference, excluded = _block_interference(scenario, sim, rng, count)
     ch = scenario.channel
     fades = rng.gamma(ch.m, ch.mu / ch.m, count)
@@ -268,21 +280,68 @@ def _confidence_interval(count: int, trials: int,
     return min(max(low, 0.0), p), max(min(high, 1.0), p)
 
 
+# This process's worker pool as (workers, executor), or None.  The lock
+# covers replacing the pool and every map on it.
+_pool: tuple[int, ProcessPoolExecutor] | None = None
+_pool_lock = threading.RLock()
+
+
+def shutdown_pool() -> None:
+    """Stop this process's Monte-Carlo worker processes, if any, and wait
+    for them to exit.  A later estimate with workers > 1 forks new ones."""
+    global _pool
+    with _pool_lock:
+        if _pool is not None:
+            _pool[1].shutdown()
+            _pool = None
+
+
+def _pool_of(workers: int) -> ProcessPoolExecutor:
+    """The pool of `workers` processes, forked on first use; a pool of
+    another size is replaced.  The caller holds _pool_lock."""
+    global _pool
+    if _pool is not None and _pool[0] != workers:
+        shutdown_pool()
+    if _pool is None:
+        _pool = (workers, ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork")))
+    return _pool[1]
+
+
+def _map_blocks(scenario: Scenario, sim: SimConfig, cuts: list[int],
+                workers: int) -> list[tuple[int, int]]:
+    """_run_blocks over each range [cuts[i], cuts[i+1]) on the pool of
+    `workers` processes.  A broken pool (a worker died, in this call or
+    while idle) is replaced and the ranges run once more; blocks are
+    deterministic, so the rerun gives the same counts."""
+    def run():
+        return list(_pool_of(workers).map(_run_blocks, repeat(scenario),
+                                          repeat(sim), cuts[:-1], cuts[1:]))
+    with _pool_lock:
+        try:
+            return run()
+        except BrokenProcessPool:
+            shutdown_pool()
+        return run()
+
+
 def estimate(scenario: Scenario, sim: SimConfig,
              workers: int = 1) -> OutageEstimate:
     """Outage probability averaged over sim.trials realizations.
 
-    Trials are split into fixed blocks, and each worker process runs one
-    contiguous range of them; counts are integers, so the reduction is
-    exact and the result does not depend on the worker count.
+    Trials are split into fixed blocks.  With workers > 1 and more than one
+    block, each worker of this process's pool runs one contiguous range of
+    them.  The pool's processes are forked when it is first used, so they
+    see the modules as they were then, and stay up for later calls with
+    the same worker count until shutdown_pool().  Counts are integers, so
+    the reduction is exact and the result does not depend on the worker
+    count.
     """
     n_blocks = -(-sim.trials // _BLOCK)
-    workers = min(workers, n_blocks)
-    if workers > 1:
-        cuts = [n_blocks * w // workers for w in range(workers + 1)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_blocks, repeat(scenario),
-                                    repeat(sim), cuts[:-1], cuts[1:]))
+    ranges = min(workers, n_blocks)
+    if ranges > 1:
+        cuts = [n_blocks * w // ranges for w in range(ranges + 1)]
+        results = _map_blocks(scenario, sim, cuts, workers)
     else:
         results = [_run_blocks(scenario, sim, 0, n_blocks)]
     outages, excluded = map(sum, zip(*results))

@@ -1,12 +1,17 @@
 import csv
 import json
 import math
+import os
 import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy
 import pytest
 import scipy
 
+import xroad
 from xroad import analytic, cli, sweep
 from xroad.config import (ConfigError, load_config, parse_scenario,
                           parse_sim, parse_sweep, sim_section)
@@ -294,6 +299,14 @@ def test_sim_section_is_validated_under_an_override(tmp_path, capsys, key,
         assert err.startswith("config error: ") and key in err
 
 
+@pytest.mark.parametrize("key", ["half_length", "confidence"])
+def test_sim_number_errors_carry_one_prefix(tmp_path, capsys, key):
+    path = write_config(tmp_path, sim={key: "x"})
+    assert cli.main(["point", "--config", str(path), "--engine", "mc"]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: sim.{key} must be a number\n")
+
+
 def test_point_writes_csv_and_metadata(tmp_path, capsys):
     path = write_config(tmp_path)
     out = tmp_path / "point.csv"
@@ -571,3 +584,40 @@ def test_verify_config_judges_the_rows_sweep_writes(tmp_path, capsys):
         label = f"{row['variant']} aloha_p={float(row['value']):g}"
         line = next(ln for ln in lines if ln.startswith(label + " "))
         assert line.split()[3] == f"{float(row['outage_mc']):.6f}"
+
+
+#: Runs the CLI on its arguments in a new interpreter and reports, as the
+#: last line, the exit code, the standard output, and whether the
+#: quadrature module got loaded.
+_FRESH_CLI = """
+import contextlib, io, json, sys
+import xroad.cli
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = xroad.cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "out": out.getvalue(),
+                  "integrate": "scipy.integrate" in sys.modules}))
+"""
+
+
+def run_fresh_cli(*argv: str) -> dict:
+    src = str(Path(xroad.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _FRESH_CLI, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cold_start_loads_scipy_integrate_only_for_quadrature(tmp_path):
+    # The verify grid has closed forms only, so it never loads the
+    # quadrature; a general-alpha point off the lanes needs it.
+    verify = run_fresh_cli("verify", "--trials", "1024", "--workers", "2")
+    assert verify["code"] == 0 and not verify["integrate"]
+    path = write_config(tmp_path, channel={"alpha": 3.3, "m": 3},
+                        geometry={"d": 50.0, "theta": 0.5})
+    point = run_fresh_cli("point", "--config", str(path),
+                          "--engine", "analytic")
+    assert point["code"] == 0 and point["integrate"]
+    outage = analytic.outage_probability(
+        parse_scenario(load_config(path))).outage_prob
+    assert f"outage (analytic)      {outage:.6f}" in point["out"]

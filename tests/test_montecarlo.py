@@ -1,17 +1,25 @@
+import csv
+import json
 import math
+import multiprocessing
+import os
+import signal
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from xroad import cli
 from xroad.analytic import outage_probability
-from xroad.model import (NLOS, DestinationGeometry, LinkSpec, RoadLayout,
+from xroad.model import (LOS, NLOS, DestinationGeometry, LinkSpec, RoadLayout,
                          Scenario)
 from xroad.montecarlo import (SimConfig, estimate, outage_from_interference,
-                              sample_interferers, trial_rng)
+                              sample_interferers, shutdown_pool, trial_rng)
 from xroad.montecarlo import (_BLOCK, _SLICE, _aggregate, _block_interference,
-                              _outage_events, _philox, _received_power, _run_block,
-                              _slice_interference, _slices)
+                              _outage_events, _received_power, _run_block,
+                              _slice_interference, _slices, _stream)
+from xroad.sweep import SweepSpec, Variant, run_sweep
 
 
 def nlos_scenario(lam=0.01, d=0.0, p=0.5, r=20.0, thresh=1.0,
@@ -184,6 +192,83 @@ def test_estimate_deterministic_and_worker_independent():
         assert first == second == parallel
 
 
+@pytest.fixture
+def pool():
+    """Stops the worker pool a test leaves behind."""
+    yield
+    shutdown_pool()
+
+
+def test_monte_carlo_sweep_rows_do_not_depend_on_workers(pool):
+    # Two variants, two values, 3300 trials (four blocks, the last one
+    # partial): every row is identical at 1, 2 and 3 workers.
+    spec = SweepSpec(base=nlos_scenario(lam=0.02), axis="aloha_p",
+                     values=(0.2, 0.5), engines=("montecarlo",),
+                     variants=(Variant("NLOS"), Variant("LOS", channel=LOS)))
+    sim = SimConfig(trials=3300, master_seed=9)
+    rows = [run_sweep(spec, sim, workers=w) for w in (1, 2, 3)]
+    assert len(rows[0]) == 4 and all(r.outage_mc > 0.0 for r in rows[0])
+    assert rows[0] == rows[1] == rows[2]
+
+
+def test_consecutive_estimates_share_one_pool(pool):
+    sc = nlos_scenario(lam=0.02)
+    sim = SimConfig(trials=4 * _BLOCK, master_seed=2)
+    first = estimate(sc, sim, workers=2)
+    pids = {p.pid for p in multiprocessing.active_children()}
+    second = estimate(sc, replace(sim, master_seed=3), workers=2)
+    assert len(pids) == 2
+    assert {p.pid for p in multiprocessing.active_children()} == pids
+    assert first != second
+
+
+def test_changing_the_worker_count_replaces_the_pool(pool):
+    sc = nlos_scenario(lam=0.02)
+    sim = SimConfig(trials=4 * _BLOCK, master_seed=4)
+    results = set()
+    for workers in (3, 2, 3):
+        results.add(estimate(sc, sim, workers=workers))
+        assert len(multiprocessing.active_children()) <= workers
+    assert len(results) == 1
+    shutdown_pool()
+    assert multiprocessing.active_children() == []
+
+
+def test_a_dead_worker_is_replaced(pool):
+    # Once the pool notices the death it is broken; the estimate replaces
+    # it and runs the blocks again.  (The surviving worker may also finish
+    # every range before the pool notices; the result is the same.)
+    sc = nlos_scenario(lam=0.02)
+    sim = SimConfig(trials=4 * _BLOCK, master_seed=6)
+    before = estimate(sc, sim, workers=2)
+    os.kill(multiprocessing.active_children()[0].pid, signal.SIGKILL)
+    assert estimate(sc, sim, workers=2) == before
+    shutdown_pool()
+    assert multiprocessing.active_children() == []
+
+
+def test_seed_enters_modulo_2_pow_64(tmp_path, capsys):
+    # SeedSequence takes no negative entropy, so -1 must reach it as
+    # 2**64 - 1; both seeds name the same streams.  The command leaves no
+    # worker process running.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "channel": {"preset": "NLOS"}, "link": {"r": 20.0},
+        "layout": {"lambda_x": 0.02, "lambda_y": 0.02}, "aloha_p": 0.5}))
+    csvs = []
+    for seed in ("-1", str(2 ** 64 - 1)):
+        out = tmp_path / f"seed{len(csvs)}.csv"
+        assert cli.main(["point", "--config", str(cfg), "--engine", "mc",
+                         "--seed", seed, "--trials", "4096", "--workers", "2",
+                         "--out", str(out)]) == 0
+        assert multiprocessing.active_children() == []
+        csvs.append(out.read_text())
+    capsys.readouterr()
+    assert csvs[0] == csvs[1]
+    row, = csv.DictReader(csvs[0].splitlines())
+    assert float(row["outage_mc"]) > 0.0
+
+
 def test_estimate_matches_analytic_subgrid():
     # Cheap regression version of the full verification grid.
     sim = SimConfig(trials=20_000, half_length=4000.0, master_seed=3)
@@ -300,7 +385,7 @@ def test_block_interference_campbell_mean_with_folded_thinning():
     total = 0.0
     for b in range(blocks):
         interference, excluded = _block_interference(sc, sim,
-                                                     _philox(2024, b), _BLOCK)
+                                                     _stream(2024, b), _BLOCK)
         assert interference.shape == (_BLOCK,) and excluded == 0
         total += interference.sum()
     assert total / (blocks * _BLOCK) == pytest.approx(exact, rel=0.05)
@@ -309,7 +394,7 @@ def test_block_interference_campbell_mean_with_folded_thinning():
 def test_block_interference_zero_cases():
     sim = SimConfig(trials=1)
     for sc in (nlos_scenario(lam=0.0), nlos_scenario(lam=0.02, p=0.0)):
-        interference, excluded = _block_interference(sc, sim, _philox(1, 0),
+        interference, excluded = _block_interference(sc, sim, _stream(1, 0),
                                                      _BLOCK)
         assert interference.shape == (_BLOCK,)
         assert not interference.any() and excluded == 0
@@ -322,7 +407,7 @@ def test_block_single_interferer_outage_law():
     dist = 35.0
     a = (sc.theta_threshold * dist ** -4.0) / sc.link_path_loss
     trials = 100_000
-    rng = _philox(99, 0)
+    rng = _stream(99, 0)
     fades = rng.exponential(1.0, trials)
     # D is on the lane, at its coordinate 0: the along-lane coordinate is
     # the distance.
@@ -348,7 +433,7 @@ def test_outage_events_decision_rules_on_arrays():
     expected = [False, False, False, True, False]
     assert _outage_events(sc, signal, interference).tolist() == expected
     # Elementwise agreement with the scalar oracle on random draws.
-    rng = _philox(4, 0)
+    rng = _stream(4, 0)
     signal = rng.gamma(3, 1.0 / 3, 2000)
     i_x = rng.exponential(lsd, 2000) * (rng.random(2000) < 0.8)
     i_y = rng.exponential(lsd, 2000) * (rng.random(2000) < 0.8)
