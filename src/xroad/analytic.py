@@ -32,29 +32,77 @@ they are quadratured under the integral sign, over integrands in [0, 1]:
 with y = s/(s + a),
 
     s(1 - tau) / (s(1 - tau) + a) = y - (1 - y) * sum_{k>=1} y^k tau^k.
+
+All orders of one h share a single rule: y is evaluated once, in numpy, on
+Gauss-Legendre panels (ratio-2 panels around the peak, then windows that
+double), and each order's integrand is built from it, y^k by repeated
+multiplication.  Each panel's error is estimated by halving it, and only
+the panels that estimate flags are halved again.  Cumulative panel sums
+give every truncated total at once; each order stops at the first window
+edge where its analytic tail bound is within budget.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import Lane, Scenario
 
-#: Hard cap on window doublings while chasing the analytic tail bound.
+#: Doubling windows beyond the head in which the tail bound may be met.
 _MAX_SEGMENTS = 96
 
-#: Initial half-width of the quadrature window, m.
+#: Half-width of the head, m: the first window edge T_0.
 _TRUNCATION = 1e4
 
 #: Relative error requested from the quadrature of each integral.
 _REL_TOL = 1e-9
 
-#: Relative error requested from each QUADPACK call: a window or a doubling.
+#: A panel is halved while its halving estimate exceeds this fraction of an
+#: order's total.
+_PANEL_REL = 1e-13
+
+#: Most panels that halving may add to one set of panels.
+_MAX_ADDED_PANELS = 200
+
+#: Rounding of an integrand value at the bottom of the float range, where a
+#: subnormal keeps few bits and each factor of y^k adds up to 2**-1074;
+#: a panel's halving estimate is counted net of it times the panel length.
+_SUBNORMAL_NOISE = 1e-320
+
+#: Relative error requested from each call of the quad() shim.
 _PIECE_REL = _REL_TOL / 16.0
 
 #: scipy.integrate.quad, once quad() has loaded it.
 _scipy_quad = None
+
+
+@functools.cache
+def _panel_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes on [-1, 1] for _panel_sums and their weights: column 0 is the
+    20-point Gauss-Legendre rule on the whole interval, column 1 the same
+    rule on each half.  The nodes come from Newton's method on P_20 from
+    Chebyshev-like first guesses.  Built on first use, so a process that
+    quadratures nothing does no numpy work for it (numpy.polynomial's
+    leggauss would also add about 2 MB to every process)."""
+    n = 20
+    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(9):
+        # P_n(x) and P_n'(x) from the three-term recurrence.
+        p0, p1 = np.ones_like(x), x
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        dp = n * (x * p1 - p0) / (x * x - 1.0)
+        x = x - p1 / dp
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    nodes = np.concatenate([x, 0.5 * (x - 1.0), 0.5 * (x + 1.0)])
+    weights = np.zeros((3 * n, 2))
+    weights[:n, 0] = w
+    weights[n:, 1] = 0.5 * np.tile(w, 2)
+    return nodes, weights
 
 
 class UnsupportedExponentError(ValueError):
@@ -84,11 +132,13 @@ class AnalyticResult:
 
 
 def quad(f, a: float, b: float, points=None) -> tuple[float, float]:
-    """(integral, error estimate) of f over [a, b] from QUADPACK, at the
-    engine's settings: relative tolerance _PIECE_REL only, up to 200
-    subintervals, breakpoints `points` inside [a, b].  scipy.integrate is
-    imported on the first call, so runs whose integrals all have closed
-    forms never load it."""
+    """(integral, error estimate) of f over [a, b] from QUADPACK: relative
+    tolerance _PIECE_REL only, up to 200 subintervals, breakpoints `points`
+    inside [a, b].  scipy.integrate is imported on the first call.
+
+    The engine no longer calls it.  It stays only because the benchmark's
+    layer tracer (bench/layers.py) wraps it by name, until that tracer
+    counts the engine's own rule."""
     global _scipy_quad
     if _scipy_quad is None:
         from scipy.integrate import quad as _scipy_quad
@@ -98,64 +148,143 @@ def quad(f, a: float, b: float, points=None) -> tuple[float, float]:
                        points=points, full_output=True)[:2]
 
 
-def _half_line_integral(f, rho: float, tail_pow: float, peak_scale: float,
-                        err_cap: float) -> float:
-    """integral of f over [0, inf) for a positive integrand bounded above by
-    (rho/u)**tail_pow once u is large.
+def _panel_sums(s: float, h: float, alpha: float, orders: range,
+                a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integrals over the panels [a, b] of the integrand of each order in
+    `orders`, shape (len(orders), panels), from the rule on the two halves
+    of each panel, and their distance from the rule on the whole panel as
+    the error estimate."""
+    nodes, weights = _panel_rule()
+    rad = 0.5 * (b - a)
+    u = (0.5 * (a + b))[:, None] + rad[:, None] * nodes
+    with np.errstate(over="ignore"):     # a(u) beyond the float range: y = 0
+        y = s / (s + (h * h + u * u) ** (0.5 * alpha))
+    rules = np.empty((len(orders), len(a), 2))
+    for row, k in enumerate(orders):
+        if k == 0:
+            f = y
+        elif row == 0 or k == 1:
+            f = (1.0 - y) * y ** k
+        else:
+            f = f * y
+        np.matmul(f, weights, out=rules[row])
+    rules *= rad[:, None]
+    noise = (b - a) * _SUBNORMAL_NOISE
+    return rules[..., 1], np.maximum(
+        np.abs(rules[..., 1] - rules[..., 0]) - noise, 0.0)
 
-    Integrates [0, T] adaptively, then doubles T until the analytic tail
-    bound T * (rho/T)**tail_pow / (tail_pow-1) drops below half the error
-    budget; the quadrature errors reported by QUADPACK cover the rest.
-    err_cap additionally bounds the absolute error so that a large integral
-    (a strongly interfered lane) does not lose accuracy in the success
-    probability, which an absolute error d in any g~_j moves by at most d
-    times itself (the derivative of e~_k in g~_j is e~_{k-j}).
+
+def _refined_sums(s: float, h: float, alpha: float, orders: range,
+                  a: np.ndarray, b: np.ndarray,
+                  base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_panel_sums over the panels [a, b], after halving every panel whose
+    estimate exceeds _PANEL_REL of an order's total, base plus the sum over
+    the panels, until none does or _MAX_ADDED_PANELS would be exceeded;
+    the halves are summed back into the panel they came from."""
+    value, err = _panel_sums(s, h, alpha, orders, a, b)
+    panels = len(a)
+    origin = np.arange(panels)
+    while True:
+        split = (err > _PANEL_REL * (base + value.sum(axis=1))[:, None]
+                 ).any(axis=0)
+        if (not split.any()
+                or len(a) - panels + split.sum() > _MAX_ADDED_PANELS):
+            break
+        keep = ~split
+        mid = 0.5 * (a[split] + b[split])
+        new_a = np.concatenate([a[split], mid])
+        new_b = np.concatenate([mid, b[split]])
+        new_value, new_err = _panel_sums(s, h, alpha, orders, new_a, new_b)
+        a = np.concatenate([a[keep], new_a])
+        b = np.concatenate([b[keep], new_b])
+        origin = np.concatenate([origin[keep], np.tile(origin[split], 2)])
+        value = np.concatenate([value[:, keep], new_value], axis=1)
+        err = np.concatenate([err[:, keep], new_err], axis=1)
+    if len(a) == panels:
+        return value, err
+    members = origin[:, None] == np.arange(panels)
+    return value @ members, err @ members
+
+
+def _exponent_integrals(s: float, h: float, alpha: float, orders: range,
+                        err_cap: float = math.inf) -> list[float]:
+    """J_k for each k in `orders`: J_0 = int_R y du and J_k = int_R (1 - y)
+    * y^k du for k >= 1, where y = s/(s + a(u)) and a(u) = (h^2 +
+    u^2)^(alpha/2).  The lowest order that misses the tolerance raises.
+
+    The integrands lie in [0, 1] and are even, and order k is bounded on
+    the half line by (rho/u)**tail_pow, rho = s**(1/alpha) and tail_pow =
+    alpha * max(k, 1), once u is large.  All orders share one set of
+    panels: the head [0, _TRUNCATION], split at ratio 2 from sigma/256 up,
+    where sigma = h + rho is the scale of the peak, and at the decades
+    below that; then the windows [T_n, T_{n+1}], T_n = _TRUNCATION * 2**n.
+    Order k is truncated at the first T_n, n < _MAX_SEGMENTS, where the
+    analytic tail bound T * (rho/T)**tail_pow / (tail_pow-1) drops below
+    half the error budget; the halving estimates of the panels cover the
+    rest.  err_cap additionally bounds the absolute error so that a large
+    integral (a strongly interfered lane) does not lose accuracy in the
+    success probability, which an absolute error d in any g~_j moves by at
+    most d times itself (the derivative of e~_k in g~_j is e~_{k-j}).
     """
-    T = _TRUNCATION
-    # Initial breakpoints make QUADPACK resolve the peak near u = 0 even
-    # when the window is much wider than the integrand.  When the peak
-    # scale is small, the piece beyond 8x it spans decades, and QUADPACK
-    # can report convergence there while off by 3e-3 relative; the fixed
-    # breakpoints split it by decade.
-    pts = {min(peak_scale, T * 0.5), min(8.0 * peak_scale, T * 0.75)}
-    pts.update(x for x in (1.0, 10.0, 100.0) if x > 8.0 * peak_scale)
-    total, err = quad(f, 0.0, T, points=sorted(x for x in pts if x > 0.0))
-    err_sum = err
-    for _ in range(_MAX_SEGMENTS):
-        # While T <= rho the power may overflow; the bound is then at
-        # least T/(tail_pow-1), far above the budget.
-        tail_bound = (T * (rho / T) ** tail_pow / (tail_pow - 1.0)
-                      if rho < T else math.inf)
-        if tail_bound <= 0.5 * _REL_TOL * min(total, err_cap):
-            if err_sum + tail_bound > _REL_TOL * total:
-                raise QuadratureError(
-                    "interference integral did not converge",
-                    (err_sum + tail_bound) / total if total else math.inf)
-            return total
-        piece, err = quad(f, T, 2.0 * T)
-        total += piece
-        err_sum += err
-        T *= 2.0
-    raise QuadratureError("tail bound never met the tolerance",
-                          tail_bound / max(total, 1e-300))
+    rho = s ** (1.0 / alpha)
+    low = min(h + rho, _TRUNCATION) / 256.0
+    edges = {0.0, _TRUNCATION}
+    edges.update(x for x in (1.0, 10.0, 100.0) if x < low)
+    edges.update(low * 2.0 ** j
+                 for j in range(int(math.log2(_TRUNCATION / low)) + 1))
+    head = np.array(sorted(x for x in edges if x <= _TRUNCATION))
+    value, err = _refined_sums(s, h, alpha, orders, head[:-1], head[1:],
+                               np.zeros(len(orders)))
+    T = _TRUNCATION * 2.0 ** np.arange(_MAX_SEGMENTS + 1)
+    tail_pow = alpha * np.maximum(np.array(orders), 1)[:, None]
+    # bound[k, n]: the tail bound of order k at T_n, n < _MAX_SEGMENTS,
+    # formed as one exp so that it underflows only when it is below the
+    # float range, not when (rho/T)**tail_pow is.  While T <= rho it may
+    # overflow; the bound is then at least T/(tail_pow-1), far above the
+    # budget.
+    log_t = np.log(T[:-1])
+    with np.errstate(over="ignore"):
+        bound = np.where(rho < T[:-1],
+                         np.exp(log_t + tail_pow * (math.log(rho) - log_t)),
+                         math.inf) / (tail_pow - 1.0)
+    # totals[k, n] and errs[k, n]: order k integrated over [0, T_n].  They
+    # grow with n, so where the bound is met on the head alone it is met
+    # by n, and only the windows below that n are integrated.
+    totals = value.sum(axis=1)[:, None]
+    errs = err.sum(axis=1)[:, None]
+    reached = bound <= 0.5 * _REL_TOL * np.minimum(totals, err_cap)
+    n = (int(reached.argmax(axis=1).max()) if reached.any(axis=1).all()
+         else _MAX_SEGMENTS)
+    if n:
+        value, err = _refined_sums(s, h, alpha, orders, T[:n], T[1:n + 1],
+                                   totals[:, 0])
+        totals = np.cumsum(np.concatenate([totals, value], axis=1), axis=1)
+        errs = np.cumsum(np.concatenate([errs, err], axis=1), axis=1)
+        reached = (bound[:, :n + 1]
+                   <= 0.5 * _REL_TOL * np.minimum(totals[:, :_MAX_SEGMENTS],
+                                                  err_cap))
+    # i[k]: the window edge order k stops at, where its bound is met.
+    i = reached.argmax(axis=1)
+    rows = np.arange(len(orders))
+    total, tail_bound = totals[rows, i], bound[rows, i]
+    achieved = errs[rows, i] + tail_bound
+    failed = ~reached[rows, i] | (achieved > _REL_TOL * total)
+    if failed.any():
+        r = int(failed.argmax())
+        if not reached[r, i[r]]:
+            raise QuadratureError(
+                "tail bound never met the tolerance",
+                bound[r, -1] / max(totals[r, -1], 1e-300))
+        raise QuadratureError(
+            "interference integral did not converge",
+            achieved[r] / total[r] if total[r] else math.inf)
+    return (2.0 * total).tolist()
 
 
 def _exponent_integral(k: int, s: float, h: float, alpha: float,
                        err_cap: float = math.inf) -> float:
-    """int_R y du for k = 0, or int_R (1 - y) * y^k du for k >= 1, where
-    y = s/(s + a(u)) and a(u) = (h^2 + u^2)^(alpha/2).  Both integrands lie
-    in [0, 1] and are even, so only the half line is quadratured."""
-    half = 0.5 * alpha
-
-    def f(u: float) -> float:
-        try:
-            y = s / (s + (h * h + u * u) ** half)
-        except OverflowError:       # a(u) beyond the float range: y = 0
-            return 0.0
-        return (1.0 - y) * y ** k if k else y
-    rho = s ** (1.0 / alpha)
-    return 2.0 * _half_line_integral(f, rho, alpha * max(k, 1), h + rho,
-                                     err_cap)
+    """J_k alone, from _exponent_integrals."""
+    return _exponent_integrals(s, h, alpha, range(k, k + 1), err_cap)[0]
 
 
 def _jet_mul(a: list[float], b: list[float]) -> list[float]:
@@ -268,10 +397,9 @@ def _exponent_coefficients(scenario: Scenario, s: float,
     for h, rate in rates.items():
         coeffs = _lane_integral_jet(s, h, alpha, order)
         if coeffs is None:
-            cap = 1.0 / rate
-            coeffs = [_exponent_integral(0, s, h, alpha, err_cap=cap)]
-            coeffs += [-_exponent_integral(k, s, h, alpha, err_cap=cap)
-                       for k in range(1, order + 1)]
+            j = _exponent_integrals(s, h, alpha, range(order + 1),
+                                    err_cap=1.0 / rate)
+            coeffs = j[:1] + [-c for c in j[1:]]
         for k, c in enumerate(coeffs):
             out[k] -= rate * c
     return out

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from xroad import analytic, cli
-from xroad.analytic import (UnsupportedExponentError, _exponent_coefficients,
-                            _exponent_integral,
+from xroad.analytic import (QuadratureError, UnsupportedExponentError,
+                            _exponent_coefficients, _exponent_integral,
+                            _exponent_integrals,
                             laplace_closed_alpha2, laplace_closed_alpha4,
                             outage_probability)
 from xroad.bell import complete_bell_sequence
@@ -199,6 +200,89 @@ def test_on_lane_jet_matches_beta_integrals(alpha):
             jk = 2.0 * b * s ** (b - k) * beta(1.0 + b, k - b)
             expected = (-1.0) ** k * math.factorial(k) * 0.005 * jk
             assert g[k] == pytest.approx(expected, rel=1e-12), (s, k)
+
+
+def test_panel_rule_integrates_polynomials_exactly():
+    # 20 Gauss-Legendre nodes integrate degree 39 exactly, on the whole
+    # panel and on each half.
+    nodes, weights = analytic._panel_rule()
+    for d in range(40):
+        exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+        whole, halves = nodes ** d @ weights
+        assert whole == pytest.approx(exact, abs=1e-15), d
+        assert halves == pytest.approx(exact, abs=1e-15), d
+
+
+def scipy_truncated_integral(k, s, h, alpha, T):
+    """J_k over [-T, T] from scipy.integrate.quad at epsrel 1e-13: the head
+    [0, 1e4] with breakpoints around the peak and at the decades, the rest
+    in log u, where the tail decays exponentially."""
+    from scipy.integrate import quad
+
+    def f(u):
+        y = s / (s + (h * h + u * u) ** (0.5 * alpha))
+        return (1.0 - y) * y ** k if k else y
+    sigma = h + s ** (1.0 / alpha)
+    points = sorted(x for x in (1e-3 * sigma, 0.1 * sigma, sigma, 10 * sigma,
+                                1.0, 10.0, 100.0, 1000.0) if 0.0 < x < 1e4)
+    total = quad(f, 0.0, 1e4, epsabs=0.0, epsrel=1e-13, limit=500,
+                 points=points)[0]
+    if T > 1e4:
+        total += quad(lambda t: f(math.exp(t)) * math.exp(t), math.log(1e4),
+                      math.log(T), epsabs=0.0, epsrel=1e-13, limit=500)[0]
+    return 2.0 * total
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.532, 2.5, 3.3, 6.0])
+def test_shared_panel_rule_matches_scipy_on_the_truncated_interval(alpha):
+    # Each order is truncated at the first T = 1e4 * 2^n where the tail
+    # bound T * (rho/T)^tail_pow / (tail_pow - 1) is below half the budget;
+    # QUADPACK over the same [-T, T] checks the panels.  At alpha = 1.2,
+    # orders 0 and 1 decay too slowly for the bound (see the next test).
+    first = 2 if alpha == 1.2 else 0
+    for h in (1e-3, 3.0, 105.9, 400.0):
+        for s in (1e-6, 1.0, 843.4, 1e10):
+            rho = s ** (1.0 / alpha)
+            values = _exponent_integrals(s, h, alpha, range(first, 9))
+            for k, value in zip(range(first, 9), values):
+                assert value == pytest.approx(
+                    _exponent_integral(k, s, h, alpha), rel=1e-13)
+                tail_pow = alpha * max(k, 1)
+                T = 1e4
+                while not (rho < T and T * (rho / T) ** tail_pow
+                           / (tail_pow - 1.0) <= 0.25e-9 * value):
+                    T *= 2.0
+                assert value == pytest.approx(
+                    scipy_truncated_integral(k, s, h, alpha, T),
+                    rel=1e-11), (h, s, k)
+
+
+@pytest.mark.parametrize("s,h,alpha", [(1e-300, 400.0, 1.5),
+                                       (1e-300, 1e5, 3.3),
+                                       (1e-30, 1e-9, 1.5),
+                                       (1e-30, 1e-9, 2.5)])
+def test_faint_interference_matches_its_power_law_limit(s, h, alpha):
+    # With s far below a(u), y = s/a(u) up to a relative s/h^alpha, and
+    # J_0 = s * h^(1-alpha) * B(1/2, (alpha-1)/2).  Integrands near the
+    # bottom of the float range, and peaks much narrower than the first
+    # window, must still evaluate.
+    expected = s * h ** (1.0 - alpha) * math.exp(
+        math.lgamma(0.5) + math.lgamma(0.5 * (alpha - 1.0))
+        - math.lgamma(0.5 * alpha))
+    assert _exponent_integral(0, s, h, alpha) == pytest.approx(
+        expected, rel=1e-8)
+
+
+def test_slow_tails_off_the_lane_miss_the_tail_bound():
+    for s in (843.4, 1e-300):
+        with pytest.raises(QuadratureError,
+                           match="tail bound never met the tolerance"):
+            _exponent_integrals(s, 3.0, 1.2, range(9))
+    sc = intersection_scenario(channel=ChannelParams(alpha=1.05, m=3),
+                               d=50.0, theta=0.5)
+    with pytest.raises(QuadratureError,
+                       match="tail bound never met the tolerance"):
+        outage_probability(sc)
 
 
 @pytest.mark.parametrize("alpha", [3.7, 6.5])
@@ -477,19 +561,19 @@ def test_sign_pattern_holds_at_maximum_order():
 
 def test_roads_at_equal_distance_share_one_evaluation(monkeypatch):
     # At d = 46 the two coordinates of D round to the same float, so the
-    # lanes of both roads lie at the same h and one quadrature per order
-    # serves both.
-    orders = []
-    real = analytic._exponent_integral
+    # lanes of both roads lie at the same h and one quadrature of all
+    # orders serves both.
+    calls = []
+    real = analytic._exponent_integrals
 
-    def counted(k, *args, **kwargs):
-        orders.append(k)
-        return real(k, *args, **kwargs)
-    monkeypatch.setattr(analytic, "_exponent_integral", counted)
+    def counted(s, h, alpha, orders, *args, **kwargs):
+        calls.append((h, orders))
+        return real(s, h, alpha, orders, *args, **kwargs)
+    monkeypatch.setattr(analytic, "_exponent_integrals", counted)
     channel = ChannelParams(alpha=3.0, m=3)
     sc = intersection_scenario(channel=channel, d=46.0, theta=math.pi / 4)
     res = outage_probability(sc)
-    assert orders == [0, 1, 2]
+    assert calls == [(sc.lanes()[0].h, range(3))]
     # The same field as one road carrying both intensities.
     merged = Scenario(channel=channel, geometry=sc.geometry, link=sc.link,
                       layout=RoadLayout.highway(0.02), p=0.5,

@@ -578,7 +578,8 @@ def test_verify_config_judges_the_rows_sweep_writes(tmp_path, capsys):
     assert cli.main(["sweep", "--config", str(path), "--out", str(out)]) == 0
     cli.main(["verify", "--config", str(path)])
     lines = capsys.readouterr().out.splitlines()
-    rows = list(csv.DictReader(out.open()))
+    with out.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 4
     for row in rows:
         label = f"{row['variant']} aloha_p={float(row['value']):g}"
@@ -587,8 +588,8 @@ def test_verify_config_judges_the_rows_sweep_writes(tmp_path, capsys):
 
 
 #: Runs the CLI on its arguments in a new interpreter and reports, as the
-#: last line, the exit code, the standard output, and whether the
-#: quadrature module got loaded.
+#: last line, the exit code, the standard output, and whether
+#: scipy.integrate got loaded.
 _FRESH_CLI = """
 import contextlib, io, json, sys
 import xroad.cli
@@ -608,16 +609,18 @@ def run_fresh_cli(*argv: str) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_cold_start_loads_scipy_integrate_only_for_quadrature(tmp_path):
-    # The verify grid has closed forms only, so it never loads the
-    # quadrature; a general-alpha point off the lanes needs it.
+def test_cold_start_never_loads_scipy_integrate(tmp_path):
+    # The verify grid has closed forms only; a general-alpha point off the
+    # lanes is quadratured, by the engine's own rule, not scipy's.
     verify = run_fresh_cli("verify", "--trials", "1024", "--workers", "2")
     assert verify["code"] == 0 and not verify["integrate"]
     path = write_config(tmp_path, channel={"alpha": 3.3, "m": 3},
                         geometry={"d": 50.0, "theta": 0.5})
     point = run_fresh_cli("point", "--config", str(path),
                           "--engine", "analytic")
-    assert point["code"] == 0 and point["integrate"]
+    assert point["code"] == 0 and not point["integrate"]
     outage = analytic.outage_probability(
         parse_scenario(load_config(path))).outage_prob
     assert f"outage (analytic)      {outage:.6f}" in point["out"]
+    # The value QUADPACK gave for this point.
+    assert "outage (analytic)      0.048566" in point["out"]
