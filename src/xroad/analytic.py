@@ -84,24 +84,14 @@ _scipy_quad = None
 def _panel_rule() -> tuple[np.ndarray, np.ndarray]:
     """Nodes on [-1, 1] for _panel_sums and their weights: column 0 is the
     20-point Gauss-Legendre rule on the whole interval, column 1 the same
-    rule on each half.  The nodes come from Newton's method on P_20 from
-    Chebyshev-like first guesses.  Built on first use, so a process that
-    quadratures nothing does no numpy work for it (numpy.polynomial's
-    leggauss would also add about 2 MB to every process)."""
-    n = 20
-    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
-    for _ in range(9):
-        # P_n(x) and P_n'(x) from the three-term recurrence.
-        p0, p1 = np.ones_like(x), x
-        for j in range(2, n + 1):
-            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-        dp = n * (x * p1 - p0) / (x * x - 1.0)
-        x = x - p1 / dp
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    rule on each half.  Built on first use, so numpy.polynomial is loaded
+    only by a process that quadratures."""
+    from numpy.polynomial.legendre import leggauss
+    x, w = leggauss(20)
     nodes = np.concatenate([x, 0.5 * (x - 1.0), 0.5 * (x + 1.0)])
-    weights = np.zeros((3 * n, 2))
-    weights[:n, 0] = w
-    weights[n:, 1] = 0.5 * np.tile(w, 2)
+    weights = np.zeros((3 * len(x), 2))
+    weights[:len(x), 0] = w
+    weights[len(x):, 1] = 0.5 * np.tile(w, 2)
     return nodes, weights
 
 
@@ -158,7 +148,7 @@ def _panel_sums(s: float, h: float, alpha: float, orders: range,
     rad = 0.5 * (b - a)
     u = (0.5 * (a + b))[:, None] + rad[:, None] * nodes
     with np.errstate(over="ignore"):     # a(u) beyond the float range: y = 0
-        y = s / (s + (h * h + u * u) ** (0.5 * alpha))
+        y = s / (s + np.hypot(h, u) ** alpha)
     rules = np.empty((len(orders), len(a), 2))
     for row, k in enumerate(orders):
         if k == 0:

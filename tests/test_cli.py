@@ -595,8 +595,10 @@ import contextlib, io, json, sys
 import xroad.cli
 with contextlib.redirect_stdout(io.StringIO()) as out:
     code = xroad.cli.main(sys.argv[1:])
-print(json.dumps({"code": code, "out": out.getvalue(),
-                  "integrate": "scipy.integrate" in sys.modules}))
+integrate = "scipy.integrate" in sys.modules
+from xroad import analytic
+print(json.dumps({"code": code, "out": out.getvalue(), "integrate": integrate,
+                  "quadrature": analytic._panel_rule.cache_info().currsize}))
 """
 
 
@@ -610,15 +612,18 @@ def run_fresh_cli(*argv: str) -> dict:
 
 
 def test_cold_start_never_loads_scipy_integrate(tmp_path):
-    # The verify grid has closed forms only; a general-alpha point off the
-    # lanes is quadratured, by the engine's own rule, not scipy's.
+    # The verify grid has closed forms only, so its process never builds
+    # the quadrature rule; a general-alpha point off the lanes is
+    # quadratured, by the engine's own rule, not scipy's.
     verify = run_fresh_cli("verify", "--trials", "1024", "--workers", "2")
     assert verify["code"] == 0 and not verify["integrate"]
+    assert not verify["quadrature"]
     path = write_config(tmp_path, channel={"alpha": 3.3, "m": 3},
                         geometry={"d": 50.0, "theta": 0.5})
     point = run_fresh_cli("point", "--config", str(path),
                           "--engine", "analytic")
     assert point["code"] == 0 and not point["integrate"]
+    assert point["quadrature"]
     outage = analytic.outage_probability(
         parse_scenario(load_config(path))).outage_prob
     assert f"outage (analytic)      {outage:.6f}" in point["out"]
