@@ -40,12 +40,18 @@ multiplication.  Each panel's error is estimated by halving it, and only
 the panels that estimate flags are halved again.  Cumulative panel sums
 give every truncated total at once; each order stops at the first window
 edge where its analytic tail bound is within budget.
+
+Within sharing_lane_integrals(), which run_sweep enters, points that
+quadrature the same (s, h, alpha, order) share one evaluation when its
+result does not depend on the lane's rate (see _exponent_coefficients).
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +84,11 @@ _PIECE_REL = _REL_TOL / 16.0
 
 #: scipy.integrate.quad, once quad() has loaded it.
 _scipy_quad = None
+
+#: Quadratured lane integrals shared by the points of one
+#: sharing_lane_integrals() block: (s, h, alpha, order) -> (J_0..J_order,
+#: largest half-line total).  Unset outside such a block.
+_shared_integrals: ContextVar[dict] = ContextVar("_shared_integrals")
 
 
 @functools.cache
@@ -197,10 +208,12 @@ def _refined_sums(s: float, h: float, alpha: float, orders: range,
 
 
 def _exponent_integrals(s: float, h: float, alpha: float, orders: range,
-                        err_cap: float = math.inf) -> list[float]:
-    """J_k for each k in `orders`: J_0 = int_R y du and J_k = int_R (1 - y)
-    * y^k du for k >= 1, where y = s/(s + a(u)) and a(u) = (h^2 +
-    u^2)^(alpha/2).  The lowest order that misses the tolerance raises.
+                        err_cap: float = math.inf
+                        ) -> tuple[list[float], float]:
+    """(J_k for each k in `orders`, largest total): J_0 = int_R y du and
+    J_k = int_R (1 - y) * y^k du for k >= 1, where y = s/(s + a(u)) and
+    a(u) = (h^2 + u^2)^(alpha/2).  The lowest order that misses the
+    tolerance raises.
 
     The integrands lie in [0, 1] and are even, and order k is bounded on
     the half line by (rho/u)**tail_pow, rho = s**(1/alpha) and tail_pow =
@@ -215,6 +228,11 @@ def _exponent_integrals(s: float, h: float, alpha: float, orders: range,
     integral (a strongly interfered lane) does not lose accuracy in the
     success probability, which an absolute error d in any g~_j moves by at
     most d times itself (the derivative of e~_k in g~_j is e~_{k-j}).
+
+    err_cap enters only through min(total, err_cap) in the truncation test.
+    The largest total is the largest half-line total that test compared
+    against; with any err_cap at least that large, every choice, and so
+    every J_k, is the same bit for bit.
     """
     rho = s ** (1.0 / alpha)
     low = min(h + rho, _TRUNCATION) / 256.0
@@ -268,13 +286,25 @@ def _exponent_integrals(s: float, h: float, alpha: float, orders: range,
         raise QuadratureError(
             "interference integral did not converge",
             achieved[r] / total[r] if total[r] else math.inf)
-    return (2.0 * total).tolist()
+    return (2.0 * total).tolist(), float(totals[:, :_MAX_SEGMENTS].max())
 
 
 def _exponent_integral(k: int, s: float, h: float, alpha: float,
                        err_cap: float = math.inf) -> float:
     """J_k alone, from _exponent_integrals."""
-    return _exponent_integrals(s, h, alpha, range(k, k + 1), err_cap)[0]
+    return _exponent_integrals(s, h, alpha, range(k, k + 1), err_cap)[0][0]
+
+
+@contextlib.contextmanager
+def sharing_lane_integrals():
+    """Within the block, analytic points reuse each other's quadratured
+    lane integrals where that gives the same J_k bit for bit; the shared
+    integrals are dropped when the block ends."""
+    token = _shared_integrals.set({})
+    try:
+        yield
+    finally:
+        _shared_integrals.reset(token)
 
 
 def _jet_mul(a: list[float], b: list[float]) -> list[float]:
@@ -365,7 +395,10 @@ def _exponent_coefficients(scenario: Scenario, s: float,
     over the distinct lane distances h of scenario.lanes(), with rate_h the
     summed p*lam of the lanes at h on either road.  Each h is evaluated
     once, from the closed-form jet where one exists and otherwise by
-    quadrature.
+    quadrature.  Inside sharing_lane_integrals(), a quadrature is reused
+    by a later point with the same (s, h, alpha, order) whose err_cap =
+    1/rate_h is at least its largest total, and kept only when its own
+    err_cap was: both then give the J_k of err_cap = inf.
     """
     out = [0.0] * (order + 1)
     if s == 0.0:
@@ -384,11 +417,19 @@ def _exponent_coefficients(scenario: Scenario, s: float,
     if sum(rate * math.sqrt(max(rho - h, 0.0) * (rho + h))
            for h, rate in rates.items()) > 800.0:
         return [-math.inf] + out[1:]
+    shared = _shared_integrals.get({})
     for h, rate in rates.items():
         coeffs = _lane_integral_jet(s, h, alpha, order)
         if coeffs is None:
-            j = _exponent_integrals(s, h, alpha, range(order + 1),
-                                    err_cap=1.0 / rate)
+            err_cap = 1.0 / rate
+            key = (s, h, alpha, order)
+            if key in shared and err_cap >= shared[key][1]:
+                j = shared[key][0]
+            else:
+                j, largest = _exponent_integrals(s, h, alpha,
+                                                 range(order + 1), err_cap)
+                if err_cap >= largest:
+                    shared[key] = j, largest
             coeffs = j[:1] + [-c for c in j[1:]]
         for k, c in enumerate(coeffs):
             out[k] -= rate * c

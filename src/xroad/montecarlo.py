@@ -213,8 +213,12 @@ def _block_interference(scenario: Scenario, sim: SimConfig,
             if n == 0:
                 continue
             owner = np.repeat(np.arange(hi - lo), counts[lo:hi])
-            along = rng.uniform(-half, half, n)
-            fades = rng.exponential(1.0, n)
+            # Bit for bit the draws of uniform(-half, half, n) and
+            # exponential(1.0, n), without their per-call parameter handling.
+            along = rng.random(n)
+            along *= 2.0 * half
+            along -= half
+            fades = rng.standard_exponential(n)
             power, ex = _slice_interference(lane, alpha, along, fades, owner,
                                             hi - lo)
             total[lo:hi] += power

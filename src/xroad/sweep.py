@@ -46,27 +46,9 @@ def db_to_linear(value_db: float) -> float:
 
 
 def validate_sweep(spec: SweepSpec) -> SweepSpec:
-    if spec.axis not in AXES:
-        raise ValueError(f"sweep axis must be one of {AXES}")
-    if not spec.values:
-        raise ValueError("sweep values must be nonempty")
-    if not all(math.isfinite(v) for v in spec.values):
-        raise ValueError("sweep values must be finite")
-    if any(b <= a for a, b in zip(spec.values, spec.values[1:])):
-        raise ValueError("sweep values must be strictly increasing")
-    if not spec.engines or any(e not in ENGINES for e in spec.engines):
-        raise ValueError(f"engines must be a nonempty subset of {ENGINES}")
-    if spec.axis == "lanes" and any(v != int(v) or v < 1
-                                    for v in spec.values):
-        raise ValueError("lane counts must be positive integers")
-    if spec.axis == "threshold_db" and not all(
-            0.0 < db_to_linear(v) < math.inf for v in spec.values):
-        raise ValueError("threshold_db values must give a positive, finite "
-                         "linear threshold")
-    if not spec.variants:
-        raise ValueError("at least one variant is required")
-    validate_scenario(spec.base)
-    list(sweep_points(spec))  # raises on the first invalid point
+    """The spec itself, once it and every point of it are valid; raises
+    ValueError otherwise (see sweep_points)."""
+    sweep_points(spec)
     return spec
 
 
@@ -119,11 +101,32 @@ def point_label(variant: str, axis: str, value: float) -> str:
     return variant if axis == "none" else f"{variant} {axis}={value:g}"
 
 
-def sweep_points(spec: SweepSpec):
+def sweep_points(spec: SweepSpec) -> list[tuple]:
     """(variant index, variant, value index, value, validated scenario)
-    for every sweep point, in (variant, value) order; an invalid point
-    raises ValueError naming it ("base aloha_p=1.5: Aloha probability ...").
-    """
+    for every sweep point, in (variant, value) order.  An invalid spec
+    raises ValueError, and so does an invalid point, naming it ("base
+    aloha_p=1.5: Aloha probability ...")."""
+    if spec.axis not in AXES:
+        raise ValueError(f"sweep axis must be one of {AXES}")
+    if not spec.values:
+        raise ValueError("sweep values must be nonempty")
+    if not all(math.isfinite(v) for v in spec.values):
+        raise ValueError("sweep values must be finite")
+    if any(b <= a for a, b in zip(spec.values, spec.values[1:])):
+        raise ValueError("sweep values must be strictly increasing")
+    if not spec.engines or any(e not in ENGINES for e in spec.engines):
+        raise ValueError(f"engines must be a nonempty subset of {ENGINES}")
+    if spec.axis == "lanes" and any(v != int(v) or v < 1
+                                    for v in spec.values):
+        raise ValueError("lane counts must be positive integers")
+    if spec.axis == "threshold_db" and not all(
+            0.0 < db_to_linear(v) < math.inf for v in spec.values):
+        raise ValueError("threshold_db values must give a positive, finite "
+                         "linear threshold")
+    if not spec.variants:
+        raise ValueError("at least one variant is required")
+    validate_scenario(spec.base)
+    points = []
     for vi, variant in enumerate(spec.variants):
         base = apply_variant(spec.base, variant)
         for xi, value in enumerate(spec.values):
@@ -133,7 +136,8 @@ def sweep_points(spec: SweepSpec):
             except ValueError as exc:
                 label = point_label(variant.label, spec.axis, value)
                 raise ValueError(f"{label}: {exc}") from exc
-            yield vi, variant, xi, value, point
+            points.append((vi, variant, xi, value, point))
+    return points
 
 
 @dataclass(frozen=True)
@@ -208,15 +212,20 @@ def run_sweep(spec: SweepSpec, sim: SimConfig,
               workers: int = 1) -> list[SweepRow]:
     """All sweep rows in (variant, value) order.
 
-    Every point is validated before any engine runs.  Engine failures land
-    in the row's error column and the sweep carries on; callers decide
-    what a failed row means for the exit code.
+    Every point is validated, once, before any engine runs.  The rows
+    share their lanes' quadratured integrals (analytic.
+    sharing_lane_integrals) for the length of this call only.  Engine
+    failures land in the row's error column and the sweep carries on;
+    callers decide what a failed row means for the exit code.
     """
     rows: list[SweepRow] = []
-    for vi, variant, xi, value, scenario in sweep_points(validate_sweep(spec)):
-        point_sim = replace(sim, master_seed=row_seed(sim.master_seed, vi, xi))
-        rows.append(sweep_row(scenario, spec.engines, point_sim, workers,
-                              variant.label, spec.axis, value))
+    points = sweep_points(spec)
+    with analytic.sharing_lane_integrals():
+        for vi, variant, xi, value, scenario in points:
+            point_sim = replace(sim, master_seed=row_seed(sim.master_seed,
+                                                          vi, xi))
+            rows.append(sweep_row(scenario, spec.engines, point_sim, workers,
+                                  variant.label, spec.axis, value))
     return rows
 
 

@@ -308,3 +308,71 @@ def test_compare_rows_labels_and_verdicts():
     assert report.points[1].tolerance == pytest.approx(0.03)
     assert report.points[2].abs_diff is None
     assert [p.row for p in report.points] == rows
+
+
+#: alpha = 3.3 with D off both roads: every lane is quadratured.
+GENERAL = base_scenario(channel=ChannelParams(alpha=3.3, m=4),
+                        geometry=DestinationGeometry(50.0, 0.5))
+#: At density 0.1 and above, 1/rate is below the largest total of the lane
+#: nearest D, so its integrals from density 0.03 must not be reused; at
+#: density 1 that lane's integrals differ from those of a sparse lane.
+GENERAL_AXES = {"density": (0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0),
+                "distance_d": (0.0, 25.0, 50.0, 100.0),
+                "lanes": (1.0, 2.0, 3.0),
+                "threshold_db": (-3.0, 0.0, 3.0),
+                "aloha_p": (0.2, 0.5, 1.0)}
+
+
+@pytest.mark.parametrize("axis", sorted(GENERAL_AXES))
+def test_sweep_rows_equal_their_points_outside_a_sweep(axis):
+    # The dense variant comes first: a sparse point must not reuse what it
+    # quadratured.
+    spec = SweepSpec(GENERAL, axis, GENERAL_AXES[axis],
+                     engines=("analytic",),
+                     variants=(Variant("dense", layout=RoadLayout.intersection(
+                                   1.0, 1.0)),
+                               Variant("general"),
+                               Variant("a1.05", channel=ChannelParams(
+                                   alpha=1.05, m=3))))
+    sim = SimConfig(trials=1)
+    rows = run_sweep(spec, sim)
+    alone = [sweep_row(scenario, spec.engines, sim, 1, variant.label, axis,
+                       value)
+             for _, variant, _, value, scenario in sweep_points(spec)]
+    assert rows == alone
+    assert all(r.outage_analytic is not None
+               for r in rows if r.variant == "general")
+    assert any("tail bound never met the tolerance" in r.error
+               for r in rows if r.variant == "a1.05")
+
+
+def test_shared_integrals_last_one_sweep(monkeypatch):
+    calls = []
+    real = analytic._exponent_integrals
+
+    def counted(s, h, alpha, orders, *args, **kwargs):
+        calls.append((s, h, alpha, orders))
+        return real(s, h, alpha, orders, *args, **kwargs)
+    monkeypatch.setattr(analytic, "_exponent_integrals", counted)
+    spec = SweepSpec(GENERAL, "density", GENERAL_AXES["density"],
+                     engines=("analytic",))
+    swept, alone = [], []
+    for _ in range(2):
+        calls.clear()
+        run_sweep(spec, SimConfig(trials=1))
+        swept.append(list(calls))
+        per_point = []
+        for *_, scenario in sweep_points(spec):
+            calls.clear()
+            analytic.outage_probability(scenario)
+            per_point.append(list(calls))
+        alone.append(per_point)
+    # Nothing is left over from an earlier sweep: the first point
+    # quadratures what it does outside a sweep, and so does every point
+    # outside a sweep each time.
+    assert swept[0][:len(alone[0][0])] == alone[0][0]
+    assert swept[0] == swept[1]
+    assert alone[0] == alone[1]
+    assert len(swept[0]) < sum(map(len, alone[0]))
+    # The refused entry was quadratured again.
+    assert len(set(swept[0])) < len(swept[0])
