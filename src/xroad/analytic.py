@@ -33,17 +33,15 @@ with y = s/(s + a),
 
     s(1 - tau) / (s(1 - tau) + a) = y - (1 - y) * sum_{k>=1} y^k tau^k.
 
-All orders of one h share a single rule: y is evaluated once, in numpy, on
-Gauss-Legendre panels (ratio-2 panels around the peak, then windows that
-double), and each order's integrand is built from it, y^k by repeated
-multiplication.  Each panel's error is estimated by halving it, and only
-the panels that estimate flags are halved again.  Cumulative panel sums
-give every truncated total at once; each order stops at the first window
-edge where its analytic tail bound is within budget.
-
-Within sharing_lane_integrals(), which run_sweep enters, points that
-quadrature the same (s, h, alpha, order) share one evaluation when its
-result does not depend on the lane's rate (see _exponent_coefficients).
+A point's lanes and orders share one tanh-sinh rule (Takahasi and Mori,
+1974) on fixed nodes, after u = sigma * (x^-beta - 1), beta = 1/(alpha-1),
+sigma = h + s^(1/alpha), maps x in (0, 1] onto the half line.  Integrands
+are formed in logs, so nothing overflows as alpha nears 1, and each level's
+nodes include those of the level below, which gives the error estimate.
+The benchmark's stored reference holds values of an engine that cut each
+integral at a window edge T = 1e4 * 2^n; _truncated subtracts that tail.
+Within sharing_lane_integrals(), which run_sweep enters, points share the
+jet or quadrature of each (s, h, alpha, order).
 """
 
 from __future__ import annotations
@@ -58,52 +56,42 @@ import numpy as np
 
 from .model import Lane, Scenario
 
-#: Doubling windows beyond the head in which the tail bound may be met.
+#: _truncated's window edges: T_n = _TRUNCATION * 2**n, n < _MAX_SEGMENTS.
 _MAX_SEGMENTS = 96
-
-#: Half-width of the head, m: the first window edge T_0.
 _TRUNCATION = 1e4
+_LOG_T0, _LOG2 = math.log(_TRUNCATION), math.log(2.0)
 
 #: Relative error requested from the quadrature of each integral.
 _REL_TOL = 1e-9
+_EPS = 2.0 ** -52           # the spacing of floats at 1
 
-#: A panel is halved while its halving estimate exceeds this fraction of an
-#: order's total.
-_PANEL_REL = 1e-13
-
-#: Most panels that halving may add to one set of panels.
-_MAX_ADDED_PANELS = 200
-
-#: Rounding of an integrand value at the bottom of the float range, where a
-#: subnormal keeps few bits and each factor of y^k adds up to 2**-1074;
-#: a panel's halving estimate is counted net of it times the panel length.
-_SUBNORMAL_NOISE = 1e-320
-
-#: Relative error requested from each call of the quad() shim.
-_PIECE_REL = _REL_TOL / 16.0
+#: Tanh-sinh levels: level l has the nodes t = j * 2**-l, |t| <= 6.  All
+#: integrals take _FIRST_LEVEL; further levels only while they miss _REL_TOL.
+_FIRST_LEVEL, _LAST_LEVEL = 5, 7
 
 #: scipy.integrate.quad, once quad() has loaded it.
 _scipy_quad = None
 
-#: Quadratured lane integrals shared by the points of one
-#: sharing_lane_integrals() block: (s, h, alpha, order) -> (J_0..J_order,
-#: largest half-line total).  Unset outside such a block.
+#: (s, h, alpha, order) -> (a lane's jet, or its whole-line J_0..J_order,
+#: and whether _truncated cuts it), shared by the points of one
+#: sharing_lane_integrals() block; unset outside such a block.
 _shared_integrals: ContextVar[dict] = ContextVar("_shared_integrals")
 
 
 @functools.cache
-def _panel_rule() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes on [-1, 1] for _panel_sums and their weights: column 0 is the
-    20-point Gauss-Legendre rule on the whole interval, column 1 the same
-    rule on each half.  Built on first use, so numpy.polynomial is loaded
-    only by a process that quadratures."""
-    from numpy.polynomial.legendre import leggauss
-    x, w = leggauss(20)
-    nodes = np.concatenate([x, 0.5 * (x - 1.0), 0.5 * (x + 1.0)])
-    weights = np.zeros((3 * len(x), 2))
-    weights[:len(x), 0] = w
-    weights[len(x):, 1] = 0.5 * np.tile(w, 2)
-    return nodes, weights
+def _node_table() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(ln x, ln dx/dt) at the tanh-sinh nodes of _FIRST_LEVEL, then at those
+    each further level adds; x = 1/(1 + exp(-pi sinh t)), so dx/dt =
+    x (1 - x) pi cosh t.  Formed without x: nodes near 0 keep their range."""
+    table = []
+    for level in range(_FIRST_LEVEL, _LAST_LEVEL + 1):
+        n, step = 6 * 2 ** level, 1 if level == _FIRST_LEVEL else 2
+        t = np.arange(step - 1 - n, n + 1, step) / 2.0 ** level
+        v = np.pi * np.sinh(t)
+        ln_x = -np.logaddexp(0.0, -v)
+        table.append((ln_x, ln_x - np.logaddexp(0.0, v)
+                      + np.log(np.pi * np.cosh(t))))
+    return tuple(table)
 
 
 class UnsupportedExponentError(ValueError):
@@ -111,7 +99,7 @@ class UnsupportedExponentError(ValueError):
 
 
 class QuadratureError(ArithmeticError):
-    """Adaptive quadrature could not meet the requested relative tolerance."""
+    """Quadrature could not meet the requested relative tolerance."""
 
     def __init__(self, message: str, achieved: float):
         super().__init__(f"{message} (achieved relative error {achieved:.3e})")
@@ -134,172 +122,173 @@ class AnalyticResult:
 
 def quad(f, a: float, b: float, points=None) -> tuple[float, float]:
     """(integral, error estimate) of f over [a, b] from QUADPACK: relative
-    tolerance _PIECE_REL only, up to 200 subintervals, breakpoints `points`
-    inside [a, b].  scipy.integrate is imported on the first call.
-
-    The engine no longer calls it.  It stays only because the benchmark's
-    layer tracer (bench/layers.py) wraps it by name, until that tracer
-    counts the engine's own rule."""
+    tolerance _REL_TOL/16 only, up to 200 subintervals, breakpoints `points`
+    inside [a, b].  scipy.integrate is imported on the first call.  The
+    engine does not call it; the benchmark's layer tracer (bench/layers.py)
+    wraps it by name, until that tracer counts the engine's own rule."""
     global _scipy_quad
     if _scipy_quad is None:
         from scipy.integrate import quad as _scipy_quad
     # full_output keeps QUADPACK's warnings out of stderr; the caller judges
     # the error estimate.
-    return _scipy_quad(f, a, b, epsabs=0.0, epsrel=_PIECE_REL, limit=200,
+    return _scipy_quad(f, a, b, epsabs=0.0, epsrel=_REL_TOL / 16.0, limit=200,
                        points=points, full_output=True)[:2]
 
 
-def _panel_sums(s: float, h: float, alpha: float, orders: range,
-                a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Integrals over the panels [a, b] of the integrand of each order in
-    `orders`, shape (len(orders), panels), from the rule on the two halves
-    of each panel, and their distance from the rule on the whole panel as
-    the error estimate."""
-    nodes, weights = _panel_rule()
-    rad = 0.5 * (b - a)
-    u = (0.5 * (a + b))[:, None] + rad[:, None] * nodes
-    with np.errstate(over="ignore"):     # a(u) beyond the float range: y = 0
-        y = s / (s + np.hypot(h, u) ** alpha)
-    rules = np.empty((len(orders), len(a), 2))
-    for row, k in enumerate(orders):
-        if k == 0:
-            f = y
-        elif row == 0 or k == 1:
-            f = (1.0 - y) * y ** k
-        else:
-            f = f * y
-        np.matmul(f, weights, out=rules[row])
-    rules *= rad[:, None]
-    noise = (b - a) * _SUBNORMAL_NOISE
-    return rules[..., 1], np.maximum(
-        np.abs(rules[..., 1] - rules[..., 0]) - noise, 0.0)
-
-
-def _refined_sums(s: float, h: float, alpha: float, orders: range,
-                  a: np.ndarray, b: np.ndarray,
-                  base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_panel_sums over the panels [a, b], after halving every panel whose
-    estimate exceeds _PANEL_REL of an order's total, base plus the sum over
-    the panels, until none does or _MAX_ADDED_PANELS would be exceeded;
-    the halves are summed back into the panel they came from."""
-    value, err = _panel_sums(s, h, alpha, orders, a, b)
-    panels = len(a)
-    origin = np.arange(panels)
-    while True:
-        split = (err > _PANEL_REL * (base + value.sum(axis=1))[:, None]
-                 ).any(axis=0)
-        if (not split.any()
-                or len(a) - panels + split.sum() > _MAX_ADDED_PANELS):
-            break
-        keep = ~split
-        mid = 0.5 * (a[split] + b[split])
-        new_a = np.concatenate([a[split], mid])
-        new_b = np.concatenate([mid, b[split]])
-        new_value, new_err = _panel_sums(s, h, alpha, orders, new_a, new_b)
-        a = np.concatenate([a[keep], new_a])
-        b = np.concatenate([b[keep], new_b])
-        origin = np.concatenate([origin[keep], np.tile(origin[split], 2)])
-        value = np.concatenate([value[:, keep], new_value], axis=1)
-        err = np.concatenate([err[:, keep], new_err], axis=1)
-    if len(a) == panels:
-        return value, err
-    members = origin[:, None] == np.arange(panels)
-    return value @ members, err @ members
-
-
-def _exponent_integrals(s: float, h: float, alpha: float, orders: range,
-                        err_cap: float = math.inf
-                        ) -> tuple[list[float], float]:
-    """(J_k for each k in `orders`, largest total): J_0 = int_R y du and
-    J_k = int_R (1 - y) * y^k du for k >= 1, where y = s/(s + a(u)) and
-    a(u) = (h^2 + u^2)^(alpha/2).  The lowest order that misses the
-    tolerance raises.
-
-    The integrands lie in [0, 1] and are even, and order k is bounded on
-    the half line by (rho/u)**tail_pow, rho = s**(1/alpha) and tail_pow =
-    alpha * max(k, 1), once u is large.  All orders share one set of
-    panels: the head [0, _TRUNCATION], split at ratio 2 from sigma/256 up,
-    where sigma = h + rho is the scale of the peak, and at the decades
-    below that; then the windows [T_n, T_{n+1}], T_n = _TRUNCATION * 2**n.
-    Order k is truncated at the first T_n, n < _MAX_SEGMENTS, where the
-    analytic tail bound T * (rho/T)**tail_pow / (tail_pow-1) drops below
-    half the error budget; the halving estimates of the panels cover the
-    rest.  err_cap additionally bounds the absolute error so that a large
-    integral (a strongly interfered lane) does not lose accuracy in the
-    success probability, which an absolute error d in any g~_j moves by at
-    most d times itself (the derivative of e~_k in g~_j is e~_{k-j}).
-
-    err_cap enters only through min(total, err_cap) in the truncation test.
-    The largest total is the largest half-line total that test compared
-    against; with any err_cap at least that large, every choice, and so
-    every J_k, is the same bit for bit.
+def _exponent_integrals(s: float, hs, alpha: float, orders: range
+                        ) -> tuple[list[list[float]], list[list[float]]]:
+    """(J_k, error estimate) for each lane distance h in `hs` and each k in
+    `orders`: J_0 = int_R y du and J_k = int_R (1 - y) * y^k du for k >= 1,
+    where y = s/(s + a(u)) and a(u) = (h^2 + u^2)^(alpha/2).  A lane within
+    rho = s^(1/alpha) of D has y = 1/2 at u* = sqrt(rho^2 - h^2), where for
+    large alpha y falls over a width ~ u*/alpha, too narrow for nodes spread
+    over the half line; such a lane that misses the tolerance is integrated
+    again split at u*.  Raises QuadratureError if a lane misses it even then.
     """
+    h = np.asarray(hs, dtype=float)
+    values, errors, achieved = _tanh_sinh(s, h, alpha, orders,
+                                          np.zeros_like(h))
     rho = s ** (1.0 / alpha)
-    low = min(h + rho, _TRUNCATION) / 256.0
-    edges = {0.0, _TRUNCATION}
-    edges.update(x for x in (1.0, 10.0, 100.0) if x < low)
-    edges.update(low * 2.0 ** j
-                 for j in range(int(math.log2(_TRUNCATION / low)) + 1))
-    head = np.array(sorted(x for x in edges if x <= _TRUNCATION))
-    value, err = _refined_sums(s, h, alpha, orders, head[:-1], head[1:],
-                               np.zeros(len(orders)))
-    T = _TRUNCATION * 2.0 ** np.arange(_MAX_SEGMENTS + 1)
-    tail_pow = alpha * np.maximum(np.array(orders), 1)[:, None]
-    # bound[k, n]: the tail bound of order k at T_n, n < _MAX_SEGMENTS,
-    # formed as one exp so that it underflows only when it is below the
-    # float range, not when (rho/T)**tail_pow is.  While T <= rho it may
-    # overflow; the bound is then at least T/(tail_pow-1), far above the
-    # budget.
-    log_t = np.log(T[:-1])
-    with np.errstate(over="ignore"):
-        bound = np.where(rho < T[:-1],
-                         np.exp(log_t + tail_pow * (math.log(rho) - log_t)),
-                         math.inf) / (tail_pow - 1.0)
-    # totals[k, n] and errs[k, n]: order k integrated over [0, T_n].  They
-    # grow with n, so where the bound is met on the head alone it is met
-    # by n, and only the windows below that n are integrated.
-    totals = value.sum(axis=1)[:, None]
-    errs = err.sum(axis=1)[:, None]
-    reached = bound <= 0.5 * _REL_TOL * np.minimum(totals, err_cap)
-    n = (int(reached.argmax(axis=1).max()) if reached.any(axis=1).all()
-         else _MAX_SEGMENTS)
-    if n:
-        value, err = _refined_sums(s, h, alpha, orders, T[:n], T[1:n + 1],
-                                   totals[:, 0])
-        totals = np.cumsum(np.concatenate([totals, value], axis=1), axis=1)
-        errs = np.cumsum(np.concatenate([errs, err], axis=1), axis=1)
-        reached = (bound[:, :n + 1]
-                   <= 0.5 * _REL_TOL * np.minimum(totals[:, :_MAX_SEGMENTS],
-                                                  err_cap))
-    # i[k]: the window edge order k stops at, where its bound is met.
-    i = reached.argmax(axis=1)
-    rows = np.arange(len(orders))
-    total, tail_bound = totals[rows, i], bound[rows, i]
-    achieved = errs[rows, i] + tail_bound
-    failed = ~reached[rows, i] | (achieved > _REL_TOL * total)
-    if failed.any():
-        r = int(failed.argmax())
-        if not reached[r, i[r]]:
-            raise QuadratureError(
-                "tail bound never met the tolerance",
-                bound[r, -1] / max(totals[r, -1], 1e-300))
-        raise QuadratureError(
-            "interference integral did not converge",
-            achieved[r] / total[r] if total[r] else math.inf)
-    return (2.0 * total).tolist(), float(totals[:, :_MAX_SEGMENTS].max())
+    again = np.flatnonzero((achieved > _REL_TOL) & (h < rho))
+    if len(again):
+        cut = np.sqrt((rho - h[again]) * (rho + h[again]))
+        values[again], errors[again], achieved[again] = _tanh_sinh(
+            s, h[again], alpha, orders, cut)
+    if achieved.max() > _REL_TOL:
+        raise QuadratureError("interference integral did not converge",
+                              float(achieved.max()))
+    return values.tolist(), errors.tolist()
+
+
+def _tanh_sinh(s: float, h: np.ndarray, alpha: float, orders: range,
+               cut: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """J_k, error estimates and the largest relative estimate of the lanes
+    at distances h, as for _exponent_integrals, each split at cut (0: not
+    split).  The rows are pieces: [cut, inf) of every lane by u = cut +
+    sigma (x^-beta - 1), then [0, cut] of the split ones by u = cut x, so
+    the nodes cluster at u = cut.  Each integrand is the exp of its log less
+    its largest value, so it neither overflows (x^-beta does as alpha nears
+    1) nor loses bits where J_k is subnormal.  Each piece stops at the first
+    level that meets the tolerance, so its values do not depend on others.
+    """
+    beta = 1.0 / (alpha - 1.0)
+    split = np.flatnonzero(cut)
+    lane = np.concatenate([np.arange(len(h)), split])
+    near = np.arange(len(lane)) >= len(h)
+    # In units of sigma = h + s^(1/alpha), and with z = ln(a/s):
+    # z = shift + (alpha/2) * ln((h/sigma)^2 + (u/sigma)^2).
+    ln_sigma = np.log(h + s ** (1.0 / alpha))[lane, None]
+    with np.errstate(divide="ignore"):                  # h = 0, cut = 0
+        ln_h2 = 2.0 * (np.log(h)[lane, None] - ln_sigma)
+        ln_cut = np.log(cut)[lane, None] - ln_sigma
+    shift = alpha * ln_sigma - math.log(s)
+    ln_du0 = ln_sigma + math.log(beta)
+    k = np.array(orders, dtype=float)[:, None]
+
+    def log_integrands(ln_x: np.ndarray, ln_dx: np.ndarray, rows):
+        bx = beta * ln_x
+        ln_u = np.log(-np.expm1(bx)) - bx                # ln(u/sigma)
+        ln_du = (ln_du0[rows] + ln_dx) - (beta + 1.0) * ln_x
+        if len(split):
+            ln_u = np.logaddexp(ln_cut[rows], ln_u)
+            at = near[rows]
+            ln_u[at] = ln_cut[rows][at] + ln_x
+            ln_du[at] = (ln_sigma + ln_cut)[rows][at] + ln_dx
+        z = ((0.5 * alpha) * np.logaddexp(ln_h2[rows], 2.0 * ln_u)
+             + shift[rows])
+        ln_y = -np.logaddexp(0.0, z)
+        # 1 - y = y * a/s
+        ln_f = k * ln_y[:, None] + (ln_du + z + ln_y)[:, None]
+        if orders[0] == 0:
+            ln_f[:, 0] = ln_du + ln_y
+        return ln_f, ln_du, z, ln_y
+
+    table = _node_table()
+    todo = np.arange(len(lane))
+    ln_f, ln_du, z, ln_y = log_integrands(*table[0], todo)
+    peak = ln_f.max(axis=2, keepdims=True)
+    terms = np.exp(ln_f - peak)
+    # In units of exp(peak): the rule at _FIRST_LEVEL, and at the level below.
+    step = 2.0 ** -_FIRST_LEVEL
+    value = step * terms.sum(axis=2)
+    coarse = 2.0 * step * terms[..., ::2].sum(axis=2)
+    # Rounding, which halving cannot see: a node's ln f sums terms up to
+    # |ln du| + |z| + (k + 1) |ln y| in size, and each of the eight or so
+    # operations forming it rounds by up to an ulp of that.
+    rounding = 8.0 * _EPS * step * (
+        (terms @ (np.abs(ln_du) + np.abs(z))[..., None])[..., 0]
+        + (k[:, 0] + 1.0) * (terms @ np.abs(ln_y)[..., None])[..., 0])
+    err = np.abs(value - coarse) + rounding
+    for level in range(_FIRST_LEVEL + 1, _LAST_LEVEL + 2):
+        todo = todo[~(err[todo] <= _REL_TOL * value[todo]).all(axis=1)]
+        if not len(todo) or level > _LAST_LEVEL:
+            break
+        ln_f = log_integrands(*table[level - _FIRST_LEVEL], todo)[0]
+        coarse[todo] = value[todo]
+        value[todo] = 0.5 * value[todo] + 2.0 ** -level * np.exp(
+            ln_f - peak[todo]).sum(axis=2)
+        err[todo] = np.abs(value[todo] - coarse[todo]) + rounding[todo]
+    achieved = (err / value).max(axis=1)
+    scale = 2.0 * np.exp(peak[..., 0])
+    value, err = value * scale, err * scale
+    value[split] += value[len(h):]
+    err[split] += err[len(h):]
+    achieved[split] = np.maximum(achieved[split], achieved[len(h):])
+    return value[:len(h)], err[:len(h)], achieved[:len(h)]
+
+
+def _truncated(j: list[float], s: float, h: float, alpha: float,
+               orders: range, err_cap: float = math.inf) -> list[float]:
+    """The whole-line J_k of each k in `orders` cut to [-T, T], at the first
+    window edge T = T_n where the tail bound T * (rho/T)**q / (q - 1), with
+    rho = s**(1/alpha) and q = alpha * max(k, 1), is within half the budget
+    _REL_TOL * min(J_k/2, err_cap); J_k where no edge is.  The engine passes
+    err_cap = 1/rate, to keep a dense lane accurate too.  Beyond T the
+    integrand is sum_i (-1)^i C(k+i, i) w^(max(k,1)+i), w = s/a; up to four
+    terms, while they shrink, are integrated to second order in h/T."""
+    log_rho = math.log(s) / alpha
+    # Only edges beyond rho count; before them the bound exceeds J_k.
+    first = max(0, math.floor((log_rho - _LOG_T0) / _LOG2) + 1)
+    out = []
+    for k, value in zip(orders, j):
+        q = alpha * max(k, 1)
+        budget = 0.5 * _REL_TOL * min(0.5 * value, err_cap)
+        if budget > 0.0:
+            # The log of the bound at T_n is log_b0 - n (q - 1) ln 2.
+            log_b0 = q * log_rho + (1.0 - q) * _LOG_T0 - math.log(q - 1.0)
+            n = max(first, math.ceil((log_b0 - math.log(budget))
+                                     / ((q - 1.0) * _LOG2)))
+            if n < _MAX_SEGMENTS:
+                log_t = _LOG_T0 + n * _LOG2
+                w = math.exp(alpha * (log_rho - log_t))      # s/T^alpha
+                r2 = (h * math.exp(-log_t)) ** 2
+                # C(k+i, i) w^i T (rho/T)^q, and twice its signed integral.
+                scale = math.exp(log_b0 - n * (q - 1.0) * _LOG2) * (q - 1.0)
+                last, sign = math.inf, 2.0
+                for i in range(4):
+                    p = q + alpha * i
+                    term = scale / (p - 1.0) * (
+                        1.0 - p * (p - 1.0) / (2.0 * (p + 1.0)) * r2)
+                    if not _EPS * value < term < last:
+                        break
+                    value -= sign * term
+                    last, sign = term, -sign
+                    scale *= w * (k + i + 1) / (i + 1)
+        out.append(value)
+    return out
 
 
 def _exponent_integral(k: int, s: float, h: float, alpha: float,
                        err_cap: float = math.inf) -> float:
-    """J_k alone, from _exponent_integrals."""
-    return _exponent_integrals(s, h, alpha, range(k, k + 1), err_cap)[0][0]
+    """J_k alone, from _exponent_integrals, as the engine cuts it."""
+    j = _exponent_integrals(s, [h], alpha, range(k, k + 1))[0][0]
+    return _truncated(j, s, h, alpha, range(k, k + 1), err_cap)[0]
 
 
 @contextlib.contextmanager
 def sharing_lane_integrals():
-    """Within the block, analytic points reuse each other's quadratured
-    lane integrals where that gives the same J_k bit for bit; the shared
-    integrals are dropped when the block ends."""
+    """Within the block, analytic points share their lanes' jets and
+    quadratured integrals; they are dropped when the block ends."""
     token = _shared_integrals.set({})
     try:
         yield
@@ -395,10 +384,9 @@ def _exponent_coefficients(scenario: Scenario, s: float,
     over the distinct lane distances h of scenario.lanes(), with rate_h the
     summed p*lam of the lanes at h on either road.  Each h is evaluated
     once, from the closed-form jet where one exists and otherwise by
-    quadrature.  Inside sharing_lane_integrals(), a quadrature is reused
-    by a later point with the same (s, h, alpha, order) whose err_cap =
-    1/rate_h is at least its largest total, and kept only when its own
-    err_cap was: both then give the J_k of err_cap = inf.
+    quadrature, one array pass for all such h, cut by _truncated with
+    err_cap = 1/rate_h.  Neither depends on the rate, so inside
+    sharing_lane_integrals() a later point reuses them.
     """
     out = [0.0] * (order + 1)
     if s == 0.0:
@@ -418,18 +406,18 @@ def _exponent_coefficients(scenario: Scenario, s: float,
            for h, rate in rates.items()) > 800.0:
         return [-math.inf] + out[1:]
     shared = _shared_integrals.get({})
+    orders = range(order + 1)
+    new = {h: _lane_integral_jet(s, h, alpha, order) for h in rates
+           if (s, h, alpha, order) not in shared}
+    rule = [h for h, jet in new.items() if jet is None]
+    if rule:
+        new.update(zip(rule, _exponent_integrals(s, rule, alpha, orders)[0]))
+    shared.update(((s, h, alpha, order), (c, h in rule))
+                  for h, c in new.items())
     for h, rate in rates.items():
-        coeffs = _lane_integral_jet(s, h, alpha, order)
-        if coeffs is None:
-            err_cap = 1.0 / rate
-            key = (s, h, alpha, order)
-            if key in shared and err_cap >= shared[key][1]:
-                j = shared[key][0]
-            else:
-                j, largest = _exponent_integrals(s, h, alpha,
-                                                 range(order + 1), err_cap)
-                if err_cap >= largest:
-                    shared[key] = j, largest
+        coeffs, cut = shared[s, h, alpha, order]
+        if cut:
+            j = _truncated(coeffs, s, h, alpha, orders, 1.0 / rate)
             coeffs = j[:1] + [-c for c in j[1:]]
         for k, c in enumerate(coeffs):
             out[k] -= rate * c

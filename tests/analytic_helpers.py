@@ -1,0 +1,69 @@
+"""Test helpers for the analytic engine: reference values from
+scipy.integrate.quad, and an engine that fails on demand.
+
+The reference is independent of the engine's own rule: each lane integral
+is summed over the pieces [sigma 2^j, sigma 2^(j+1)], -60 <= j < 60, sigma
+= h + s^(1/alpha), and its tail beyond U = sigma 2^60 is the integral of
+(s/u^alpha)^max(k, 1), which the integrand matches there to a relative
+(h/U)^2 + s/U^alpha, below 1e-17.  The success probability is composed
+from the exponent's derivatives with complete Bell polynomials.
+"""
+
+import math
+
+from xroad import analytic
+from xroad.analytic import QuadratureError
+from xroad.bell import complete_bell_sequence
+
+
+def fail_alpha(monkeypatch, alpha):
+    """Make the analytic engine raise a QuadratureError at `alpha` only."""
+    real = analytic.outage_probability
+
+    def engine(scenario):
+        if scenario.channel.alpha == alpha:
+            raise QuadratureError("interference integral did not converge",
+                                  1e-3)
+        return real(scenario)
+    monkeypatch.setattr(analytic, "outage_probability", engine)
+
+
+def lane_integral(k, s, h, alpha):
+    """J_0 = int_R y du, or J_k = int_R (1 - y) y^k du for k >= 1, where
+    y = s/(s + (h^2 + u^2)^(alpha/2))."""
+    from scipy.integrate import quad
+
+    def f(u):
+        w = alpha * math.log(math.hypot(h, u)) - math.log(s)     # ln(a/s)
+        e = math.exp(-abs(w))
+        y, y1 = (e, 1.0) if w > 0.0 else (1.0, e)        # y, 1 - y times 1+e
+        return y1 * y ** k / (1.0 + e) ** (k + 1) if k else y / (1.0 + e)
+    sigma = h + s ** (1.0 / alpha)
+    edges = [0.0] + [sigma * 2.0 ** j for j in range(-60, 61)]
+    body = math.fsum(quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                     for a, b in zip(edges, edges[1:]))
+    q = alpha * max(k, 1)
+    tail = math.exp(max(k, 1) * math.log(s) + (1.0 - q) * math.log(edges[-1]))
+    return 2.0 * (body + tail / (q - 1.0))
+
+
+def success_probability(scenario):
+    """P_s = sum_{n<m} (-s)^n / n! L^(n)(s), with L = exp(g) and
+    g = -sum_lanes p * lambda * J_0, from lane_integral."""
+    m = scenario.channel.m
+    s = scenario.laplace_argument
+    alpha = scenario.channel.alpha
+    rates = {}
+    for lane in scenario.lanes():
+        rates[lane.h] = rates.get(lane.h, 0.0) + scenario.p * lane.intensity
+    # s^k g^(k)(s) = -sum rate * s^k d^k/ds^k J_0(s), and
+    # s^k d^k/ds^k J_0 = (-1)^(k+1) k! J_k for k >= 1.
+    x = [0.0] * m
+    for h, rate in rates.items():
+        for k in range(m):
+            j = lane_integral(k, s, h, alpha)
+            x[k] -= rate * (j if k == 0 else (-1) ** (k + 1)
+                            * math.factorial(k) * j)
+    bell = complete_bell_sequence(x[1:])
+    return math.exp(x[0]) * math.fsum(
+        (-1) ** n * bell[n] / math.factorial(n) for n in range(m))

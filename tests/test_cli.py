@@ -12,6 +12,7 @@ import pytest
 import scipy
 
 import xroad
+from analytic_helpers import fail_alpha, success_probability
 from xroad import analytic, cli, sweep
 from xroad.config import (ConfigError, load_config, parse_scenario,
                           parse_sim, parse_sweep, sim_section)
@@ -140,9 +141,9 @@ def test_point_with_overflowed_laplace_argument(tmp_path, capsys, lam,
 
 
 def test_point_general_alpha_at_huge_laplace_argument(tmp_path, capsys):
-    # +3000 dB with alpha = 3 and D off the road: s = 8e303 is finite, but
-    # the quadrature of J(s; h) cannot meet its tail bound there.  A lower
-    # bound on J alone puts exp(x_0) below underflow: the link is in outage.
+    # +3000 dB with alpha = 3 and D off the road: s = 8e303 is finite.  A
+    # lower bound on J(s; h) alone puts exp(x_0) below underflow, so the
+    # link is in outage without any quadrature.
     path = write_config(tmp_path, channel={"alpha": 3.0, "m": 1},
                         geometry={"d": 100.0, "theta": 0.3},
                         sir_threshold_db=3000)
@@ -227,10 +228,10 @@ def test_point_bad_sim_values_exit_2(tmp_path, capsys):
     assert cli.main(["point", "--config", str(path)]) == 2
 
 
-def test_point_numeric_failure_exit_3(tmp_path, capsys):
-    # alpha = 1.05 with D off the lanes validates, but the quadrature's tail
-    # bound is never met.  The failed point writes no CSV, and checking
-    # --out leaves no file behind.
+def test_point_numeric_failure_exit_3(tmp_path, capsys, monkeypatch):
+    # An analytic engine that fails at alpha = 1.05.  The failed point
+    # writes no CSV, and checking --out leaves no file behind.
+    fail_alpha(monkeypatch, 1.05)
     path = write_config(tmp_path, channel={"alpha": 1.05, "m": 1},
                         geometry={"d": 50.0, "theta": 0.5})
     out = tmp_path / "o.csv"
@@ -445,9 +446,10 @@ def test_road_axis_sweep_without_an_active_road_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_failed_sweep_points_are_labeled_like_verify(tmp_path, capsys):
-    # alpha = 1.05 with D off the lanes fails in the analytic engine at
-    # every lane count.
+def test_failed_sweep_points_are_labeled_like_verify(tmp_path, capsys,
+                                                     monkeypatch):
+    # An analytic engine that fails at alpha = 1.05, at every lane count.
+    fail_alpha(monkeypatch, 1.05)
     path = write_config(tmp_path, channel={"alpha": 1.05, "m": 1},
                         geometry={"d": 50.0, "theta": 0.5}, sweep={
                             "axis": "lanes", "values": [1, 3]})
@@ -526,10 +528,21 @@ def test_config_engines_key_exits_2(tmp_path, capsys, command):
     assert captured.out == ""
 
 
-def test_verify_engine_failure_fails_only_its_point(tmp_path, capsys):
-    # alpha = 1.05 with D off the lanes validates, but the analytic
-    # engine's quadrature fails there; that point fails with the engine
+def test_verify_engine_failure_fails_only_its_point(tmp_path, capsys,
+                                                    monkeypatch):
+    # alpha = 1.05 with D off the lanes evaluates, to the value QUADPACK
+    # gives (tests/analytic_helpers.py).
+    point = write_config(tmp_path, name="a1.05.json",
+                         channel={"alpha": 1.05, "m": 1},
+                         geometry={"d": 50.0, "theta": 0.5})
+    assert cli.main(["point", "--config", str(point),
+                     "--engine", "analytic"]) == 0
+    oracle = 1.0 - success_probability(parse_scenario(load_config(point)))
+    assert (f"outage (analytic)      {oracle:.6f}"
+            in capsys.readouterr().out)
+    # An analytic engine that fails there: that point fails with the engine
     # named, the other passes.
+    fail_alpha(monkeypatch, 1.05)
     path = write_config(tmp_path, geometry={"d": 50.0, "theta": 0.5}, sweep={
         "axis": "density", "values": [0.005],
         "variants": [{"label": "NLOS"},
@@ -541,7 +554,7 @@ def test_verify_engine_failure_fails_only_its_point(tmp_path, capsys):
     nlos = next(ln for ln in lines if ln.startswith("NLOS density=0.005"))
     failed = next(ln for ln in lines if ln.startswith("a1.05 density=0.005"))
     assert nlos.endswith(" pass")
-    assert "FAIL (analytic: tail bound never met the tolerance" in failed
+    assert "FAIL (analytic: interference integral did not converge" in failed
     assert lines[-1] == "overall: FAIL"
 
 
@@ -588,17 +601,19 @@ def test_verify_config_judges_the_rows_sweep_writes(tmp_path, capsys):
 
 
 #: Runs the CLI on its arguments in a new interpreter and reports, as the
-#: last line, the exit code, the standard output, and whether
-#: scipy.integrate got loaded.
+#: last line, the exit code, the standard output, whether scipy.integrate
+#: and numpy.polynomial got loaded, and whether the quadrature rule was built.
 _FRESH_CLI = """
 import contextlib, io, json, sys
 import xroad.cli
 with contextlib.redirect_stdout(io.StringIO()) as out:
     code = xroad.cli.main(sys.argv[1:])
 integrate = "scipy.integrate" in sys.modules
+polynomial = "numpy.polynomial" in sys.modules
 from xroad import analytic
 print(json.dumps({"code": code, "out": out.getvalue(), "integrate": integrate,
-                  "quadrature": analytic._panel_rule.cache_info().currsize}))
+                  "polynomial": polynomial,
+                  "quadrature": analytic._node_table.cache_info().currsize}))
 """
 
 
@@ -614,7 +629,8 @@ def run_fresh_cli(*argv: str) -> dict:
 def test_cold_start_never_loads_scipy_integrate(tmp_path):
     # The verify grid has closed forms only, so its process never builds
     # the quadrature rule; a general-alpha point off the lanes is
-    # quadratured, by the engine's own rule, not scipy's.
+    # quadratured, by the engine's own rule, not scipy's, and its node
+    # table needs numpy core only.
     verify = run_fresh_cli("verify", "--trials", "1024", "--workers", "2")
     assert verify["code"] == 0 and not verify["integrate"]
     assert not verify["quadrature"]
@@ -623,7 +639,7 @@ def test_cold_start_never_loads_scipy_integrate(tmp_path):
     point = run_fresh_cli("point", "--config", str(path),
                           "--engine", "analytic")
     assert point["code"] == 0 and not point["integrate"]
-    assert point["quadrature"]
+    assert point["quadrature"] and not point["polynomial"]
     outage = analytic.outage_probability(
         parse_scenario(load_config(path))).outage_prob
     assert f"outage (analytic)      {outage:.6f}" in point["out"]

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from analytic_helpers import fail_alpha, success_probability
 from xroad import analytic, sweep
 from xroad.model import (LOS, NLOS, ChannelParams, DestinationGeometry,
                          LinkSpec, RoadLayout, Scenario, ValidationError)
@@ -253,10 +254,10 @@ def test_compare_engines_rejects_invalid_scenario_before_any_engine(
                         SimConfig(trials=200, master_seed=2))
 
 
-def test_compare_engines_reports_engine_errors_per_point():
-    # alpha = 1.05 with D off the lanes validates, but the analytic
-    # engine's quadrature fails there; that point fails, the other still
-    # passes.
+def test_compare_engines_reports_engine_errors_per_point(monkeypatch):
+    # An analytic engine that fails at alpha = 1.05: that point fails, the
+    # other still passes.
+    fail_alpha(monkeypatch, 1.05)
     failing = base_scenario(channel=ChannelParams(alpha=1.05, m=1),
                             geometry=DestinationGeometry(50.0, 0.5))
     report = compare_engines([("a1.05", failing), ("ok", base_scenario())],
@@ -313,9 +314,8 @@ def test_compare_rows_labels_and_verdicts():
 #: alpha = 3.3 with D off both roads: every lane is quadratured.
 GENERAL = base_scenario(channel=ChannelParams(alpha=3.3, m=4),
                         geometry=DestinationGeometry(50.0, 0.5))
-#: At density 0.1 and above, 1/rate is below the largest total of the lane
-#: nearest D, so its integrals from density 0.03 must not be reused; at
-#: density 1 that lane's integrals differ from those of a sparse lane.
+#: At density 0.1 and above, 1/rate caps the cut of the lane nearest D, so
+#: rows that share its integrals cut them at different edges.
 GENERAL_AXES = {"density": (0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0),
                 "distance_d": (0.0, 25.0, 50.0, 100.0),
                 "lanes": (1.0, 2.0, 3.0),
@@ -325,8 +325,8 @@ GENERAL_AXES = {"density": (0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0),
 
 @pytest.mark.parametrize("axis", sorted(GENERAL_AXES))
 def test_sweep_rows_equal_their_points_outside_a_sweep(axis):
-    # The dense variant comes first: a sparse point must not reuse what it
-    # quadratured.
+    # The dense variant comes first, so sparse points cut the integrals it
+    # quadratured with their own rates.
     spec = SweepSpec(GENERAL, axis, GENERAL_AXES[axis],
                      engines=("analytic",),
                      variants=(Variant("dense", layout=RoadLayout.intersection(
@@ -341,18 +341,23 @@ def test_sweep_rows_equal_their_points_outside_a_sweep(axis):
              for _, variant, _, value, scenario in sweep_points(spec)]
     assert rows == alone
     assert all(r.outage_analytic is not None
-               for r in rows if r.variant == "general")
-    assert any("tail bound never met the tolerance" in r.error
-               for r in rows if r.variant == "a1.05")
+               for r in rows if r.variant != "dense")
+    # alpha = 1.05: its first point against QUADPACK
+    # (tests/analytic_helpers.py).
+    first = next(scenario for _, variant, _, _, scenario in sweep_points(spec)
+                 if variant.label == "a1.05")
+    row = next(r for r in rows if r.variant == "a1.05")
+    assert row.outage_analytic == pytest.approx(
+        1.0 - success_probability(first), rel=1e-8)
 
 
 def test_shared_integrals_last_one_sweep(monkeypatch):
     calls = []
     real = analytic._exponent_integrals
 
-    def counted(s, h, alpha, orders, *args, **kwargs):
-        calls.append((s, h, alpha, orders))
-        return real(s, h, alpha, orders, *args, **kwargs)
+    def counted(s, hs, alpha, orders):
+        calls.extend((s, h, alpha, orders) for h in hs)
+        return real(s, hs, alpha, orders)
     monkeypatch.setattr(analytic, "_exponent_integrals", counted)
     spec = SweepSpec(GENERAL, "density", GENERAL_AXES["density"],
                      engines=("analytic",))
@@ -374,5 +379,10 @@ def test_shared_integrals_last_one_sweep(monkeypatch):
     assert swept[0] == swept[1]
     assert alone[0] == alone[1]
     assert len(swept[0]) < sum(map(len, alone[0]))
-    # The refused entry was quadratured again.
-    assert len(set(swept[0])) < len(swept[0])
+    # Each lane is quadratured once per sweep; the densest row, which cuts
+    # the shared integrals with its own rate, against QUADPACK.
+    assert len(set(swept[0])) == len(swept[0])
+    rows = run_sweep(spec, SimConfig(trials=1))
+    densest = list(sweep_points(spec))[-1][-1]
+    assert rows[-1].outage_analytic == pytest.approx(
+        1.0 - success_probability(densest), rel=1e-8)
