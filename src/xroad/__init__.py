@@ -9,8 +9,7 @@ and ships a CLI for parameter sweeps.
 __version__ = "0.1.0"
 
 from .analytic import (AnalyticResult, ConsistencyError, QuadratureError,
-                       UnsupportedExponentError, laplace_closed_alpha2,
-                       laplace_closed_alpha4, outage_probability)
+                       outage_probability)
 from .model import (LOS, NLOS, ChannelParams, DestinationGeometry, Lane,
                     LinkSpec, RoadLayout, Scenario, ValidationError,
                     destination_position, validate_scenario)
@@ -24,9 +23,8 @@ __all__ = [
     "AnalyticResult", "ChannelParams", "ComparisonReport", "ConsistencyError",
     "DestinationGeometry", "LOS", "Lane", "LinkSpec", "NLOS",
     "OutageEstimate", "QuadratureError", "RoadLayout", "Scenario",
-    "SimConfig", "SweepRow", "SweepSpec", "UnsupportedExponentError",
-    "ValidationError", "Variant", "compare_engines",
-    "default_verification_grid", "destination_position", "estimate",
-    "laplace_closed_alpha2", "laplace_closed_alpha4", "outage_probability",
-    "run_sweep", "validate_scenario", "write_csv",
+    "SimConfig", "SweepRow", "SweepSpec", "ValidationError", "Variant",
+    "compare_engines", "default_verification_grid", "destination_position",
+    "estimate", "outage_probability", "run_sweep", "validate_scenario",
+    "write_csv",
 ]

@@ -123,9 +123,11 @@ class AnalyticResult:
 def quad(f, a: float, b: float, points=None) -> tuple[float, float]:
     """(integral, error estimate) of f over [a, b] from QUADPACK: relative
     tolerance _REL_TOL/16 only, up to 200 subintervals, breakpoints `points`
-    inside [a, b].  scipy.integrate is imported on the first call.  The
-    engine does not call it; the benchmark's layer tracer (bench/layers.py)
-    wraps it by name, until that tracer counts the engine's own rule."""
+    inside [a, b].  scipy.integrate is imported on the first call, so it
+    needs scipy, which xroad no longer installs.  The engine does not call
+    it; it stays only because the benchmark's layer tracer (bench/layers.py)
+    wraps it by name, and goes once that tracer counts the engine's own
+    rule."""
     global _scipy_quad
     if _scipy_quad is None:
         from scipy.integrate import quad as _scipy_quad

@@ -21,7 +21,6 @@ from dataclasses import replace
 from importlib import resources
 
 import numpy
-import scipy
 
 from . import __version__
 from .config import (ConfigError, load_config, parse_scenario, parse_sim,
@@ -123,7 +122,7 @@ def _write_outputs(rows: list[SweepRow], out: str, raw: dict, sim: SimConfig,
         "engines": list(engines),
         "config": {**raw, "sim": sim_section(sim)},
         "versions": {"python": platform.python_version(),
-                     "numpy": numpy.__version__, "scipy": scipy.__version__},
+                     "numpy": numpy.__version__},
     }
     try:
         write_csv(rows, out)
@@ -163,8 +162,8 @@ def _cmd_point(args) -> int:
 
 
 def _sweep_config(raw: dict, args) -> tuple[SweepSpec, SimConfig]:
-    """Validated sweep of a config, running the command's engines, and its
-    sim with the overrides."""
+    """Sweep of a config, running the command's engines, and its sim with
+    the overrides; the points are validated when the sweep runs."""
     scenario = parse_scenario(raw)
     if "sweep" not in raw:
         raise ConfigError("config has no 'sweep' section")
@@ -174,11 +173,22 @@ def _sweep_config(raw: dict, args) -> tuple[SweepSpec, SimConfig]:
     return spec, sim
 
 
+def _sweep_rows(spec: SweepSpec, sim: SimConfig,
+                workers: int) -> list[SweepRow]:
+    """run_sweep's rows.  Engine errors land in the rows, so a ValueError
+    it raises names an invalid point, before any engine ran: a config
+    error."""
+    try:
+        return run_sweep(spec, sim, workers=workers)
+    except ValueError as exc:
+        raise ConfigError(f"sweep: {exc}") from exc
+
+
 def _run_sweep_config(raw: dict, args, default_out: str) -> int:
     spec, sim = _sweep_config(raw, args)
     out = args.out or default_out
     _check_writable(out)
-    rows = run_sweep(spec, sim, workers=args.workers)
+    rows = _sweep_rows(spec, sim, args.workers)
     _write_outputs(rows, out, raw, sim, spec.engines)
     failures = [r for r in rows if r.error]
     print(f"wrote {len(rows)} rows to {out}"
@@ -201,7 +211,7 @@ def _cmd_preset(args) -> int:
 def _cmd_verify(args) -> int:
     if args.config:
         spec, sim = _sweep_config(load_config(args.config), args)
-        report = compare_rows(run_sweep(spec, sim, workers=args.workers))
+        report = compare_rows(_sweep_rows(spec, sim, args.workers))
     else:
         sim = replace(parse_sim({}, seed=args.seed, trials=args.trials),
                       half_length=4000.0)

@@ -16,7 +16,7 @@ from pathlib import Path
 from .model import (CHANNEL_PRESETS, ChannelParams, DestinationGeometry,
                     LinkSpec, RoadLayout, Scenario, validate_scenario)
 from .montecarlo import SimConfig
-from .sweep import SweepSpec, Variant, db_to_linear, validate_sweep
+from .sweep import SweepSpec, Variant, check_spec, db_to_linear
 
 
 class ConfigError(ValueError):
@@ -171,6 +171,8 @@ def parse_variant(obj: dict, where: str) -> Variant:
 
 
 def parse_sweep(obj: dict, base: Scenario) -> SweepSpec:
+    """The sweep section over `base`, its axis, values and variants checked;
+    run_sweep validates its points before any engine runs."""
     _check_keys(obj, "sweep",
                 {"axis", "values", "variants", "lane_spacing"},
                 {"axis", "values"})
@@ -188,9 +190,10 @@ def parse_sweep(obj: dict, base: Scenario) -> SweepSpec:
         lane_spacing=_number(obj, "sweep", "lane_spacing", 3.5),
     )
     try:
-        return validate_sweep(spec)
+        check_spec(spec)
     except ValueError as exc:
         raise ConfigError(f"sweep: {exc}") from exc
+    return spec
 
 
 def load_config(path: str | Path) -> dict:

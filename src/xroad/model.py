@@ -190,14 +190,16 @@ def validate_scenario(scenario: Scenario) -> Scenario:
     if _check_finite(v, "alpha", ch.alpha) and ch.alpha <= 1.0:
         v.append("path-loss exponent alpha must exceed 1 for the "
                  "interference integral to converge")
-    if isinstance(ch.m, bool) or (not isinstance(ch.m, int)
-                                  and float(ch.m) != int(ch.m)):
+    if isinstance(ch.m, bool):
         v.append("non-integer Nakagami m")
-    elif int(ch.m) < 1:
-        v.append("Nakagami m must be a positive integer")
-    elif int(ch.m) > MAX_M:
-        v.append(f"Nakagami m = {int(ch.m)} exceeds the supported maximum "
-                 f"of {MAX_M}")
+    elif isinstance(ch.m, int) or _check_finite(v, "m", float(ch.m)):
+        if ch.m != int(ch.m):
+            v.append("non-integer Nakagami m")
+        elif int(ch.m) < 1:
+            v.append("Nakagami m must be a positive integer")
+        elif int(ch.m) > MAX_M:
+            v.append(f"Nakagami m = {int(ch.m)} exceeds the supported "
+                     f"maximum of {MAX_M}")
     if _check_finite(v, "mu", ch.mu) and ch.mu <= 0.0:
         v.append("fading mean mu must be positive")
 

@@ -101,11 +101,9 @@ def point_label(variant: str, axis: str, value: float) -> str:
     return variant if axis == "none" else f"{variant} {axis}={value:g}"
 
 
-def sweep_points(spec: SweepSpec) -> list[tuple]:
-    """(variant index, variant, value index, value, validated scenario)
-    for every sweep point, in (variant, value) order.  An invalid spec
-    raises ValueError, and so does an invalid point, naming it ("base
-    aloha_p=1.5: Aloha probability ...")."""
+def check_spec(spec: SweepSpec) -> None:
+    """Raise ValueError if the spec's axis, values, engines or variants are
+    unusable; its points are left to sweep_points."""
     if spec.axis not in AXES:
         raise ValueError(f"sweep axis must be one of {AXES}")
     if not spec.values:
@@ -125,6 +123,14 @@ def sweep_points(spec: SweepSpec) -> list[tuple]:
                          "linear threshold")
     if not spec.variants:
         raise ValueError("at least one variant is required")
+
+
+def sweep_points(spec: SweepSpec) -> list[tuple]:
+    """(variant index, variant, value index, value, validated scenario)
+    for every sweep point, in (variant, value) order.  An invalid spec
+    raises ValueError, and so does an invalid point, naming it ("base
+    aloha_p=1.5: Aloha probability ...")."""
+    check_spec(spec)
     validate_scenario(spec.base)
     points = []
     for vi, variant in enumerate(spec.variants):

@@ -9,7 +9,6 @@ from pathlib import Path
 
 import numpy
 import pytest
-import scipy
 
 import xroad
 from analytic_helpers import fail_alpha, success_probability
@@ -112,6 +111,14 @@ def test_parse_sweep_rejects_unknown_axis(tmp_path):
         "axis": "bogus", "values": [1.0]}))
     with pytest.raises(ConfigError, match="sweep.axis"):
         parse_sweep(raw["sweep"], parse_scenario(raw))
+
+
+def test_package_exports_leave_out_the_closed_forms():
+    # The closed forms stay in xroad.analytic, where the tests use them.
+    closed = {"laplace_closed_alpha2", "laplace_closed_alpha4",
+              "UnsupportedExponentError"}
+    assert not closed & set(xroad.__all__)
+    assert all(hasattr(xroad, name) for name in xroad.__all__)
 
 
 # ---------------------------------------------------------------------- CLI
@@ -320,8 +327,7 @@ def test_point_writes_csv_and_metadata(tmp_path, capsys):
     assert meta["config"]["sim"]["trials"] == 200
     assert meta["tool"] == "xroad"
     assert meta["versions"] == {"python": platform.python_version(),
-                                "numpy": numpy.__version__,
-                                "scipy": scipy.__version__}
+                                "numpy": numpy.__version__}
 
 
 def test_sweep_command_writes_rows(tmp_path, capsys):
@@ -581,6 +587,22 @@ def test_invalid_sweep_point_exits_2_before_any_engine(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_sweep_validates_each_point_once(tmp_path, capsys, monkeypatch):
+    # Parsing checks the sweep section; run_sweep validates the base and
+    # each of the 32 points of fig3, once, before any engine runs.
+    calls = []
+    real = sweep.validate_scenario
+
+    def counted(scenario):
+        calls.append(scenario)
+        return real(scenario)
+    monkeypatch.setattr(sweep, "validate_scenario", counted)
+    code = cli.main(["preset", "fig3", "--engine", "analytic",
+                     "--out", str(tmp_path / "fig3.csv")])
+    assert code == 0
+    assert len(calls) == 33
+
+
 def test_verify_config_judges_the_rows_sweep_writes(tmp_path, capsys):
     path = write_config(tmp_path, sweep={
         "axis": "aloha_p", "values": [0.2, 0.5],
@@ -601,17 +623,18 @@ def test_verify_config_judges_the_rows_sweep_writes(tmp_path, capsys):
 
 
 #: Runs the CLI on its arguments in a new interpreter and reports, as the
-#: last line, the exit code, the standard output, whether scipy.integrate
-#: and numpy.polynomial got loaded, and whether the quadrature rule was built.
+#: last line, the exit code, the standard output, the scipy modules loaded,
+#: whether numpy.polynomial got loaded, and whether the quadrature rule was
+#: built.
 _FRESH_CLI = """
 import contextlib, io, json, sys
 import xroad.cli
 with contextlib.redirect_stdout(io.StringIO()) as out:
     code = xroad.cli.main(sys.argv[1:])
-integrate = "scipy.integrate" in sys.modules
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 polynomial = "numpy.polynomial" in sys.modules
 from xroad import analytic
-print(json.dumps({"code": code, "out": out.getvalue(), "integrate": integrate,
+print(json.dumps({"code": code, "out": out.getvalue(), "scipy": scipy,
                   "polynomial": polynomial,
                   "quadrature": analytic._node_table.cache_info().currsize}))
 """
@@ -627,18 +650,23 @@ def run_fresh_cli(*argv: str) -> dict:
 
 
 def test_cold_start_never_loads_scipy_integrate(tmp_path):
-    # The verify grid has closed forms only, so its process never builds
-    # the quadrature rule; a general-alpha point off the lanes is
-    # quadratured, by the engine's own rule, not scipy's, and its node
-    # table needs numpy core only.
+    # No command loads any scipy module: xroad does not depend on scipy.
+    # The verify grid and the fig3 preset have closed forms only, so their
+    # processes never build the quadrature rule; a general-alpha point off
+    # the lanes is quadratured, by the engine's own rule, and its node table
+    # needs numpy core only.
     verify = run_fresh_cli("verify", "--trials", "1024", "--workers", "2")
-    assert verify["code"] == 0 and not verify["integrate"]
+    assert verify["code"] == 0 and verify["scipy"] == []
     assert not verify["quadrature"]
+    fig3 = run_fresh_cli("preset", "fig3", "--engine", "analytic",
+                         "--out", str(tmp_path / "fig3.csv"))
+    assert fig3["code"] == 0 and fig3["scipy"] == []
+    assert fig3["out"] == f"wrote 32 rows to {tmp_path / 'fig3.csv'}\n"
     path = write_config(tmp_path, channel={"alpha": 3.3, "m": 3},
                         geometry={"d": 50.0, "theta": 0.5})
     point = run_fresh_cli("point", "--config", str(path),
                           "--engine", "analytic")
-    assert point["code"] == 0 and not point["integrate"]
+    assert point["code"] == 0 and point["scipy"] == []
     assert point["quadrature"] and not point["polynomial"]
     outage = analytic.outage_probability(
         parse_scenario(load_config(path))).outage_prob

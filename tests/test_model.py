@@ -61,6 +61,9 @@ def test_aloha_probability_out_of_range():
     (dict(layout=RoadLayout.intersection(0.0, -0.01)), "lambda_y"),
     (dict(theta_threshold=0.0), "threshold"),
     (dict(theta_threshold=math.nan), "not finite"),
+    (dict(channel=ChannelParams(alpha=3.0, m=math.nan)), "m is not finite"),
+    (dict(channel=ChannelParams(alpha=3.0, m=math.inf)), "m is not finite"),
+    (dict(channel=ChannelParams(alpha=3.0, m=-math.inf)), "m is not finite"),
 ])
 def test_each_invariant_produces_named_error(overrides, fragment):
     with pytest.raises(ValidationError, match=fragment):
