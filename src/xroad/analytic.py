@@ -40,16 +40,15 @@ are formed in logs, so nothing overflows as alpha nears 1, and each level's
 nodes include those of the level below, which gives the error estimate.
 The benchmark's stored reference holds values of an engine that cut each
 integral at a window edge T = 1e4 * 2^n; _truncated subtracts that tail.
-Within sharing_lane_integrals(), which run_sweep enters, points share the
-jet or quadrature of each (s, h, alpha, order).
+Points evaluated with one lane table (outage_probability's `shared`, which
+sweep._rows passes to every row of a sweep or a verify grid) share the jet
+or quadrature of each (s, h, alpha, order).
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,11 +70,6 @@ _FIRST_LEVEL, _LAST_LEVEL = 5, 7
 
 #: scipy.integrate.quad, once quad() has loaded it.
 _scipy_quad = None
-
-#: (s, h, alpha, order) -> (a lane's jet, or its whole-line J_0..J_order,
-#: and whether _truncated cuts it), shared by the points of one
-#: sharing_lane_integrals() block; unset outside such a block.
-_shared_integrals: ContextVar[dict] = ContextVar("_shared_integrals")
 
 
 @functools.cache
@@ -287,17 +281,6 @@ def _exponent_integral(k: int, s: float, h: float, alpha: float,
     return _truncated(j, s, h, alpha, range(k, k + 1), err_cap)[0]
 
 
-@contextlib.contextmanager
-def sharing_lane_integrals():
-    """Within the block, analytic points share their lanes' jets and
-    quadratured integrals; they are dropped when the block ends."""
-    token = _shared_integrals.set({})
-    try:
-        yield
-    finally:
-        _shared_integrals.reset(token)
-
-
 def _jet_mul(a: list[float], b: list[float]) -> list[float]:
     return [sum(a[j] * b[k - j] for j in range(k + 1)) for k in range(len(a))]
 
@@ -332,7 +315,16 @@ def _lane_integral_jet(s: float, h: float, alpha: float,
                        w = sqrt(h^4 + s); the quotient form avoids the
                        cancellation in (w - h^2) when s << h^4
       h = 0, any alpha: J = 2*pi * s^(1/alpha) / (alpha * sin(pi/alpha))
+
+    For alpha = 2 and 4, J(s; h) = 2^e J(2^(-alpha e) s; 2^-e h), and
+    scaling by a power of two is exact.  A lane at h >= 2^(1000/alpha),
+    where h^alpha would near the end of the float range, is evaluated at
+    e > 0; any other at e = 0.
     """
+    if alpha in (2.0, 4.0) and 2.0 ** (1000.0 / alpha) <= h < math.inf:
+        e = math.frexp(h)[1] - round(1000.0 / alpha)
+        return [math.ldexp(c, e) for c in _lane_integral_jet(
+            math.ldexp(s, -round(alpha) * e), math.ldexp(h, -e), alpha, order)]
     t = ([s, -s] + [0.0] * order)[:order + 1]    # the jet of s*(1 - tau)
     if alpha == 2.0:
         x = [s + h * h] + t[1:]
@@ -376,8 +368,8 @@ def laplace_closed_alpha2(s: float, lane: Lane, scenario: Scenario) -> float:
     return _laplace_closed(2.0, s, lane, scenario)
 
 
-def _exponent_coefficients(scenario: Scenario, s: float,
-                           order: int) -> list[float]:
+def _exponent_coefficients(scenario: Scenario, s: float, order: int,
+                           shared: dict | None = None) -> list[float]:
     """Taylor coefficients g~_0..g~_order of g(s*(1 - tau)), where g is the
     exponent of the Laplace transform of the total interference from both
     roads; g~_k = (-s)^k g^(k)(s) / k!.
@@ -387,8 +379,10 @@ def _exponent_coefficients(scenario: Scenario, s: float,
     summed p*lam of the lanes at h on either road.  Each h is evaluated
     once, from the closed-form jet where one exists and otherwise by
     quadrature, one array pass for all such h, cut by _truncated with
-    err_cap = 1/rate_h.  Neither depends on the rate, so inside
-    sharing_lane_integrals() a later point reuses them.
+    err_cap = 1/rate_h.  Neither depends on the rate, so they are kept in
+    `shared`, the lane table, as (s, h, alpha, order) -> (the jet, or the
+    whole-line J_0..J_order, and whether _truncated cuts it), and a later
+    point given the same table reuses them; None means a fresh table.
     """
     out = [0.0] * (order + 1)
     if s == 0.0:
@@ -407,7 +401,8 @@ def _exponent_coefficients(scenario: Scenario, s: float,
     if sum(rate * math.sqrt(max(rho - h, 0.0) * (rho + h))
            for h, rate in rates.items()) > 800.0:
         return [-math.inf] + out[1:]
-    shared = _shared_integrals.get({})
+    if shared is None:
+        shared = {}
     orders = range(order + 1)
     new = {h: _lane_integral_jet(s, h, alpha, order) for h in rates
            if (s, h, alpha, order) not in shared}
@@ -437,12 +432,15 @@ def _clamp_probability(value: float) -> float:
         f"success probability {value} outside [0, 1] beyond rounding")
 
 
-def outage_probability(scenario: Scenario) -> AnalyticResult:
+def outage_probability(scenario: Scenario,
+                       shared: dict | None = None) -> AnalyticResult:
     """Outage and success probability of the link; success is the sum of m
     nonnegative per-order summands (per_term), the Taylor coefficients
-    e~_k of L(s*(1 - tau)) = exp(sum_k g~_k tau^k)."""
+    e~_k of L(s*(1 - tau)) = exp(sum_k g~_k tau^k).  `shared` is the lane
+    table of _exponent_coefficients; None means a fresh one."""
     m = scenario.channel.m
-    g = _exponent_coefficients(scenario, scenario.laplace_argument, m - 1)
+    g = _exponent_coefficients(scenario, scenario.laplace_argument, m - 1,
+                               shared)
     terms = [math.exp(g[0])]
     for k in range(1, m):
         terms.append(math.fsum(j * g[j] * terms[k - j]

@@ -204,6 +204,10 @@ def load_config(path: str | Path) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # A JSON integer of more than 4300 digits, which int() refuses, or
+        # arrays or objects nested too deep for the parser.
+        raise ConfigError(f"config cannot be parsed: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError("config root must be an object")
     return obj

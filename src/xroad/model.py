@@ -198,8 +198,11 @@ def validate_scenario(scenario: Scenario) -> Scenario:
         elif int(ch.m) < 1:
             v.append("Nakagami m must be a positive integer")
         elif int(ch.m) > MAX_M:
-            v.append(f"Nakagami m = {int(ch.m)} exceeds the supported "
-                     f"maximum of {MAX_M}")
+            # str() refuses an int of more than 4300 digits; every m that a
+            # float can hold is shown.
+            shown = f" = {int(ch.m)}" if int(ch.m).bit_length() <= 1024 else ""
+            v.append(f"Nakagami m{shown} exceeds the supported maximum of "
+                     f"{MAX_M}")
     if _check_finite(v, "mu", ch.mu) and ch.mu <= 0.0:
         v.append("fading mean mu must be positive")
 

@@ -184,10 +184,11 @@ def row_seed(master_seed: int, variant_index: int, value_index: int) -> int:
 
 
 def sweep_row(scenario: Scenario, engines: tuple[str, ...], sim: SimConfig,
-              workers: int, variant: str, axis: str,
-              value: float) -> SweepRow:
+              workers: int, variant: str, axis: str, value: float,
+              shared: dict | None = None) -> SweepRow:
     """The row of one validated scenario, from the requested engines, with
-    Monte-Carlo seeded by sim.master_seed as given.
+    Monte-Carlo seeded by sim.master_seed as given, and the analytic engine
+    given the lane table `shared` (None: a fresh one).
 
     An engine error lands in the row's error column and the other engine
     still runs.
@@ -196,7 +197,7 @@ def sweep_row(scenario: Scenario, engines: tuple[str, ...], sim: SimConfig,
     errors: list[str] = []
     if "analytic" in engines:
         try:
-            res = analytic.outage_probability(scenario)
+            res = analytic.outage_probability(scenario, shared)
             cells["outage_analytic"] = res.outage_prob
             cells["throughput_analytic"] = scenario.throughput(
                 res.success_prob)
@@ -214,25 +215,31 @@ def sweep_row(scenario: Scenario, engines: tuple[str, ...], sim: SimConfig,
                     error="; ".join(errors), **cells)
 
 
+def _rows(points: list[tuple], engines: tuple[str, ...], sim: SimConfig,
+          workers: int) -> list[SweepRow]:
+    """The sweep_row of every validated (variant label, axis, value,
+    scenario, seed) point, in order, Monte-Carlo seeded by the point's
+    seed.  The rows share one lane table, which lasts this call only."""
+    shared: dict = {}
+    return [sweep_row(scenario, engines, replace(sim, master_seed=seed),
+                      workers, variant, axis, value, shared)
+            for variant, axis, value, scenario, seed in points]
+
+
 def run_sweep(spec: SweepSpec, sim: SimConfig,
               workers: int = 1) -> list[SweepRow]:
     """All sweep rows in (variant, value) order.
 
     Every point is validated, once, before any engine runs.  The rows
-    share their lanes' quadratured integrals (analytic.
-    sharing_lane_integrals) for the length of this call only.  Engine
-    failures land in the row's error column and the sweep carries on;
-    callers decide what a failed row means for the exit code.
+    share their lanes' jets and quadratured integrals for the length of
+    this call only (_rows).  Engine failures land in the row's error
+    column and the sweep carries on; callers decide what a failed row
+    means for the exit code.
     """
-    rows: list[SweepRow] = []
-    points = sweep_points(spec)
-    with analytic.sharing_lane_integrals():
-        for vi, variant, xi, value, scenario in points:
-            point_sim = replace(sim, master_seed=row_seed(sim.master_seed,
-                                                          vi, xi))
-            rows.append(sweep_row(scenario, spec.engines, point_sim, workers,
-                                  variant.label, spec.axis, value))
-    return rows
+    return _rows([(variant.label, spec.axis, value, scenario,
+                   row_seed(sim.master_seed, vi, xi))
+                  for vi, variant, xi, value, scenario in sweep_points(spec)],
+                 spec.engines, sim, workers)
 
 
 def _format_cell(value) -> str:
@@ -317,11 +324,11 @@ def compare_rows(rows: list[SweepRow]) -> ComparisonReport:
 def compare_engines(grid: list[tuple[str, Scenario]], sim: SimConfig,
                     workers: int = 1) -> ComparisonReport:
     """compare_rows on the sweep_row of every grid point, Monte-Carlo
-    seeded by row_seed(sim.master_seed, 0, index).  An invalid scenario
-    raises ValidationError before any engine runs."""
+    seeded by row_seed(sim.master_seed, 0, index); the points share one
+    lane table, as a sweep's rows do.  An invalid scenario raises
+    ValidationError before any engine runs."""
     grid = [(label, validate_scenario(scenario)) for label, scenario in grid]
-    return compare_rows([
-        sweep_row(scenario, ENGINES,
-                  replace(sim, master_seed=row_seed(sim.master_seed, 0, i)),
-                  workers, label, "none", 0.0)
-        for i, (label, scenario) in enumerate(grid)])
+    return compare_rows(_rows(
+        [(label, "none", 0.0, scenario, row_seed(sim.master_seed, 0, i))
+         for i, (label, scenario) in enumerate(grid)],
+        ENGINES, sim, workers))

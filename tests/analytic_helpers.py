@@ -20,11 +20,11 @@ def fail_alpha(monkeypatch, alpha):
     """Make the analytic engine raise a QuadratureError at `alpha` only."""
     real = analytic.outage_probability
 
-    def engine(scenario):
+    def engine(scenario, shared=None):
         if scenario.channel.alpha == alpha:
             raise QuadratureError("interference integral did not converge",
                                   1e-3)
-        return real(scenario)
+        return real(scenario, shared)
     monkeypatch.setattr(analytic, "outage_probability", engine)
 
 

@@ -1,3 +1,4 @@
+import decimal
 import math
 from dataclasses import replace
 
@@ -454,6 +455,66 @@ def test_alpha2_jet_matches_two_term_split():
                 dj = math.pi * (falling(0.5, k) * x ** (0.5 - k)
                                 - h * h * falling(-0.5, k) * x ** (-0.5 - k))
                 assert g[k] == pytest.approx(-0.005 * dj, rel=1e-12), (h, s, k)
+
+
+def decimal_jet(s, h, alpha, order):
+    """_lane_integral_jet's closed forms for alpha = 2 and 4, in 50-digit
+    decimal arithmetic, whose exponent range takes h^4 at any float h."""
+    def mul(a, b):
+        return [sum(a[j] * b[k - j] for j in range(k + 1))
+                for k in range(len(a))]
+
+    def div(a, b):
+        q = []
+        for k in range(len(a)):
+            q.append((a[k] - sum(b[j] * q[k - j] for j in range(1, k + 1)))
+                     / b[0])
+        return q
+
+    def sqrt(a):
+        r = [a[0].sqrt()]
+        for k in range(1, len(a)):
+            r.append((a[k] - sum(r[j] * r[k - j] for j in range(1, k)))
+                     / (2 * r[0]))
+        return r
+    with decimal.localcontext(decimal.Context(prec=50, Emax=10 ** 6,
+                                              Emin=-10 ** 6)):
+        pi = decimal.Decimal("3.141592653589793238462643383279502884197")
+        s, h = decimal.Decimal(s), decimal.Decimal(h)
+        t = [s, -s] + [decimal.Decimal(0)] * (order - 1)
+        if alpha == 2.0:
+            jet = div(t, sqrt([s + h * h] + t[1:]))
+        else:
+            w = sqrt([h ** 4 + s] + t[1:])
+            jet = div(t, mul(w, sqrt([w[0] + h * h] + w[1:])))
+            pi /= decimal.Decimal(2).sqrt()
+        return [float(pi * c) for c in jet]
+
+
+@pytest.mark.parametrize("alpha", [2.0, 4.0])
+def test_jets_of_lanes_far_from_d(alpha):
+    # h^4 overflows past h = 1.2e77, and s + h^2 past h = 1.3e154.  Held
+    # as 2^-e c, a coefficient c below 2^(e - 1022) loses bits; none of
+    # this grid's above 1e-290 is.
+    for h in (1e77, 1e100, 1e160, 1e300):
+        for s in (1.0, 1e145, 1e300):
+            jet = analytic._lane_integral_jet(s, h, alpha, 8)
+            for k, c in enumerate(decimal_jet(s, h, alpha, 8)):
+                if abs(c) > 1e-290:
+                    assert jet[k] == pytest.approx(c, rel=1e-14), (h, s, k)
+
+
+@pytest.mark.parametrize("alpha,lane,db,outage", [
+    (2.0, 1e160, 2880.0, 1.0),  # s = 1e300: p lam J is about 1.6e138
+    (4.0, 1e100, 0.0, 0.0),     # J is about 1e-295
+])
+def test_lanes_far_from_d_evaluate(alpha, lane, db, outage):
+    sc = Scenario(channel=ChannelParams(alpha=alpha, m=1),
+                  geometry=DestinationGeometry(0.0, 0.0),
+                  link=LinkSpec(r=1e6 if alpha == 2.0 else 20.0),
+                  layout=RoadLayout((lane,), (), 0.01, 0.0),
+                  p=0.5, theta_threshold=db_to_linear(db))
+    assert outage_probability(sc).outage_prob == outage
 
 
 def test_verify_grid_and_presets_need_no_quadrature(monkeypatch, tmp_path):

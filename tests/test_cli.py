@@ -212,6 +212,22 @@ def test_huge_json_integers_exit_2(tmp_path, capsys, command, mutation,
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("text,fragment", [
+    ("9" * 4400, "4300 digits"),  # json.load parses it with int()
+    ("\udcff", "can't decode byte 0xff"),
+    ("[" * 100000 + "]" * 100000, "maximum recursion depth"),
+], ids=["4400-digit integer", "not UTF-8", "nested too deep"])
+def test_unparsable_config_exits_2(tmp_path, capsys, text, fragment):
+    path = write_config(tmp_path, channel={"alpha": 3.3, "m": "M"})
+    path.write_bytes(path.read_text().replace('"M"', text).encode(
+        errors="surrogateescape"))
+    assert cli.main(["point", "--config", str(path), "--engine",
+                     "analytic"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config cannot be parsed: ")
+    assert fragment in err
+
+
 def test_integral_floats_are_accepted(tmp_path):
     raw = load_config(write_config(tmp_path, channel={"alpha": 4.0, "m": 3.0},
                                    sim={"trials": 300.0, "seed": 7.0}))

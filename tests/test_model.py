@@ -64,6 +64,9 @@ def test_aloha_probability_out_of_range():
     (dict(channel=ChannelParams(alpha=3.0, m=math.nan)), "m is not finite"),
     (dict(channel=ChannelParams(alpha=3.0, m=math.inf)), "m is not finite"),
     (dict(channel=ChannelParams(alpha=3.0, m=-math.inf)), "m is not finite"),
+    # More digits than str() converts.
+    (dict(channel=ChannelParams(alpha=3.0, m=10 ** 4400)),
+     "^Nakagami m exceeds the supported maximum of 100$"),
 ])
 def test_each_invariant_produces_named_error(overrides, fragment):
     with pytest.raises(ValidationError, match=fragment):

@@ -177,11 +177,11 @@ def test_run_sweep_byte_identical_output(tmp_path):
 def test_run_sweep_marks_failed_rows_and_continues(monkeypatch):
     calls = {"n": 0}
 
-    def explode(scenario):
+    def explode(scenario, shared=None):
         calls["n"] += 1
         if calls["n"] == 1:
             raise analytic.ConsistencyError("forced failure")
-        return real(scenario)
+        return real(scenario, shared)
 
     real = analytic.outage_probability
     monkeypatch.setattr(analytic, "outage_probability", explode)
@@ -235,6 +235,23 @@ def test_compare_engines_rows_come_from_sweep_row():
         assert point.tolerance == max(0.01, 3.0 * point.row.mc_stderr)
         assert point.abs_diff == abs(point.row.outage_analytic
                                      - point.row.outage_mc)
+
+
+def test_verify_grid_evaluates_each_lane_once(monkeypatch):
+    calls = []
+    real = analytic._lane_integral_jet
+
+    def counted(s, h, alpha, order):
+        calls.append((s, h, alpha, order))
+        return real(s, h, alpha, order)
+    monkeypatch.setattr(analytic, "_lane_integral_jet", counted)
+    grid = default_verification_grid()
+    compare_engines(grid, SimConfig(trials=16))
+    # The 12 points have 20 lane distances but 6 distinct (s, h, alpha, m).
+    assert sorted(calls) == sorted(
+        {(sc.laplace_argument, lane.h, sc.channel.alpha, sc.channel.m - 1)
+         for _, sc in grid for lane in sc.lanes()})
+    assert len(calls) == 6
 
 
 def forbid_engines(monkeypatch):
@@ -342,6 +359,12 @@ def test_sweep_rows_equal_their_points_outside_a_sweep(axis):
     assert rows == alone
     assert all(r.outage_analytic is not None
                for r in rows if r.variant != "dense")
+    # compare_engines shares one lane table over its grid as run_sweep does.
+    report = compare_engines([(r.variant, scenario) for r, (*_, scenario)
+                              in zip(rows, sweep_points(spec))], sim)
+    assert [(p.row.outage_analytic, p.row.throughput_analytic, p.row.error)
+            for p in report.points] == [
+        (r.outage_analytic, r.throughput_analytic, r.error) for r in alone]
     # alpha = 1.05: its first point against QUADPACK
     # (tests/analytic_helpers.py).
     first = next(scenario for _, variant, _, _, scenario in sweep_points(spec)
