@@ -418,6 +418,10 @@ def _exponent_coefficients(scenario: Scenario, s: float, order: int,
             coeffs = j[:1] + [-c for c in j[1:]]
         for k, c in enumerate(coeffs):
             out[k] -= rate * c
+    if out[0] == -math.inf:
+        # rate * J beyond the float range: exp(g~_0) is 0, as past 800
+        # above, and g~_k for k >= 1 may be inf, which exp(g~_0) cannot null.
+        return [-math.inf] + [0.0] * order
     return out
 
 

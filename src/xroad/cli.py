@@ -26,7 +26,7 @@ from . import __version__
 from .config import (ConfigError, load_config, parse_scenario, parse_sim,
                      parse_sweep, sim_section)
 from .model import ValidationError
-from .montecarlo import SimConfig, shutdown_pool
+from .montecarlo import SimConfig
 from .sweep import (ENGINES, SweepRow, SweepSpec, compare_engines,
                     compare_rows, default_verification_grid, point_label,
                     run_sweep, sweep_row, write_csv)
@@ -247,8 +247,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ArithmeticError, ValueError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    finally:
-        shutdown_pool()    # no worker process outlives the command
 
 
 if __name__ == "__main__":

@@ -228,9 +228,16 @@ def validate_scenario(scenario: Scenario) -> Scenario:
         v.append("lambda_x is negative")
     if _check_finite(v, "lambda_y", lay.lambda_y) and lay.lambda_y < 0.0:
         v.append("lambda_y is negative")
-    for name, lanes in (("lanes_x", lay.lanes_x), ("lanes_y", lay.lanes_y)):
-        if not all(math.isfinite(w) for w in lanes):
-            v.append(f"{name} contains a non-finite offset")
+    # A lane's distance from D is |D_y - w| (X road) or |D_x - w| (Y road),
+    # which overflows for some finite d and w.
+    dx, dy = (destination_position(geo) if math.isfinite(geo.d)
+              and math.isfinite(geo.theta) else (0.0, 0.0))
+    for name, lanes, at in (("lanes_x", lay.lanes_x, dy),
+                            ("lanes_y", lay.lanes_y, dx)):
+        if not all(math.isfinite(at - w) for w in lanes):
+            v.append(f"{name} has a lane whose distance from D is not finite"
+                     if all(map(math.isfinite, lanes))
+                     else f"{name} contains a non-finite offset")
 
     if _check_finite(v, "p", scenario.p) and not (0.0 <= scenario.p <= 1.0):
         v.append("Aloha probability out of range")

@@ -13,12 +13,12 @@ draws all the trials' interferer counts with the Aloha thinning folded in
 slices of at most _SLICE interferers, and np.bincount reduces the received
 powers per trial.
 
-With workers > 1, estimate() splits the blocks into one contiguous range
-per worker and runs them on this process's worker pool.  There is one pool
-per process: it is forked when first used, reused by every later estimate
-with the same worker count, and replaced when the count changes or a
-worker dies; shutdown_pool() stops it.  The estimate is bit-identical for
-any worker count.
+With workers > 1, estimate() maps the blocks over a pool of forked
+worker processes, one contiguous range of blocks per worker.  The pool
+belongs to a call: sweep._rows forks one for all its rows and estimate()
+one for itself when given none, and each stops it before it returns.  A
+worker that dies leaves its blocks to this process.  The estimate is
+bit-identical for any worker count.
 
 Only the total interference from both roads decides an outage, so the
 engine carries one interference sum per trial over all lanes, each lane in
@@ -34,11 +34,7 @@ oracle the tests check the block engine against.
 from __future__ import annotations
 
 import math
-import multiprocessing
-import threading
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from itertools import repeat
 from statistics import NormalDist
@@ -126,7 +122,8 @@ def _aggregate(scenario: Scenario, sim: SimConfig,
         along = sample_interferers(lane, sim, rng)
         along = along[rng.random(len(along)) < scenario.p]
         fades = rng.exponential(1.0, len(along))
-        dist_sq = (along - lane.c) ** 2 + lane.h ** 2
+        with np.errstate(over="ignore"):     # beyond the float range: inf
+            dist_sq = (along - lane.c) * (along - lane.c) + lane.h * lane.h
         at_dest = dist_sq == 0.0
         if at_dest.any():
             excluded += int(at_dest.sum())
@@ -154,7 +151,8 @@ def _received_power(fades: np.ndarray, dist_sq: np.ndarray,
     if alpha == 2.0:
         return fades / dist_sq
     if alpha == 4.0:
-        return fades / (dist_sq * dist_sq)
+        with np.errstate(over="ignore"):     # beyond the float range: inf
+            return fades / (dist_sq * dist_sq)
     return fades * dist_sq ** (-0.5 * alpha)
 
 
@@ -166,11 +164,13 @@ def _slice_interference(lane: Lane, alpha: float, along: np.ndarray,
     `along` holds the interferers' coordinates along the lane, `fades`
     their power fades and `owner` the trial (0 .. n_trials-1) each belongs
     to.  Interferers exactly on D have an undefined path loss; they are
-    dropped and returned as the exclusion count.
+    dropped and returned as the exclusion count.  A squared distance beyond
+    the float range is inf, which receives zero power.
     """
     dist_sq = along - lane.c
-    dist_sq *= dist_sq
-    dist_sq += lane.h ** 2
+    with np.errstate(over="ignore"):
+        dist_sq *= dist_sq
+    dist_sq += lane.h * lane.h
     at_dest = dist_sq == 0.0
     excluded = int(np.count_nonzero(at_dest))
     if excluded:
@@ -254,17 +254,6 @@ def _run_block(scenario: Scenario, sim: SimConfig, start: int,
     return int(np.count_nonzero(outages)), excluded
 
 
-def _run_blocks(scenario: Scenario, sim: SimConfig, first: int,
-                stop: int) -> tuple[int, int]:
-    """Summed outage and exclusion counts of blocks first .. stop - 1."""
-    outages = excluded = 0
-    for start in range(first * _BLOCK, stop * _BLOCK, _BLOCK):
-        o, e = _run_block(scenario, sim, start, min(_BLOCK, sim.trials - start))
-        outages += o
-        excluded += e
-    return outages, excluded
-
-
 def _confidence_interval(count: int, trials: int,
                          confidence: float) -> tuple[float, float]:
     """Normal interval, switching to Wilson near the 0/1 boundaries where
@@ -284,71 +273,51 @@ def _confidence_interval(count: int, trials: int,
     return min(max(low, 0.0), p), max(min(high, 1.0), p)
 
 
-# This process's worker pool as (workers, executor), or None.  The lock
-# covers replacing the pool and every map on it.
-_pool: tuple[int, ProcessPoolExecutor] | None = None
-_pool_lock = threading.RLock()
+def _ranges(sim: SimConfig, workers: int) -> int:
+    """Block ranges of estimate(): one per worker, at most one per block."""
+    return min(workers, -(-sim.trials // _BLOCK))
 
 
-def shutdown_pool() -> None:
-    """Stop this process's Monte-Carlo worker processes, if any, and wait
-    for them to exit.  A later estimate with workers > 1 forks new ones."""
-    global _pool
-    with _pool_lock:
-        if _pool is not None:
-            _pool[1].shutdown()
-            _pool = None
+def _fork_pool(processes: int):
+    """A pool of `processes` workers for _run_block, all forked at its first
+    map, so they see the modules as they were then; the caller stops it."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(
+        processes, mp_context=multiprocessing.get_context("fork"))
 
 
-def _pool_of(workers: int) -> ProcessPoolExecutor:
-    """The pool of `workers` processes, forked on first use; a pool of
-    another size is replaced.  The caller holds _pool_lock."""
-    global _pool
-    if _pool is not None and _pool[0] != workers:
-        shutdown_pool()
-    if _pool is None:
-        _pool = (workers, ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context("fork")))
-    return _pool[1]
-
-
-def _map_blocks(scenario: Scenario, sim: SimConfig, cuts: list[int],
-                workers: int) -> list[tuple[int, int]]:
-    """_run_blocks over each range [cuts[i], cuts[i+1]) on the pool of
-    `workers` processes.  A broken pool (a worker died, in this call or
-    while idle) is replaced and the ranges run once more; blocks are
-    deterministic, so the rerun gives the same counts."""
-    def run():
-        return list(_pool_of(workers).map(_run_blocks, repeat(scenario),
-                                          repeat(sim), cuts[:-1], cuts[1:]))
-    with _pool_lock:
-        try:
-            return run()
-        except BrokenProcessPool:
-            shutdown_pool()
-        return run()
-
-
-def estimate(scenario: Scenario, sim: SimConfig,
-             workers: int = 1) -> OutageEstimate:
+def estimate(scenario: Scenario, sim: SimConfig, workers: int = 1,
+             pool=None) -> OutageEstimate:
     """Outage probability averaged over sim.trials realizations.
 
-    Trials are split into fixed blocks.  With workers > 1 and more than one
-    block, each worker of this process's pool runs one contiguous range of
-    them.  The pool's processes are forked when it is first used, so they
-    see the modules as they were then, and stay up for later calls with
-    the same worker count until shutdown_pool().  Counts are integers, so
-    the reduction is exact and the result does not depend on the worker
-    count.
+    Trials are split into fixed blocks, mapped through _run_block in order.
+    With workers > 1 and more than one block, each worker runs one
+    contiguous range of them, on `pool` (a _fork_pool the caller shuts
+    down) or, with none, on a pool forked for this call only.  A broken
+    pool (a worker died) leaves the blocks to this process.  Counts are
+    integers, so the reduction is exact and the result does not depend on
+    the worker count.
     """
-    n_blocks = -(-sim.trials // _BLOCK)
-    ranges = min(workers, n_blocks)
-    if ranges > 1:
-        cuts = [n_blocks * w // ranges for w in range(ranges + 1)]
-        results = _map_blocks(scenario, sim, cuts, workers)
+    starts = range(0, sim.trials, _BLOCK)
+    ranges = _ranges(sim, workers)
+
+    def blocks(mapper, **chunks):
+        return mapper(_run_block, repeat(scenario), repeat(sim), starts,
+                      (min(_BLOCK, sim.trials - start) for start in starts),
+                      **chunks)
+    if ranges < 2:
+        counts = blocks(map)
     else:
-        results = [_run_blocks(scenario, sim, 0, n_blocks)]
-    outages, excluded = map(sum, zip(*results))
+        from concurrent.futures import BrokenExecutor
+        from contextlib import nullcontext
+        with (nullcontext(pool) if pool else _fork_pool(ranges)) as pool:
+            try:
+                counts = list(blocks(pool.map,
+                                     chunksize=-(-len(starts) // ranges)))
+            except BrokenExecutor:
+                counts = blocks(map)    # blocks are deterministic
+    outages, excluded = map(sum, zip(*counts))
     if excluded:
         warnings.warn(f"excluded {excluded} interferer(s) located exactly "
                       "at the destination", RuntimeWarning, stacklevel=2)

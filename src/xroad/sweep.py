@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from . import analytic
+from . import analytic, montecarlo
 from .model import (LOS, NLOS, ChannelParams, DestinationGeometry, LinkSpec,
                     RoadLayout, Scenario, validate_scenario)
 from .montecarlo import SimConfig, estimate
@@ -185,10 +186,10 @@ def row_seed(master_seed: int, variant_index: int, value_index: int) -> int:
 
 def sweep_row(scenario: Scenario, engines: tuple[str, ...], sim: SimConfig,
               workers: int, variant: str, axis: str, value: float,
-              shared: dict | None = None) -> SweepRow:
-    """The row of one validated scenario, from the requested engines, with
-    Monte-Carlo seeded by sim.master_seed as given, and the analytic engine
-    given the lane table `shared` (None: a fresh one).
+              shared: dict | None = None, pool=None) -> SweepRow:
+    """The row of one validated scenario, from the requested engines: the
+    analytic engine given the lane table `shared` (None: a fresh one), and
+    Monte-Carlo seeded by sim.master_seed as given, run on `pool` if any.
 
     An engine error lands in the row's error column and the other engine
     still runs.
@@ -205,7 +206,7 @@ def sweep_row(scenario: Scenario, engines: tuple[str, ...], sim: SimConfig,
             errors.append(f"analytic: {exc}")
     if "montecarlo" in engines:
         try:
-            est = estimate(scenario, sim, workers=workers)
+            est = estimate(scenario, sim, workers, pool=pool)
             cells.update(outage_mc=est.p_hat, mc_stderr=est.stderr,
                          ci_low=est.ci_low, ci_high=est.ci_high,
                          trials=est.trials)
@@ -219,11 +220,15 @@ def _rows(points: list[tuple], engines: tuple[str, ...], sim: SimConfig,
           workers: int) -> list[SweepRow]:
     """The sweep_row of every validated (variant label, axis, value,
     scenario, seed) point, in order, Monte-Carlo seeded by the point's
-    seed.  The rows share one lane table, which lasts this call only."""
+    seed.  The rows share one lane table and, where estimate would fork,
+    one worker pool; both last this call only."""
     shared: dict = {}
-    return [sweep_row(scenario, engines, replace(sim, master_seed=seed),
-                      workers, variant, axis, value, shared)
-            for variant, axis, value, scenario, seed in points]
+    ranges = montecarlo._ranges(sim, workers) if "montecarlo" in engines else 1
+    with (montecarlo._fork_pool(ranges) if ranges > 1
+          else nullcontext()) as pool:
+        return [sweep_row(scenario, engines, replace(sim, master_seed=seed),
+                          workers, variant, axis, value, shared, pool)
+                for variant, axis, value, scenario, seed in points]
 
 
 def run_sweep(spec: SweepSpec, sim: SimConfig,

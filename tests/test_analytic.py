@@ -1,5 +1,6 @@
 import decimal
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -515,6 +516,81 @@ def test_lanes_far_from_d_evaluate(alpha, lane, db, outage):
                   layout=RoadLayout((lane,), (), 0.01, 0.0),
                   p=0.5, theta_threshold=db_to_linear(db))
     assert outage_probability(sc).outage_prob == outage
+
+
+def _extreme_scenario(rng: random.Random) -> Scenario:
+    """A scenario from far corners of the parameter space: alpha up to 100,
+    m up to 100, and d, r, lane offsets, intensities and the threshold
+    over +-300 decades."""
+    def decades():
+        return 10.0 ** rng.uniform(-300.0, 300.0)
+
+    def offsets():
+        return [rng.choice((0.0, decades(), -decades()))
+                for _ in range(rng.randint(0, 3))]
+    alpha = rng.choice((2.0, 4.0, min(1.0 + 10.0 ** rng.uniform(-3, 2),
+                                      100.0)))
+    theta = rng.choice((0.0, math.pi / 2, rng.uniform(0.0, math.pi / 2)))
+    return Scenario(
+        channel=ChannelParams(alpha=alpha, m=rng.randint(1, 100)),
+        geometry=DestinationGeometry(rng.choice((0.0, decades())), theta),
+        link=LinkSpec(r=decades()),
+        layout=RoadLayout(offsets(), offsets(),
+                          rng.choice((0.0, decades())),
+                          rng.choice((0.0, decades()))),
+        p=rng.uniform(0.0, 1.0), theta_threshold=decades())
+
+
+def test_every_accepted_input_evaluates():
+    # Each draw is rejected by validate_scenario, evaluates to an outage in
+    # [0, 1], or misses the quadrature tolerance; anything else is a defect.
+    rng = random.Random(2024)
+    outcomes = {"invalid": 0, "evaluated": 0, "quadrature": 0}
+    for i in range(300):
+        sc = _extreme_scenario(rng)
+        try:
+            outage = outage_probability(validate_scenario(sc)).outage_prob
+        except ValidationError:
+            outcomes["invalid"] += 1
+        except QuadratureError:
+            outcomes["quadrature"] += 1
+        else:
+            assert 0.0 <= outage <= 1.0, (i, sc)
+            outcomes["evaluated"] += 1
+    assert outcomes["evaluated"] >= 100, outcomes
+
+
+@pytest.mark.parametrize("alpha", [2.0, 3.3, 4.0])
+def test_lane_beyond_the_float_range_from_d_is_invalid(alpha):
+    # D at (6e291, 1e308) and an X-road lane at y = -1e308: h = |D_y - w|
+    # overflows.  The engine read nan here at alpha = 3.3 (and at 4 for
+    # m > 1), and 0 at alpha = 2.
+    sc = Scenario(channel=ChannelParams(alpha=alpha, m=3),
+                  geometry=DestinationGeometry(1e308, math.pi / 2),
+                  link=LinkSpec(r=20.0),
+                  layout=RoadLayout((-1e308,), (), 0.01, 0.0),
+                  p=0.5, theta_threshold=1.0)
+    with pytest.raises(ValidationError, match="^lanes_x has a lane whose "
+                       "distance from D is not finite$"):
+        validate_scenario(sc)
+
+
+@pytest.mark.parametrize("alpha,m,lam,lane,d,r", [
+    (1.002842147176705, 67, 4.9e250, 1.5e262, 2.5e278, 2.2e271),
+    (1.254747977786076, 54, 4.4e132, 0.0, 1.7e259, 2.9e240),
+])
+def test_interference_beyond_the_float_range_is_certain_outage(
+        alpha, m, lam, lane, d, r):
+    # p * lam * J_0 overflows, so g~_0 = -inf while g~_k = +inf for some
+    # k >= 1; the recurrence then formed 0 * inf = nan.  exp(g~_0) is 0,
+    # and so is every e~_k.
+    sc = Scenario(channel=ChannelParams(alpha=alpha, m=m),
+                  geometry=DestinationGeometry(d, 0.03),
+                  link=LinkSpec(r=r), layout=RoadLayout((), (lane,), 0.0, lam),
+                  p=0.05, theta_threshold=1e-50)
+    g = _exponent_coefficients(sc, sc.laplace_argument, 1)
+    assert g == [-math.inf, 0.0]
+    assert outage_probability(validate_scenario(sc)).outage_prob == 1.0
 
 
 def test_verify_grid_and_presets_need_no_quadrature(monkeypatch, tmp_path):

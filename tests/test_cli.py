@@ -640,8 +640,8 @@ def test_verify_config_judges_the_rows_sweep_writes(tmp_path, capsys):
 
 #: Runs the CLI on its arguments in a new interpreter and reports, as the
 #: last line, the exit code, the standard output, the scipy modules loaded,
-#: whether numpy.polynomial got loaded, and whether the quadrature rule was
-#: built.
+#: whether numpy.polynomial and multiprocessing got loaded, and whether the
+#: quadrature rule was built.
 _FRESH_CLI = """
 import contextlib, io, json, sys
 import xroad.cli
@@ -649,9 +649,10 @@ with contextlib.redirect_stdout(io.StringIO()) as out:
     code = xroad.cli.main(sys.argv[1:])
 scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 polynomial = "numpy.polynomial" in sys.modules
+multiprocessing = "multiprocessing" in sys.modules
 from xroad import analytic
 print(json.dumps({"code": code, "out": out.getvalue(), "scipy": scipy,
-                  "polynomial": polynomial,
+                  "polynomial": polynomial, "multiprocessing": multiprocessing,
                   "quadrature": analytic._node_table.cache_info().currsize}))
 """
 
@@ -670,13 +671,15 @@ def test_cold_start_never_loads_scipy_integrate(tmp_path):
     # The verify grid and the fig3 preset have closed forms only, so their
     # processes never build the quadrature rule; a general-alpha point off
     # the lanes is quadratured, by the engine's own rule, and its node table
-    # needs numpy core only.
-    verify = run_fresh_cli("verify", "--trials", "1024", "--workers", "2")
+    # needs numpy core only.  Only a run that forks workers loads
+    # multiprocessing.
+    verify = run_fresh_cli("verify", "--trials", "2048", "--workers", "2")
     assert verify["code"] == 0 and verify["scipy"] == []
-    assert not verify["quadrature"]
+    assert not verify["quadrature"] and verify["multiprocessing"]
     fig3 = run_fresh_cli("preset", "fig3", "--engine", "analytic",
                          "--out", str(tmp_path / "fig3.csv"))
     assert fig3["code"] == 0 and fig3["scipy"] == []
+    assert not fig3["multiprocessing"]
     assert fig3["out"] == f"wrote 32 rows to {tmp_path / 'fig3.csv'}\n"
     path = write_config(tmp_path, channel={"alpha": 3.3, "m": 3},
                         geometry={"d": 50.0, "theta": 0.5})
@@ -684,6 +687,7 @@ def test_cold_start_never_loads_scipy_integrate(tmp_path):
                           "--engine", "analytic")
     assert point["code"] == 0 and point["scipy"] == []
     assert point["quadrature"] and not point["polynomial"]
+    assert not point["multiprocessing"]
     outage = analytic.outage_probability(
         parse_scenario(load_config(path))).outage_prob
     assert f"outage (analytic)      {outage:.6f}" in point["out"]

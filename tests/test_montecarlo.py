@@ -4,22 +4,23 @@ import math
 import multiprocessing
 import os
 import signal
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from xroad import cli
+from xroad import cli, montecarlo
 from xroad.analytic import outage_probability
-from xroad.model import (LOS, NLOS, DestinationGeometry, LinkSpec, RoadLayout,
-                         Scenario)
+from xroad.model import (LOS, NLOS, ChannelParams, DestinationGeometry,
+                         LinkSpec, RoadLayout, Scenario)
 from xroad.montecarlo import (SimConfig, estimate, outage_from_interference,
-                              sample_interferers, shutdown_pool, trial_rng)
+                              sample_interferers, trial_rng)
 from xroad.montecarlo import (_BLOCK, _SLICE, _aggregate, _block_interference,
                               _outage_events, _received_power, _run_block,
                               _slice_interference, _slices, _stream)
-from xroad.sweep import SweepSpec, Variant, run_sweep
+from xroad.sweep import SweepSpec, Variant, compare_engines, run_sweep
 
 
 def nlos_scenario(lam=0.01, d=0.0, p=0.5, r=20.0, thresh=1.0,
@@ -192,14 +193,7 @@ def test_estimate_deterministic_and_worker_independent():
         assert first == second == parallel
 
 
-@pytest.fixture
-def pool():
-    """Stops the worker pool a test leaves behind."""
-    yield
-    shutdown_pool()
-
-
-def test_monte_carlo_sweep_rows_do_not_depend_on_workers(pool):
+def test_monte_carlo_sweep_rows_do_not_depend_on_workers():
     # Two variants, two values, 3300 trials (four blocks, the last one
     # partial): every row is identical at 1, 2 and 3 workers.
     spec = SweepSpec(base=nlos_scenario(lam=0.02), axis="aloha_p",
@@ -211,40 +205,89 @@ def test_monte_carlo_sweep_rows_do_not_depend_on_workers(pool):
     assert rows[0] == rows[1] == rows[2]
 
 
-def test_consecutive_estimates_share_one_pool(pool):
-    sc = nlos_scenario(lam=0.02)
-    sim = SimConfig(trials=4 * _BLOCK, master_seed=2)
-    first = estimate(sc, sim, workers=2)
-    pids = {p.pid for p in multiprocessing.active_children()}
-    second = estimate(sc, replace(sim, master_seed=3), workers=2)
-    assert len(pids) == 2
-    assert {p.pid for p in multiprocessing.active_children()} == pids
-    assert first != second
+@pytest.fixture
+def forks(monkeypatch):
+    """The process counts _fork_pool is called with, in order."""
+    calls = []
+    fork_pool = montecarlo._fork_pool
+
+    def counted(processes):
+        calls.append(processes)
+        return fork_pool(processes)
+    monkeypatch.setattr(montecarlo, "_fork_pool", counted)
+    return calls
 
 
-def test_changing_the_worker_count_replaces_the_pool(pool):
+def test_no_worker_outlives_its_call(forks):
+    # Each entry point that forks stops its workers before it returns.
     sc = nlos_scenario(lam=0.02)
-    sim = SimConfig(trials=4 * _BLOCK, master_seed=4)
-    results = set()
-    for workers in (3, 2, 3):
-        results.add(estimate(sc, sim, workers=workers))
-        assert len(multiprocessing.active_children()) <= workers
-    assert len(results) == 1
-    shutdown_pool()
+    sim = SimConfig(trials=3 * _BLOCK, master_seed=4)
+    spec = SweepSpec(base=sc, axis="aloha_p", values=(0.2, 0.5))
+    run_sweep(spec, sim, workers=2)
     assert multiprocessing.active_children() == []
+    compare_engines([("a", sc), ("b", nlos_scenario(lam=0.005))], sim,
+                    workers=2)
+    assert multiprocessing.active_children() == []
+    estimate(sc, sim, workers=2)
+    assert multiprocessing.active_children() == []
+    assert forks == [2, 2, 2]
 
 
-def test_a_dead_worker_is_replaced(pool):
-    # Once the pool notices the death it is broken; the estimate replaces
-    # it and runs the blocks again.  (The surviving worker may also finish
-    # every range before the pool notices; the result is the same.)
+def test_rows_of_one_call_share_one_pool(forks):
+    # One pool per _rows call that runs Monte-Carlo rows, with one process
+    # per range of blocks; none where every row runs in this process.
+    base = nlos_scenario(lam=0.02)
+    spec = SweepSpec(base=base, axis="aloha_p", values=(0.2, 0.5),
+                     variants=(Variant("NLOS"), Variant("LOS", channel=LOS)))
+    sim = SimConfig(trials=2 * _BLOCK, master_seed=5)
+    rows = run_sweep(spec, sim, workers=3)
+    assert forks == [2]
+    assert len({r.outage_mc for r in rows}) == 4      # seeded per row
+    assert rows == run_sweep(spec, sim)
+    run_sweep(replace(spec, engines=("analytic",)), sim, workers=2)
+    run_sweep(spec, replace(sim, trials=_BLOCK), workers=2)
+    assert forks == [2]
+    # estimate runs on a pool it is given and forks none of its own.
+    pool = montecarlo._fork_pool(2)
+    try:
+        assert estimate(base, sim, 2, pool=pool) == estimate(base, sim)
+    finally:
+        pool.shutdown()
+    assert forks == [2, 2]
+
+
+def test_a_dead_worker_is_replaced(forks):
+    # Once the pool notices the death it is broken, and estimate runs the
+    # blocks in this process.  (The surviving worker may also finish every
+    # range before the pool notices; the result is the same.)
     sc = nlos_scenario(lam=0.02)
     sim = SimConfig(trials=4 * _BLOCK, master_seed=6)
-    before = estimate(sc, sim, workers=2)
-    os.kill(multiprocessing.active_children()[0].pid, signal.SIGKILL)
-    assert estimate(sc, sim, workers=2) == before
-    shutdown_pool()
+    pool = montecarlo._fork_pool(2)
+    try:
+        before = estimate(sc, sim, 2, pool=pool)
+        os.kill(multiprocessing.active_children()[0].pid, signal.SIGKILL)
+        assert estimate(sc, sim, 2, pool=pool) == before
+        assert estimate(sc, sim, 2, pool=pool) == before
+    finally:
+        pool.shutdown()
     assert multiprocessing.active_children() == []
+    assert forks == [2]
+
+
+@pytest.mark.parametrize("alpha,d", [(4.0, 1e200), (4.0, 1e100),
+                                     (2.0, 1e200), (3.3, 1e200)])
+def test_interferers_beyond_the_float_range_receive_no_power(alpha, d):
+    # D on the X road 1e100 or 1e200 m from the crossing: h^2 of the Y-road
+    # lane, (u - c)^2 on the X road or, at alpha = 4, dist^4 overflows.
+    # Such interferers receive zero power, with no OverflowError or
+    # RuntimeWarning, in the block engine and in the per-trial oracle.
+    sc = replace(nlos_scenario(lam=0.02, d=d),
+                 channel=ChannelParams(alpha=alpha, m=1))
+    sim = SimConfig(trials=_BLOCK, master_seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert estimate(sc, sim).p_hat == 0.0
+        assert _aggregate(sc, sim, trial_rng(1, 0)) == (0.0, 0)
 
 
 def test_seed_enters_modulo_2_pow_64(tmp_path, capsys):
