@@ -139,57 +139,58 @@ def _exponent_integrals(s: float, hs, alpha: float, orders: range
     rho = s^(1/alpha) of D has y = 1/2 at u* = sqrt(rho^2 - h^2), where for
     large alpha y falls over a width ~ u*/alpha, too narrow for nodes spread
     over the half line; such a lane that misses the tolerance is integrated
-    again split at u*.  Raises QuadratureError if a lane misses it even then.
-    """
+    again as [u*, inf) plus [0, u*], one _tanh_sinh call each, and keeps the
+    larger relative error of the two.  Raises QuadratureError if a lane
+    misses the tolerance even then."""
     h = np.asarray(hs, dtype=float)
-    values, errors, achieved = _tanh_sinh(s, h, alpha, orders,
-                                          np.zeros_like(h))
+    values, errors, achieved = _tanh_sinh(s, h, alpha, orders)
     rho = s ** (1.0 / alpha)
     again = np.flatnonzero((achieved > _REL_TOL) & (h < rho))
     if len(again):
         cut = np.sqrt((rho - h[again]) * (rho + h[again]))
-        values[again], errors[again], achieved[again] = _tanh_sinh(
-            s, h[again], alpha, orders, cut)
-    if achieved.max() > _REL_TOL:
+        far = _tanh_sinh(s, h[again], alpha, orders, cut)
+        near = _tanh_sinh(s, h[again], alpha, orders, cut, near=True)
+        values[again], errors[again] = far[0] + near[0], far[1] + near[1]
+        achieved[again] = np.maximum(far[2], near[2])
+    if not achieved.max() <= _REL_TOL:                  # also when nan
         raise QuadratureError("interference integral did not converge",
                               float(achieved.max()))
     return values.tolist(), errors.tolist()
 
 
 def _tanh_sinh(s: float, h: np.ndarray, alpha: float, orders: range,
-               cut: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+               cut: np.ndarray | None = None, near: bool = False
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """J_k, error estimates and the largest relative estimate of the lanes
-    at distances h, as for _exponent_integrals, each split at cut (0: not
-    split).  The rows are pieces: [cut, inf) of every lane by u = cut +
-    sigma (x^-beta - 1), then [0, cut] of the split ones by u = cut x, so
-    the nodes cluster at u = cut.  Each integrand is the exp of its log less
-    its largest value, so it neither overflows (x^-beta does as alpha nears
-    1) nor loses bits where J_k is subnormal.  Each piece stops at the first
-    level that meets the tolerance, so its values do not depend on others.
-    """
+    at distances h, as for _exponent_integrals, over one kind of piece: the
+    half line by u = sigma (x^-beta - 1) (cut None), [cut, inf) by u = cut
+    + sigma (x^-beta - 1), or [0, cut] by u = cut x (`near`).  Each
+    integrand is the exp of its log less its largest value, so it neither
+    overflows (x^-beta does as alpha nears 1) nor loses bits where J_k is
+    subnormal; relative estimates are taken in those units.  Each lane stops
+    at the first level that meets the tolerance, whatever the others do."""
     beta = 1.0 / (alpha - 1.0)
-    split = np.flatnonzero(cut)
-    lane = np.concatenate([np.arange(len(h)), split])
-    near = np.arange(len(lane)) >= len(h)
     # In units of sigma = h + s^(1/alpha), and with z = ln(a/s):
     # z = shift + (alpha/2) * ln((h/sigma)^2 + (u/sigma)^2).
-    ln_sigma = np.log(h + s ** (1.0 / alpha))[lane, None]
-    with np.errstate(divide="ignore"):                  # h = 0, cut = 0
-        ln_h2 = 2.0 * (np.log(h)[lane, None] - ln_sigma)
-        ln_cut = np.log(cut)[lane, None] - ln_sigma
+    ln_sigma = np.log(h + s ** (1.0 / alpha))[:, None]
+    with np.errstate(divide="ignore"):                  # h = 0
+        ln_h2 = 2.0 * (np.log(h)[:, None] - ln_sigma)
+    if cut is not None:
+        ln_cut = np.log(cut)[:, None] - ln_sigma
     shift = alpha * ln_sigma - math.log(s)
-    ln_du0 = ln_sigma + math.log(beta)
+    ln_du0 = ln_sigma + (ln_cut if near else math.log(beta))  # ln du/dx, x = 1
     k = np.array(orders, dtype=float)[:, None]
 
     def log_integrands(ln_x: np.ndarray, ln_dx: np.ndarray, rows):
-        bx = beta * ln_x
-        ln_u = np.log(-np.expm1(bx)) - bx                # ln(u/sigma)
-        ln_du = (ln_du0[rows] + ln_dx) - (beta + 1.0) * ln_x
-        if len(split):
-            ln_u = np.logaddexp(ln_cut[rows], ln_u)
-            at = near[rows]
-            ln_u[at] = ln_cut[rows][at] + ln_x
-            ln_du[at] = (ln_sigma + ln_cut)[rows][at] + ln_dx
+        if near:
+            ln_u = ln_cut[rows] + ln_x
+            ln_du = ln_du0[rows] + ln_dx
+        else:
+            bx = beta * ln_x
+            ln_u = np.log(-np.expm1(bx)) - bx            # ln((u - cut)/sigma)
+            ln_du = (ln_du0[rows] + ln_dx) - (beta + 1.0) * ln_x
+            if cut is not None:
+                ln_u = np.logaddexp(ln_cut[rows], ln_u)
         z = ((0.5 * alpha) * np.logaddexp(ln_h2[rows], 2.0 * ln_u)
              + shift[rows])
         ln_y = -np.logaddexp(0.0, z)
@@ -200,7 +201,7 @@ def _tanh_sinh(s: float, h: np.ndarray, alpha: float, orders: range,
         return ln_f, ln_du, z, ln_y
 
     table = _node_table()
-    todo = np.arange(len(lane))
+    todo = np.arange(len(h))
     ln_f, ln_du, z, ln_y = log_integrands(*table[0], todo)
     peak = ln_f.max(axis=2, keepdims=True)
     terms = np.exp(ln_f - peak)
@@ -215,22 +216,17 @@ def _tanh_sinh(s: float, h: np.ndarray, alpha: float, orders: range,
         (terms @ (np.abs(ln_du) + np.abs(z))[..., None])[..., 0]
         + (k[:, 0] + 1.0) * (terms @ np.abs(ln_y)[..., None])[..., 0])
     err = np.abs(value - coarse) + rounding
-    for level in range(_FIRST_LEVEL + 1, _LAST_LEVEL + 2):
+    for level in range(_FIRST_LEVEL + 1, _LAST_LEVEL + 1):
         todo = todo[~(err[todo] <= _REL_TOL * value[todo]).all(axis=1)]
-        if not len(todo) or level > _LAST_LEVEL:
+        if not len(todo):
             break
         ln_f = log_integrands(*table[level - _FIRST_LEVEL], todo)[0]
         coarse[todo] = value[todo]
         value[todo] = 0.5 * value[todo] + 2.0 ** -level * np.exp(
             ln_f - peak[todo]).sum(axis=2)
         err[todo] = np.abs(value[todo] - coarse[todo]) + rounding[todo]
-    achieved = (err / value).max(axis=1)
     scale = 2.0 * np.exp(peak[..., 0])
-    value, err = value * scale, err * scale
-    value[split] += value[len(h):]
-    err[split] += err[len(h):]
-    achieved[split] = np.maximum(achieved[split], achieved[len(h):])
-    return value[:len(h)], err[:len(h)], achieved[:len(h)]
+    return value * scale, err * scale, (err / value).max(axis=1)
 
 
 def _truncated(j: list[float], s: float, h: float, alpha: float,

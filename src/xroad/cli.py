@@ -145,9 +145,6 @@ def _cmd_point(args) -> int:
         print(f"outage (analytic)      {row.outage_analytic:.6f}")
         print(f"throughput (analytic)  {row.throughput_analytic:.6f} "
               "bit/s/Hz")
-    if row.error:
-        print(f"numeric error: {row.error}", file=sys.stderr)
-        return EXIT_NUMERIC
     if row.outage_mc is not None:
         pct = 100.0 * sim.confidence
         throughput = scenario.throughput(1.0 - row.outage_mc)
@@ -156,6 +153,9 @@ def _cmd_point(args) -> int:
               f"[{row.ci_low:.6f}, {row.ci_high:.6f}], "
               f"{row.trials} trials, seed {sim.master_seed})")
         print(f"throughput (mc)        {throughput:.6f} bit/s/Hz")
+    if row.error:
+        print(f"numeric error: {row.error}", file=sys.stderr)
+        return EXIT_NUMERIC
     if args.out:
         _write_outputs([row], args.out, raw, sim, engines)
     return EXIT_OK

@@ -61,6 +61,12 @@ class SimConfig:
     confidence: float = 0.95
 
     def __post_init__(self):
+        for name in ("trials", "master_seed"):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, (int, np.integer))):
+                raise ValueError(f"{name} must be an integer")
+            object.__setattr__(self, name, int(value))
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if not (self.half_length > 0.0):

@@ -1,5 +1,7 @@
 """Test helpers for the analytic engine: reference values from
-scipy.integrate.quad, and an engine that fails on demand.
+scipy.integrate.quad, derivatives of the Laplace transform composed with
+complete Bell polynomials, a one-lane scenario, and an engine that fails on
+demand.
 
 The reference is independent of the engine's own rule: each lane integral
 is summed over the pieces [sigma 2^j, sigma 2^(j+1)], -60 <= j < 60, sigma
@@ -12,8 +14,11 @@ from the exponent's derivatives with complete Bell polynomials.
 import math
 
 from xroad import analytic
-from xroad.analytic import QuadratureError
+from xroad.analytic import (QuadratureError, _exponent_coefficients,
+                            outage_probability)
 from xroad.bell import complete_bell_sequence
+from xroad.model import (ChannelParams, DestinationGeometry, LinkSpec,
+                         RoadLayout, Scenario)
 
 
 def fail_alpha(monkeypatch, alpha):
@@ -67,3 +72,36 @@ def success_probability(scenario):
     bell = complete_bell_sequence(x[1:])
     return math.exp(x[0]) * math.fsum(
         (-1) ** n * bell[n] / math.factorial(n) for n in range(m))
+
+
+def scaled_exponent_derivatives(sc, s, max_order):
+    """s^k * g^(k)(s) = (-1)^k * k! * g~_k for k = 0..max_order, from the
+    engine's Taylor coefficients g~_k of g(s*(1 - tau))."""
+    return [(-1.0) ** k * math.factorial(k) * c for k, c in
+            enumerate(_exponent_coefficients(sc, s, max_order))]
+
+
+def laplace(sc, s, n=0):
+    """n-th derivative of the total interference's Laplace transform at s,
+    composed independently of the engine's recurrence:
+    s^n L^(n) = exp(x_0) * B_n(x_1..x_n) with x_k = s^k g^(k)(s)."""
+    x = scaled_exponent_derivatives(sc, s, n)
+    return math.exp(x[0]) * complete_bell_sequence(x[1:])[n] / s ** n
+
+
+def success(sc):
+    return outage_probability(sc).success_prob
+
+
+def x_lane_scenario(alpha: float, h: float, p: float, lam: float,
+                    m: int = 1) -> Scenario:
+    """A single X lane, with no Y road, whose perpendicular distance to D
+    is h."""
+    return Scenario(
+        channel=ChannelParams(alpha=alpha, m=m),
+        geometry=DestinationGeometry(d=h, theta=math.pi / 2),
+        link=LinkSpec(r=20.0),
+        layout=RoadLayout.highway(lam),
+        p=p,
+        theta_threshold=1.0,
+    )

@@ -12,39 +12,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from analytic_helpers import laplace, success, x_lane_scenario
 from xroad import cli
 from xroad.analytic import (_exponent_coefficients, _exponent_integral,
                             laplace_closed_alpha2, laplace_closed_alpha4,
                             outage_probability)
-from xroad.bell import complete_bell_sequence
 from xroad.config import parse_scenario, parse_sim, parse_sweep
-from xroad.model import (LOS, NLOS, ChannelParams, DestinationGeometry,
-                         LinkSpec, RoadLayout, Scenario)
+from xroad.model import (LOS, NLOS, DestinationGeometry, LinkSpec,
+                         RoadLayout, Scenario)
 from xroad.montecarlo import SimConfig
 from xroad.sweep import compare_engines, default_verification_grid, run_sweep
-
-def laplace(sc, s, n=0):
-    """n-th derivative of the total interference's Laplace transform at s,
-    composed independently of the engine's recurrence:
-    s^n L^(n) = exp(x_0) * B_n(x_1..x_n) with x_k = s^k g^(k)(s)
-    = (-1)^k * k! * g~_k."""
-    x = [(-1.0) ** k * math.factorial(k) * c
-         for k, c in enumerate(_exponent_coefficients(sc, s, n))]
-    return math.exp(x[0]) * complete_bell_sequence(x[1:])[n] / s ** n
-
-
-def success(sc):
-    return outage_probability(sc).success_prob
-
-
-def x_lane_scenario(alpha, h, p, lam, m=1):
-    """A single X lane, with no Y road, at distance h from D."""
-    return Scenario(channel=ChannelParams(alpha=alpha, m=m),
-                    geometry=DestinationGeometry(d=h, theta=math.pi / 2),
-                    link=LinkSpec(20.0),
-                    layout=RoadLayout.highway(lam),
-                    p=p, theta_threshold=1.0)
-
 
 def intersection(channel, d=0.0, lam=0.01, r=20.0, p=0.5, thresh=1.0,
                  layout=None):

@@ -6,7 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from analytic_helpers import lane_integral, success_probability
+from analytic_helpers import (lane_integral, laplace,
+                              scaled_exponent_derivatives, success,
+                              success_probability, x_lane_scenario)
 from xroad import analytic, cli
 from xroad.analytic import (ConsistencyError, QuadratureError,
                             UnsupportedExponentError, _exponent_coefficients,
@@ -19,34 +21,15 @@ from xroad.model import (LOS, NLOS, ChannelParams, DestinationGeometry,
                          validate_scenario)
 from xroad.sweep import db_to_linear, default_verification_grid
 
-def scaled_exponent_derivatives(sc, s, max_order):
-    """s^k * g^(k)(s) = (-1)^k * k! * g~_k for k = 0..max_order, from the
-    engine's Taylor coefficients g~_k of g(s*(1 - tau))."""
-    return [(-1.0) ** k * math.factorial(k) * c for k, c in
-            enumerate(_exponent_coefficients(sc, s, max_order))]
-
-
 def exponent_derivatives(sc, s, max_order):
     """g, g', ..., g^(max_order) of the total interference at s > 0."""
     return [x / s ** k for k, x in
             enumerate(scaled_exponent_derivatives(sc, s, max_order))]
 
 
-def laplace(sc, s, n=0):
-    """n-th derivative of the total interference's Laplace transform at s,
-    composed independently of the engine's recurrence:
-    s^n L^(n) = exp(x_0) * B_n(x_1..x_n) with x_k = s^k g^(k)(s)."""
-    x = scaled_exponent_derivatives(sc, s, n)
-    return math.exp(x[0]) * complete_bell_sequence(x[1:])[n] / s ** n
-
-
 def exponent(sc, s, k=0):
     """k-th derivative of the log-Laplace exponent at s."""
     return exponent_derivatives(sc, s, k)[k]
-
-
-def success(sc):
-    return outage_probability(sc).success_prob
 
 
 def quadrature_exponent(k, s, h, alpha, rate):
@@ -57,20 +40,6 @@ def quadrature_exponent(k, s, h, alpha, rate):
         return -rate * _exponent_integral(0, s, h, alpha)
     return ((-1.0) ** k * math.factorial(k) * rate
             * _exponent_integral(k, s, h, alpha) / s ** k)
-
-
-def x_lane_scenario(alpha: float, h: float, p: float, lam: float,
-                    m: int = 1) -> Scenario:
-    """A single X lane, with no Y road, whose perpendicular distance to D
-    is h."""
-    return Scenario(
-        channel=ChannelParams(alpha=alpha, m=m),
-        geometry=DestinationGeometry(d=h, theta=math.pi / 2),
-        link=LinkSpec(r=20.0),
-        layout=RoadLayout.highway(lam),
-        p=p,
-        theta_threshold=1.0,
-    )
 
 
 def intersection_scenario(channel=NLOS, d=0.0, theta=0.0, r=20.0, lam_x=0.01,
@@ -287,18 +256,18 @@ def test_steep_fall_is_integrated_split_at_it(monkeypatch, alpha):
     # u* = sqrt(rho^2 - h^2) over a width ~ u*/alpha: the nodes spread over
     # the whole half line miss the tolerance, and the lanes are integrated
     # again split at u*.  Checked against QUADPACK.
-    splits = []
+    pieces = []
     real = analytic._tanh_sinh
 
-    def counted(s, h, alpha, orders, cut):
-        splits.append(bool(cut.any()))
-        return real(s, h, alpha, orders, cut)
+    def counted(s, h, alpha, orders, cut=None, near=False):
+        pieces.append("whole" if cut is None else "near" if near else "far")
+        return real(s, h, alpha, orders, cut, near)
     monkeypatch.setattr(analytic, "_tanh_sinh", counted)
     sc = intersection_scenario(channel=ChannelParams(alpha=alpha, m=9),
                                d=5.0, theta=0.3)
     assert outage_probability(sc).outage_prob == pytest.approx(
         1.0 - success_probability(sc), rel=1e-8)
-    assert splits == [False, True]
+    assert pieces == ["whole", "far", "near"]
 
 
 @pytest.mark.parametrize("alpha", [1.2, 1.532, 2.5, 3.3, 6.0])

@@ -265,6 +265,26 @@ def test_point_numeric_failure_exit_3(tmp_path, capsys, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
+def test_point_prints_the_engine_that_ran_before_the_error(
+        tmp_path, capsys, monkeypatch):
+    # The analytic engine fails; the Monte-Carlo estimate it ran next to is
+    # still printed, then the error, and the failed point writes no CSV.
+    fail_alpha(monkeypatch, 3.3)
+    path = write_config(tmp_path, channel={"alpha": 3.3, "m": 3},
+                        geometry={"d": 50.0, "theta": 0.5})
+    out = tmp_path / "g.csv"
+    code = cli.main(["point", "--config", str(path), "--engine", "both",
+                     "--trials", "2048", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "outage (analytic)" not in captured.out
+    assert "outage (monte-carlo)" in captured.out
+    assert "2048 trials" in captured.out
+    assert "throughput (mc)" in captured.out
+    assert captured.err.startswith("numeric error: analytic: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 def test_large_alpha_off_the_lane_evaluates(tmp_path, capsys):
     # Both points failed when the integrand formed (s + a)^(k+1).  At
     # alpha = 100, a(u) itself overflows a float inside the first window,

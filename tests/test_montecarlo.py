@@ -41,6 +41,22 @@ def test_sim_config_validation():
         SimConfig(confidence=1.0)
 
 
+def test_sim_config_takes_integer_trials_and_seeds_only():
+    # A bool ran as one trial and was written as `True`; 2.5 trials or seed
+    # 1.5 failed inside estimate with a TypeError that no row caught.
+    for bad in ({"trials": True}, {"trials": 2.5}, {"trials": 4096.0},
+                {"master_seed": 1.5}, {"master_seed": False},
+                {"master_seed": "7"}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            SimConfig(**bad)
+    sim = SimConfig(trials=np.int64(2048), master_seed=np.uint64(2 ** 64 - 1))
+    assert (sim.trials, sim.master_seed) == (2048, 2 ** 64 - 1)
+    assert type(sim.trials) is int and type(sim.master_seed) is int
+    sc = nlos_scenario()
+    assert estimate(sc, sim) == estimate(sc, SimConfig(
+        trials=2048, master_seed=-1))
+
+
 def test_sample_interferers_zero_intensity():
     sc = nlos_scenario(lam=0.0)
     sim = SimConfig(trials=1)
