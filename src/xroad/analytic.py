@@ -33,21 +33,31 @@ with y = s/(s + a),
 
     s(1 - tau) / (s(1 - tau) + a) = y - (1 - y) * sum_{k>=1} y^k tau^k.
 
-A point's lanes and orders share one tanh-sinh rule (Takahasi and Mori,
-1974) on fixed nodes, after u = sigma * (x^-beta - 1), beta = 1/(alpha-1),
+All lanes and orders share one tanh-sinh rule (Takahasi and Mori, 1974)
+on fixed nodes, after u = sigma * (x^-beta - 1), beta = 1/(alpha-1),
 sigma = h + s^(1/alpha), maps x in (0, 1] onto the half line.  Integrands
 are formed in logs, so nothing overflows as alpha nears 1, and each level's
 nodes include those of the level below, which gives the error estimate.
 The benchmark's stored reference holds values of an engine that cut each
 integral at a window edge T = 1e4 * 2^n; _truncated subtracts that tail.
-Points evaluated with one lane table (outage_probability's `shared`, which
-sweep._rows passes to every row of a sweep or a verify grid) share the jet
-or quadrature of each (s, h, alpha, order).
+
+outage_probabilities evaluates a batch of points, such as every row of a
+sweep or a verify grid (sweep._rows), in chunks of at most _BATCH_CELLS
+(point, lane) pairs times orders: one lane table, kept across the chunks,
+holds the jet or quadrature of each distinct (s, h, alpha, order); the
+rule integrates the lanes of one (alpha, order) together, s an array
+beside h, in passes of at most _PASS_ROWS lane-orders; _truncated cuts
+every (point, lane) pair of one alpha in one array pass; and the
+recurrence runs over all points of a chunk at once.  Every array operation
+acts on each lane or point alone and each lane stops at its own level, so
+a point's result is bit for bit the one it gets evaluated alone
+(outage_probability, a batch of one).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -67,6 +77,13 @@ _EPS = 2.0 ** -52           # the spacing of floats at 1
 #: Tanh-sinh levels: level l has the nodes t = j * 2**-l, |t| <= 6.  All
 #: integrals take _FIRST_LEVEL; further levels only while they miss _REL_TOL.
 _FIRST_LEVEL, _LAST_LEVEL = 5, 7
+#: Most lane-orders one _tanh_sinh pass integrates, whatever the batch:
+#: the single points of the benchmark need up to 8 lanes x 8 orders.
+_PASS_ROWS = 64
+#: Most (point, lane) pairs times orders that outage_probabilities
+#: evaluates in one chunk, 128 KB per array; every sweep of the benchmark
+#: needs under 3000.
+_BATCH_CELLS = 2 ** 14
 
 #: scipy.integrate.quad, once quad() has loaded it.
 _scipy_quad = None
@@ -131,44 +148,80 @@ def quad(f, a: float, b: float, points=None) -> tuple[float, float]:
                        points=points, full_output=True)[:2]
 
 
-def _exponent_integrals(s: float, hs, alpha: float, orders: range
-                        ) -> tuple[list[list[float]], list[list[float]]]:
-    """(J_k, error estimate) for each lane distance h in `hs` and each k in
-    `orders`: J_0 = int_R y du and J_k = int_R (1 - y) * y^k du for k >= 1,
-    where y = s/(s + a(u)) and a(u) = (h^2 + u^2)^(alpha/2).  A lane within
-    rho = s^(1/alpha) of D has y = 1/2 at u* = sqrt(rho^2 - h^2), where for
-    large alpha y falls over a width ~ u*/alpha, too narrow for nodes spread
-    over the half line; such a lane that misses the tolerance is integrated
-    again as [u*, inf) plus [0, u*], one _tanh_sinh call each, and keeps the
-    larger relative error of the two.  Raises QuadratureError if a lane
-    misses the tolerance even then."""
-    h = np.asarray(hs, dtype=float)
-    values, errors, achieved = _tanh_sinh(s, h, alpha, orders)
+def _logaddexp(a, b) -> np.ndarray:
+    """ln(e^a + e^b) as max(a, b) + log1p(exp(-|a - b|)), from ufuncs with
+    SIMD loops; np.logaddexp runs a scalar loop, several times slower, and
+    agrees to a few ulps.  a = b = +-inf leaves a - b nan, which fmin turns
+    into exp(0): +-inf + ln 2 is +-inf."""
+    peak = np.maximum(a, b)
+    with np.errstate(invalid="ignore"):
+        d = np.subtract(a, b)
+    np.abs(d, out=d)
+    np.negative(d, out=d)
+    np.fmin(d, 0.0, out=d)
+    np.exp(d, out=d)
+    np.log1p(d, out=d)
+    return np.add(peak, d, out=d)
+
+
+def _exponent_integrals(s, h, alpha: float, orders: range
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(J_k, error estimate, achieved relative error) of each lane (s, h),
+    s and h equal-length arrays, for each k in `orders`: J_0 = int_R y du
+    and J_k = int_R (1 - y) * y^k du for k >= 1, where y = s/(s + a(u)) and
+    a(u) = (h^2 + u^2)^(alpha/2).  The first two are (lanes, orders) arrays,
+    the last has one entry per lane; a lane whose entry exceeds _REL_TOL
+    (or is nan) missed the tolerance, and its caller raises for it.
+
+    A lane within rho = s^(1/alpha) of D has y = 1/2 at u* =
+    sqrt(rho^2 - h^2), where for large alpha y falls over a width
+    ~ u*/alpha, too narrow for nodes spread over the half line; such a lane
+    that misses the tolerance is integrated again as [u*, inf) plus
+    [0, u*], one _passes call each, and keeps the larger relative error of
+    the two."""
+    s, h = np.asarray(s, dtype=float), np.asarray(h, dtype=float)
+    values, errors, achieved = _passes(s, h, alpha, orders)
     rho = s ** (1.0 / alpha)
     again = np.flatnonzero((achieved > _REL_TOL) & (h < rho))
     if len(again):
-        cut = np.sqrt((rho - h[again]) * (rho + h[again]))
-        far = _tanh_sinh(s, h[again], alpha, orders, cut)
-        near = _tanh_sinh(s, h[again], alpha, orders, cut, near=True)
+        s, h, rho = s[again], h[again], rho[again]
+        cut = np.sqrt((rho - h) * (rho + h))
+        far = _passes(s, h, alpha, orders, cut)
+        near = _passes(s, h, alpha, orders, cut, near=True)
         values[again], errors[again] = far[0] + near[0], far[1] + near[1]
         achieved[again] = np.maximum(far[2], near[2])
-    if not achieved.max() <= _REL_TOL:                  # also when nan
-        raise QuadratureError("interference integral did not converge",
-                              float(achieved.max()))
-    return values.tolist(), errors.tolist()
+    return values, errors, achieved
 
 
-def _tanh_sinh(s: float, h: np.ndarray, alpha: float, orders: range,
+def _passes(s: np.ndarray, h: np.ndarray, alpha: float, orders: range,
+            cut: np.ndarray | None = None, near: bool = False
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_tanh_sinh over the lanes, in passes of at most _PASS_ROWS
+    lane-orders each, so the rule's arrays stay those of one pass however
+    many lanes a batch has."""
+    per = max(1, _PASS_ROWS // len(orders))
+    if len(h) <= per:
+        return _tanh_sinh(s, h, alpha, orders, cut, near)
+    parts = [_tanh_sinh(s[i:i + per], h[i:i + per], alpha, orders,
+                        None if cut is None else cut[i:i + per], near)
+             for i in range(0, len(h), per)]
+    return tuple(np.concatenate(part) for part in zip(*parts))
+
+
+def _tanh_sinh(s: np.ndarray, h: np.ndarray, alpha: float, orders: range,
                cut: np.ndarray | None = None, near: bool = False
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """J_k, error estimates and the largest relative estimate of the lanes
-    at distances h, as for _exponent_integrals, over one kind of piece: the
-    half line by u = sigma (x^-beta - 1) (cut None), [cut, inf) by u = cut
+    (s, h), as for _exponent_integrals, over one kind of piece: the half
+    line by u = sigma (x^-beta - 1) (cut None), [cut, inf) by u = cut
     + sigma (x^-beta - 1), or [0, cut] by u = cut x (`near`).  Each
     integrand is the exp of its log less its largest value, so it neither
     overflows (x^-beta does as alpha nears 1) nor loses bits where J_k is
-    subnormal; relative estimates are taken in those units.  Each lane stops
-    at the first level that meets the tolerance, whatever the others do."""
+    subnormal; relative estimates are taken in those units.  The logs of
+    all lanes, orders and nodes of a level fill one (lanes, orders, nodes)
+    array, exponentiated in place.  Every operation acts on each lane
+    alone, and each lane stops at the first level that meets the tolerance,
+    so a lane's values do not depend on the lanes it is integrated with."""
     beta = 1.0 / (alpha - 1.0)
     # In units of sigma = h + s^(1/alpha), and with z = ln(a/s):
     # z = shift + (alpha/2) * ln((h/sigma)^2 + (u/sigma)^2).
@@ -177,7 +230,7 @@ def _tanh_sinh(s: float, h: np.ndarray, alpha: float, orders: range,
         ln_h2 = 2.0 * (np.log(h)[:, None] - ln_sigma)
     if cut is not None:
         ln_cut = np.log(cut)[:, None] - ln_sigma
-    shift = alpha * ln_sigma - math.log(s)
+    shift = alpha * ln_sigma - np.log(s)[:, None]
     ln_du0 = ln_sigma + (ln_cut if near else math.log(beta))  # ln du/dx, x = 1
     k = np.array(orders, dtype=float)[:, None]
 
@@ -190,21 +243,26 @@ def _tanh_sinh(s: float, h: np.ndarray, alpha: float, orders: range,
             ln_u = np.log(-np.expm1(bx)) - bx            # ln((u - cut)/sigma)
             ln_du = (ln_du0[rows] + ln_dx) - (beta + 1.0) * ln_x
             if cut is not None:
-                ln_u = np.logaddexp(ln_cut[rows], ln_u)
-        z = ((0.5 * alpha) * np.logaddexp(ln_h2[rows], 2.0 * ln_u)
-             + shift[rows])
-        ln_y = -np.logaddexp(0.0, z)
+                ln_u = _logaddexp(ln_cut[rows], ln_u)
+        z = (0.5 * alpha) * _logaddexp(ln_h2[rows], 2.0 * ln_u)
+        z += shift[rows]
+        ln_y = _logaddexp(0.0, z)
+        np.negative(ln_y, out=ln_y)
         # 1 - y = y * a/s
-        ln_f = k * ln_y[:, None] + (ln_du + z + ln_y)[:, None]
+        ln_f = k * ln_y[:, None]
+        ln_f += (ln_du + z + ln_y)[:, None]
         if orders[0] == 0:
-            ln_f[:, 0] = ln_du + ln_y
+            np.add(ln_du, ln_y, out=ln_f[:, 0])
         return ln_f, ln_du, z, ln_y
 
+    def exp_below(ln_f: np.ndarray, peak: np.ndarray) -> np.ndarray:
+        np.subtract(ln_f, peak, out=ln_f)
+        return np.exp(ln_f, out=ln_f)
+
     table = _node_table()
-    todo = np.arange(len(h))
-    ln_f, ln_du, z, ln_y = log_integrands(*table[0], todo)
+    ln_f, ln_du, z, ln_y = log_integrands(*table[0], slice(None))
     peak = ln_f.max(axis=2, keepdims=True)
-    terms = np.exp(ln_f - peak)
+    terms = exp_below(ln_f, peak)
     # In units of exp(peak): the rule at _FIRST_LEVEL, and at the level below.
     step = 2.0 ** -_FIRST_LEVEL
     value = step * terms.sum(axis=2)
@@ -216,65 +274,79 @@ def _tanh_sinh(s: float, h: np.ndarray, alpha: float, orders: range,
         (terms @ (np.abs(ln_du) + np.abs(z))[..., None])[..., 0]
         + (k[:, 0] + 1.0) * (terms @ np.abs(ln_y)[..., None])[..., 0])
     err = np.abs(value - coarse) + rounding
+    todo = np.arange(len(h))
     for level in range(_FIRST_LEVEL + 1, _LAST_LEVEL + 1):
         todo = todo[~(err[todo] <= _REL_TOL * value[todo]).all(axis=1)]
         if not len(todo):
             break
         ln_f = log_integrands(*table[level - _FIRST_LEVEL], todo)[0]
         coarse[todo] = value[todo]
-        value[todo] = 0.5 * value[todo] + 2.0 ** -level * np.exp(
-            ln_f - peak[todo]).sum(axis=2)
+        value[todo] = 0.5 * value[todo] + 2.0 ** -level * exp_below(
+            ln_f, peak[todo]).sum(axis=2)
         err[todo] = np.abs(value[todo] - coarse[todo]) + rounding[todo]
     scale = 2.0 * np.exp(peak[..., 0])
     return value * scale, err * scale, (err / value).max(axis=1)
 
 
-def _truncated(j: list[float], s: float, h: float, alpha: float,
-               orders: range, err_cap: float = math.inf) -> list[float]:
-    """The whole-line J_k of each k in `orders` cut to [-T, T], at the first
-    window edge T = T_n where the tail bound T * (rho/T)**q / (q - 1), with
-    rho = s**(1/alpha) and q = alpha * max(k, 1), is within half the budget
-    _REL_TOL * min(J_k/2, err_cap); J_k where no edge is.  The engine passes
-    err_cap = 1/rate, to keep a dense lane accurate too.  Beyond T the
-    integrand is sum_i (-1)^i C(k+i, i) w^(max(k,1)+i), w = s/a; up to four
-    terms, while they shrink, are integrated to second order in h/T."""
-    log_rho = math.log(s) / alpha
-    # Only edges beyond rho count; before them the bound exceeds J_k.
-    first = max(0, math.floor((log_rho - _LOG_T0) / _LOG2) + 1)
-    out = []
-    for k, value in zip(orders, j):
-        q = alpha * max(k, 1)
-        budget = 0.5 * _REL_TOL * min(0.5 * value, err_cap)
-        if budget > 0.0:
-            # The log of the bound at T_n is log_b0 - n (q - 1) ln 2.
-            log_b0 = q * log_rho + (1.0 - q) * _LOG_T0 - math.log(q - 1.0)
-            n = max(first, math.ceil((log_b0 - math.log(budget))
-                                     / ((q - 1.0) * _LOG2)))
-            if n < _MAX_SEGMENTS:
-                log_t = _LOG_T0 + n * _LOG2
-                w = math.exp(alpha * (log_rho - log_t))      # s/T^alpha
-                r2 = (h * math.exp(-log_t)) ** 2
-                # C(k+i, i) w^i T (rho/T)^q, and twice its signed integral.
-                scale = math.exp(log_b0 - n * (q - 1.0) * _LOG2) * (q - 1.0)
-                last, sign = math.inf, 2.0
-                for i in range(4):
-                    p = q + alpha * i
-                    term = scale / (p - 1.0) * (
-                        1.0 - p * (p - 1.0) / (2.0 * (p + 1.0)) * r2)
-                    if not _EPS * value < term < last:
-                        break
-                    value -= sign * term
-                    last, sign = term, -sign
-                    scale *= w * (k + i + 1) / (i + 1)
-        out.append(value)
-    return out
+def _truncated(j, s, h, alpha: float, orders: range,
+               err_cap=math.inf) -> np.ndarray:
+    """The whole-line J_k of each lane (a row of j; s, h and err_cap give
+    one value per row, or one for all) and each k in `orders` (a column)
+    cut to [-T, T], at the first window edge T = T_n where the tail bound
+    T * (rho/T)**q / (q - 1), with rho = s**(1/alpha) and q =
+    alpha * max(k, 1), is within half the budget _REL_TOL * min(J_k/2,
+    err_cap); J_k where no edge is.  The engine passes err_cap = 1/rate, to
+    keep a dense lane accurate too.  Beyond T the integrand is
+    sum_i (-1)^i C(k+i, i) w^(max(k,1)+i), w = s/a; up to four terms, while
+    they shrink, are integrated to second order in h/T.  One array pass
+    over all rows and columns."""
+    value = np.array(j, dtype=float)
+    column = (-1, 1)
+    log_rho = np.log(np.reshape(s, column)) / alpha
+    k = np.array(orders, dtype=float)
+    q = alpha * np.maximum(k, 1.0)
+    budget = 0.5 * _REL_TOL * np.minimum(0.5 * value,
+                                         np.reshape(err_cap, column))
+    # Only edges beyond rho count; before them the bound exceeds J_k.  The
+    # log of the bound at T_n is log_b0 - n (q - 1) ln 2.
+    first = np.maximum(0.0, np.floor((log_rho - _LOG_T0) / _LOG2) + 1.0)
+    log_b0 = q * log_rho + (1.0 - q) * _LOG_T0 - np.log(q - 1.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        n = np.maximum(first, np.ceil((log_b0 - np.log(budget))
+                                      / ((q - 1.0) * _LOG2)))
+        active = (budget > 0.0) & (n < _MAX_SEGMENTS)
+        log_t = _LOG_T0 + n * _LOG2
+        w = np.exp(alpha * (log_rho - log_t))            # s/T^alpha
+        r2 = np.square(np.reshape(h, column) * np.exp(-log_t))
+        # C(k+i, i) w^i T (rho/T)^q, and twice its signed integral.
+        scale = np.exp(log_b0 - n * (q - 1.0) * _LOG2) * (q - 1.0)
+        last, sign = math.inf, 2.0
+        for i in range(4):
+            p = q + alpha * i
+            term = scale / (p - 1.0) * (
+                1.0 - p * (p - 1.0) / (2.0 * (p + 1.0)) * r2)
+            active &= (_EPS * value < term) & (term < last)
+            if not active.any():
+                break
+            np.subtract(value, sign * term, out=value, where=active)
+            last, sign = term, -sign
+            scale = scale * (w * (k + i + 1) / (i + 1))
+    return value
 
 
 def _exponent_integral(k: int, s: float, h: float, alpha: float,
                        err_cap: float = math.inf) -> float:
     """J_k alone, from _exponent_integrals, as the engine cuts it."""
-    j = _exponent_integrals(s, [h], alpha, range(k, k + 1))[0][0]
-    return _truncated(j, s, h, alpha, range(k, k + 1), err_cap)[0]
+    orders = range(k, k + 1)
+    j, _, achieved = _exponent_integrals([s], [h], alpha, orders)
+    if not achieved[0] <= _REL_TOL:                     # also when nan
+        raise _unconverged(achieved)
+    return float(_truncated(j, s, h, alpha, orders, err_cap)[0, 0])
+
+
+def _unconverged(achieved: np.ndarray) -> QuadratureError:
+    return QuadratureError("interference integral did not converge",
+                           float(achieved.max()))
 
 
 def _jet_mul(a: list[float], b: list[float]) -> list[float]:
@@ -364,61 +436,143 @@ def laplace_closed_alpha2(s: float, lane: Lane, scenario: Scenario) -> float:
     return _laplace_closed(2.0, s, lane, scenario)
 
 
-def _exponent_coefficients(scenario: Scenario, s: float, order: int,
-                           shared: dict | None = None) -> list[float]:
+def _exponent_coefficients(scenario: Scenario, s: float,
+                           order: int) -> list[float]:
     """Taylor coefficients g~_0..g~_order of g(s*(1 - tau)), where g is the
     exponent of the Laplace transform of the total interference from both
-    roads; g~_k = (-s)^k g^(k)(s) / k!.
+    roads; g~_k = (-s)^k g^(k)(s) / k!.  _exponent_table for one point."""
+    g, errors = _exponent_table([(scenario, s, order)], {})
+    if errors[0] is not None:
+        raise errors[0]
+    return g[0].tolist()
+
+
+def _exponent_table(points: list[tuple[Scenario, float, int]], known: dict
+                    ) -> tuple[np.ndarray, list[QuadratureError | None]]:
+    """g~_0..g~_order, as for _exponent_coefficients, of every (scenario,
+    s, order) point, one row each padded with zeros to the largest order,
+    and each point's error (None if it has none).
 
     The lanes are independent point processes, so g = -sum_h rate_h * J(s; h)
     over the distinct lane distances h of scenario.lanes(), with rate_h the
-    summed p*lam of the lanes at h on either road.  Each h is evaluated
-    once, from the closed-form jet where one exists and otherwise by
-    quadrature, one array pass for all such h, cut by _truncated with
-    err_cap = 1/rate_h.  Neither depends on the rate, so they are kept in
-    `shared`, the lane table, as (s, h, alpha, order) -> (the jet, or the
-    whole-line J_0..J_order, and whether _truncated cuts it), and a later
-    point given the same table reuses them; None means a fresh table.
+    summed p*lam of the lanes at h on either road.  Each distinct (s, h,
+    alpha, order) is evaluated once, into the lane table `known`
+    (_evaluate_lanes), which the caller may keep for further points.  The
+    lane values do not depend on the rate; the (point, lane) pairs of one
+    alpha are cut by _truncated with err_cap = 1/rate_h in one pass, and
+    each point sums its lanes in their order.  A lane that misses the
+    tolerance fails the points that use it, each with the largest relative
+    error of its own quadratured lanes.
     """
-    out = [0.0] * (order + 1)
-    if s == 0.0:
-        return out
-    rates: dict[float, float] = {}
-    for lane in scenario.lanes():
-        rate = scenario.p * lane.intensity
-        if rate > 0.0:
-            rates[lane.h] = rates.get(lane.h, 0.0) + rate
-    alpha = scenario.channel.alpha
+    size = 1 + max((order for *_, order in points), default=0)
+    g = np.zeros((len(points), size))
+    errors: list[QuadratureError | None] = [None] * len(points)
+    # One entry per pair of a point and one of its lane distances.
+    point, s, h, alpha, order, rate = [], [], [], [], [], []
+    for i, (scenario, s_i, order_i) in enumerate(points):
+        if s_i == 0.0:
+            continue
+        p = scenario.p
+        rates: dict[float, float] = {}
+        for h_i, _, intensity in scenario.lanes():
+            if p * intensity > 0.0:
+                rates[h_i] = rates.get(h_i, 0.0) + p * intensity
+        n = len(rates)
+        point += [i] * n
+        s += [s_i] * n
+        h += rates
+        alpha += [scenario.channel.alpha] * n
+        order += [order_i] * n
+        rate += rates.values()
+    if not point:
+        return g, errors
+    point, s, h, alpha, order, rate = map(np.array,
+                                          (point, s, h, alpha, order, rate))
     # a(u) <= s where |u| <= sqrt(rho^2 - h^2), rho = s^(1/alpha), and there
     # s/(s+a) >= 1/2, so J(s; h) >= sqrt((rho - h)(rho + h)).  Past 800 the
-    # caller's exp(g~_0) underflows whatever the rest of J is, so at huge s
+    # point's exp(g~_0) underflows whatever the rest of J is, so at huge s
     # (also s = inf, from an overflowed laplace_argument) J is not needed.
     rho = s ** (1.0 / alpha)
-    if sum(rate * math.sqrt(max(rho - h, 0.0) * (rho + h))
-           for h, rate in rates.items()) > 800.0:
-        return [-math.inf] + out[1:]
-    if shared is None:
-        shared = {}
-    orders = range(order + 1)
-    new = {h: _lane_integral_jet(s, h, alpha, order) for h in rates
-           if (s, h, alpha, order) not in shared}
-    rule = [h for h, jet in new.items() if jet is None]
-    if rule:
-        new.update(zip(rule, _exponent_integrals(s, rule, alpha, orders)[0]))
-    shared.update(((s, h, alpha, order), (c, h in rule))
-                  for h, c in new.items())
-    for h, rate in rates.items():
-        coeffs, cut = shared[s, h, alpha, order]
-        if cut:
-            j = _truncated(coeffs, s, h, alpha, orders, 1.0 / rate)
-            coeffs = j[:1] + [-c for c in j[1:]]
-        for k, c in enumerate(coeffs):
-            out[k] -= rate * c
-    if out[0] == -math.inf:
-        # rate * J beyond the float range: exp(g~_0) is 0, as past 800
-        # above, and g~_k for k >= 1 may be inf, which exp(g~_0) cannot null.
-        return [-math.inf] + [0.0] * order
-    return out
+    with np.errstate(over="ignore"):
+        certain = np.bincount(point, rate * np.sqrt(
+            np.maximum(rho - h, 0.0) * (rho + h)), len(points)) > 800.0
+    if certain.any():
+        g[certain, 0] = -math.inf
+        live = ~certain[point]
+        if not live.any():
+            return g, errors
+        point, s, h, alpha, order, rate = (
+            c[live] for c in (point, s, h, alpha, order, rate))
+    index: dict[tuple[float, float, float, int], int] = {}
+    key = np.array([index.setdefault(lane, len(index)) for lane in zip(
+        s.tolist(), h.tolist(), alpha.tolist(), order.tolist())])
+    lanes = list(index)
+    table = np.zeros((len(lanes), size))
+    achieved = np.zeros(len(lanes))
+    ruled = np.zeros(len(lanes), dtype=bool)
+    # Lanes an earlier call entered into `known` are copied from their
+    # entry; the others are evaluated now.
+    new, old = [], []
+    for n, lane in enumerate(lanes):
+        (old if lane in known else new).append(n)
+    if new:
+        table[new], achieved[new], ruled[new] = _evaluate_lanes(
+            [lanes[n] for n in new], size, known)
+    for n in old:
+        (values, errors_n, ruled_n), row = known[lanes[n]]
+        cut = lanes[n][3] + 1
+        table[n, :cut] = values[row, :cut]
+        achieved[n], ruled[n] = errors_n[row], ruled_n[row]
+    coeffs = table[key]
+    ruled = ruled[key]
+    # Not np.unique: its first call adds about 1.7 MB to the resident set.
+    for a in dict.fromkeys(alpha[ruled].tolist()):
+        at = np.flatnonzero(ruled & (alpha == a))
+        coeffs[at] = _truncated(coeffs[at], s[at], h[at], a, range(size),
+                                1.0 / rate[at])
+        coeffs[at, 1:] *= -1.0
+    bad = ~(achieved[key] <= _REL_TOL)                  # also when nan
+    if bad.any():
+        for i in set(point[bad].tolist()):
+            errors[i] = _unconverged(achieved[key[(point == i) & ruled]])
+        failed = np.zeros(len(points), dtype=bool)
+        failed[point[bad]] = True
+        keep = ~failed[point]
+        point, rate, coeffs = point[keep], rate[keep], coeffs[keep]
+    # Each point subtracts its lanes in their order, whatever the batch.
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.subtract.at(g, point, rate[:, None] * coeffs)
+    # rate * J beyond the float range: exp(g~_0) is 0, as past 800 above,
+    # and g~_k for k >= 1 may be inf, which exp(g~_0) cannot null.
+    g[g[:, 0] == -math.inf, 1:] = 0.0
+    return g, errors
+
+
+def _evaluate_lanes(lanes: list[tuple[float, float, float, int]],
+                    size: int, known: dict
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(J_0..J_order padded with zeros to `size`, achieved relative error,
+    whether quadratured) of each (s, h, alpha, order) lane: the closed-form
+    jet where one exists (no error), and otherwise the rule's whole-line
+    J_k, one _exponent_integrals call per (alpha, order).  The three arrays
+    enter the lane table `known` as each lane's entry, with its row."""
+    jets = [_lane_integral_jet(*lane) for lane in lanes]
+    table = np.zeros((len(lanes), size))
+    achieved = np.zeros(len(lanes))
+    ruled = np.array([jet is None for jet in jets])
+    if not ruled.all():
+        table[~ruled] = [jet + [0.0] * (size - len(jet))
+                         for jet in jets if jet is not None]
+    rule: dict[tuple[float, int], list[int]] = {}
+    for n in np.flatnonzero(ruled).tolist():
+        rule.setdefault(lanes[n][2:], []).append(n)
+    for (a, o), rows in rule.items():
+        s, h = (np.array(c) for c in zip(*[lanes[n][:2] for n in rows]))
+        table[rows, :o + 1], _, achieved[rows] = _exponent_integrals(
+            s, h, a, range(o + 1))
+    entry = table, achieved, ruled
+    known.update(zip(lanes, zip(itertools.repeat(entry), range(len(lanes)))))
+    return entry
 
 
 def _clamp_probability(value: float) -> float:
@@ -432,22 +586,79 @@ def _clamp_probability(value: float) -> float:
         f"success probability {value} outside [0, 1] beyond rounding")
 
 
-def outage_probability(scenario: Scenario,
-                       shared: dict | None = None) -> AnalyticResult:
+def _exp_coefficients(g: np.ndarray) -> np.ndarray:
+    """e~_0, e~_1, ... of exp(sum_k g~_k tau^k) for each row of g, by
+    e~_k = (1/k) * sum_{j=1..k} j * g~_j * e~_{k-j}, summed in j order."""
+    e = np.empty_like(g)
+    e[:, 0] = np.exp(g[:, 0])
+    jg = g[:, 1:] * np.arange(1.0, g.shape[1])
+    for k in range(1, g.shape[1]):
+        e[:, k] = np.cumsum(jg[:, :k] * e[:, k - 1::-1], axis=1)[:, -1] / k
+    return e
+
+
+def outage_probabilities(scenarios: list[Scenario]
+                         ) -> list[AnalyticResult | Exception]:
+    """outage_probability of every scenario, in order.  A point that fails
+    gets, in place of its result, the ValueError or ArithmeticError it
+    raises evaluated alone; the others still evaluate.
+
+    The points share one lane table and are evaluated in chunks (_chunk),
+    each closed before its lane count times its largest m passes
+    _BATCH_CELLS, so the arrays of a long sweep stay those of one chunk."""
+    known: dict = {}
+    results: list = []
+    chunk: list[Scenario] = []
+    lanes = m = 0
+    for scenario in scenarios:
+        n = len(scenario.layout.lanes_x) + len(scenario.layout.lanes_y)
+        m = max(m, scenario.channel.m)
+        if chunk and (lanes + n) * m > _BATCH_CELLS:
+            results += _chunk(chunk, known)
+            chunk, lanes, m = [], 0, scenario.channel.m
+        chunk.append(scenario)
+        lanes += n
+    return results + _chunk(chunk, known) if chunk else results
+
+
+def _chunk(scenarios: list[Scenario], known: dict
+           ) -> list[AnalyticResult | Exception]:
+    """outage_probabilities of the scenarios given the lane table `known`:
+    one _exponent_table and one pass of the recurrence over all of them.
+    If that raises, each scenario is evaluated alone."""
+    try:
+        points = [(scenario, scenario.laplace_argument, scenario.channel.m - 1)
+                  for scenario in scenarios]
+        g, errors = _exponent_table(points, known)
+    except (ValueError, ArithmeticError) as exc:
+        if len(scenarios) == 1:
+            return [exc]
+        return [result for scenario in scenarios
+                for result in _chunk([scenario], known)]
+    # e~_k depends on g~_0..g~_k only, so the zeros padding a row past its
+    # own m change none of its first m terms.
+    terms = _exp_coefficients(g)
+    successes = np.cumsum(terms, axis=1)
+    results: list = []
+    for error, (_, _, order), row, total in zip(
+            errors, points, terms.tolist(), successes.tolist()):
+        if error is None:
+            try:
+                success = _clamp_probability(total[order])
+            except ConsistencyError as exc:
+                error = exc
+        results.append(error if error is not None else AnalyticResult(
+            success_prob=success, outage_prob=1.0 - success,
+            per_term=tuple(row[:order + 1])))
+    return results
+
+
+def outage_probability(scenario: Scenario) -> AnalyticResult:
     """Outage and success probability of the link; success is the sum of m
     nonnegative per-order summands (per_term), the Taylor coefficients
-    e~_k of L(s*(1 - tau)) = exp(sum_k g~_k tau^k).  `shared` is the lane
-    table of _exponent_coefficients; None means a fresh one."""
-    m = scenario.channel.m
-    g = _exponent_coefficients(scenario, scenario.laplace_argument, m - 1,
-                               shared)
-    terms = [math.exp(g[0])]
-    for k in range(1, m):
-        terms.append(math.fsum(j * g[j] * terms[k - j]
-                               for j in range(1, k + 1)) / k)
-    success = _clamp_probability(math.fsum(terms))
-    return AnalyticResult(
-        success_prob=success,
-        outage_prob=1.0 - success,
-        per_term=tuple(terms),
-    )
+    e~_k of L(s*(1 - tau)) = exp(sum_k g~_k tau^k).  outage_probabilities
+    for a batch of one; raises the point's error."""
+    result = outage_probabilities([scenario])[0]
+    if isinstance(result, Exception):
+        raise result
+    return result

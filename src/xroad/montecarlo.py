@@ -71,7 +71,9 @@ class SimConfig:
             raise ValueError("trials must be at least 1")
         if not (self.half_length > 0.0):
             raise ValueError("half_length must be positive")
-        if not (0.0 < self.confidence < 1.0):
+        # The interval's normal quantile is taken at (1 + confidence)/2,
+        # which rounds to 1 for the largest doubles below 1.
+        if not (0.0 < self.confidence and 0.5 * (1.0 + self.confidence) < 1.0):
             raise ValueError("confidence must lie in (0, 1)")
 
 

@@ -186,27 +186,38 @@ def row_seed(master_seed: int, variant_index: int, value_index: int) -> int:
 
 def sweep_row(scenario: Scenario, engines: tuple[str, ...], sim: SimConfig,
               workers: int, variant: str, axis: str, value: float,
-              shared: dict | None = None, pool=None) -> SweepRow:
+              pool=None) -> SweepRow:
     """The row of one validated scenario, from the requested engines: the
-    analytic engine given the lane table `shared` (None: a fresh one), and
-    Monte-Carlo seeded by sim.master_seed as given, run on `pool` if any.
+    analytic engine on this point alone, and Monte-Carlo seeded by
+    sim.master_seed as given, run on `pool` if any.
 
     An engine error lands in the row's error column and the other engine
     still runs.
     """
+    result = (analytic.outage_probabilities([scenario])[0]
+              if "analytic" in engines else None)
+    return _row(scenario, result, engines, sim, sim.master_seed, workers,
+                variant, axis, value, pool)
+
+
+def _row(scenario: Scenario, result, engines: tuple[str, ...],
+         sim: SimConfig, seed: int, workers: int, variant: str, axis: str,
+         value: float, pool) -> SweepRow:
+    """sweep_row, given the analytic engine's result or error for the
+    scenario (None when that engine is not requested), with Monte-Carlo
+    seeded by `seed`."""
     cells: dict = {}
     errors: list[str] = []
-    if "analytic" in engines:
-        try:
-            res = analytic.outage_probability(scenario, shared)
-            cells["outage_analytic"] = res.outage_prob
-            cells["throughput_analytic"] = scenario.throughput(
-                res.success_prob)
-        except (ValueError, ArithmeticError) as exc:
-            errors.append(f"analytic: {exc}")
+    if isinstance(result, analytic.AnalyticResult):
+        cells["outage_analytic"] = result.outage_prob
+        cells["throughput_analytic"] = scenario.throughput(
+            result.success_prob)
+    elif result is not None:
+        errors.append(f"analytic: {result}")
     if "montecarlo" in engines:
         try:
-            est = estimate(scenario, sim, workers, pool=pool)
+            est = estimate(scenario, replace(sim, master_seed=seed), workers,
+                           pool=pool)
             cells.update(outage_mc=est.p_hat, mc_stderr=est.stderr,
                          ci_low=est.ci_low, ci_high=est.ci_high,
                          trials=est.trials)
@@ -220,26 +231,29 @@ def _rows(points: list[tuple], engines: tuple[str, ...], sim: SimConfig,
           workers: int) -> list[SweepRow]:
     """The sweep_row of every validated (variant label, axis, value,
     scenario, seed) point, in order, Monte-Carlo seeded by the point's
-    seed.  The rows share one lane table and, where estimate would fork,
-    one worker pool; both last this call only."""
-    shared: dict = {}
+    seed.  The analytic engine evaluates all points as one batch
+    (outage_probabilities), and where estimate would fork the rows share
+    one worker pool, for this call only."""
+    results = (analytic.outage_probabilities([point[3] for point in points])
+               if "analytic" in engines else [None] * len(points))
     ranges = montecarlo._ranges(sim, workers) if "montecarlo" in engines else 1
     with (montecarlo._fork_pool(ranges) if ranges > 1
           else nullcontext()) as pool:
-        return [sweep_row(scenario, engines, replace(sim, master_seed=seed),
-                          workers, variant, axis, value, shared, pool)
-                for variant, axis, value, scenario, seed in points]
+        return [_row(scenario, result, engines, sim, seed, workers, variant,
+                     axis, value, pool)
+                for (variant, axis, value, scenario, seed), result
+                in zip(points, results)]
 
 
 def run_sweep(spec: SweepSpec, sim: SimConfig,
               workers: int = 1) -> list[SweepRow]:
     """All sweep rows in (variant, value) order.
 
-    Every point is validated, once, before any engine runs.  The rows
-    share their lanes' jets and quadratured integrals for the length of
-    this call only (_rows).  Engine failures land in the row's error
-    column and the sweep carries on; callers decide what a failed row
-    means for the exit code.
+    Every point is validated, once, before any engine runs.  The analytic
+    engine evaluates the rows as one batch, with one lane table for this
+    call only (_rows).  Engine failures land in the row's error column and
+    the sweep carries on; callers decide what a failed row means for the
+    exit code.
     """
     return _rows([(variant.label, spec.axis, value, scenario,
                    row_seed(sim.master_seed, vi, xi))
@@ -329,9 +343,9 @@ def compare_rows(rows: list[SweepRow]) -> ComparisonReport:
 def compare_engines(grid: list[tuple[str, Scenario]], sim: SimConfig,
                     workers: int = 1) -> ComparisonReport:
     """compare_rows on the sweep_row of every grid point, Monte-Carlo
-    seeded by row_seed(sim.master_seed, 0, index); the points share one
-    lane table, as a sweep's rows do.  An invalid scenario raises
-    ValidationError before any engine runs."""
+    seeded by row_seed(sim.master_seed, 0, index); the analytic engine
+    evaluates the points as one batch, as it does a sweep's rows.  An
+    invalid scenario raises ValidationError before any engine runs."""
     grid = [(label, validate_scenario(scenario)) for label, scenario in grid]
     return compare_rows(_rows(
         [(label, "none", 0.0, scenario, row_seed(sim.master_seed, 0, i))

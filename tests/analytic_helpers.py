@@ -23,14 +23,14 @@ from xroad.model import (ChannelParams, DestinationGeometry, LinkSpec,
 
 def fail_alpha(monkeypatch, alpha):
     """Make the analytic engine raise a QuadratureError at `alpha` only."""
-    real = analytic.outage_probability
+    real = analytic.outage_probabilities
 
-    def engine(scenario, shared=None):
-        if scenario.channel.alpha == alpha:
-            raise QuadratureError("interference integral did not converge",
-                                  1e-3)
-        return real(scenario, shared)
-    monkeypatch.setattr(analytic, "outage_probability", engine)
+    def engine(scenarios):
+        return [QuadratureError("interference integral did not converge",
+                                1e-3) if scenario.channel.alpha == alpha
+                else result
+                for scenario, result in zip(scenarios, real(scenarios))]
+    monkeypatch.setattr(analytic, "outage_probabilities", engine)
 
 
 def lane_integral(k, s, h, alpha):

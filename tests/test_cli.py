@@ -251,6 +251,16 @@ def test_point_bad_sim_values_exit_2(tmp_path, capsys):
     assert cli.main(["point", "--config", str(path)]) == 2
 
 
+def test_confidence_that_rounds_the_quantile_to_1_exits_2(tmp_path, capsys):
+    # (1 + c)/2 rounds to 1 at the largest double below 1: the Monte-Carlo
+    # engine failed on it with exit 3 instead of the config error.
+    path = write_config(tmp_path, sim={"trials": 100,
+                                       "confidence": 0.9999999999999999})
+    assert cli.main(["point", "--config", str(path), "--engine", "mc"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: sim: confidence must lie in (0, 1)\n")
+
+
 def test_point_numeric_failure_exit_3(tmp_path, capsys, monkeypatch):
     # An analytic engine that fails at alpha = 1.05.  The failed point
     # writes no CSV, and checking --out leaves no file behind.
@@ -445,7 +455,7 @@ def test_unwritable_out_is_config_error(tmp_path, capsys, monkeypatch,
     def engine_called(*args, **kwargs):
         pytest.fail("an engine ran before --out was checked")
 
-    monkeypatch.setattr(analytic, "outage_probability", engine_called)
+    monkeypatch.setattr(analytic, "outage_probabilities", engine_called)
     monkeypatch.setattr(sweep, "estimate", engine_called)
     path = write_config(tmp_path, sweep={"axis": "density",
                                          "values": [0.005]})
@@ -606,7 +616,7 @@ def test_invalid_sweep_point_exits_2_before_any_engine(tmp_path, capsys,
     def engine_called(*args, **kwargs):
         pytest.fail("an engine ran before validation finished")
 
-    monkeypatch.setattr(analytic, "outage_probability", engine_called)
+    monkeypatch.setattr(analytic, "outage_probabilities", engine_called)
     monkeypatch.setattr(sweep, "estimate", engine_called)
     path = write_config(tmp_path, sweep={
         "axis": "aloha_p", "values": [0.2, 0.5, 1.5]})

@@ -41,6 +41,19 @@ def test_sim_config_validation():
         SimConfig(confidence=1.0)
 
 
+def test_sim_config_rejects_a_confidence_no_interval_can_use():
+    # Below 1, but (1 + c)/2 rounds to 1, where the normal quantile of the
+    # interval is undefined; estimate() failed with a StatisticsError.
+    for bad in (0.9999999999999999, 0.0, math.nan):
+        with pytest.raises(ValueError, match=r"^confidence must lie in "
+                                             r"\(0, 1\)$"):
+            SimConfig(confidence=bad)
+    # The next double down still has its quantile.
+    sim = SimConfig(trials=64, confidence=0.9999999999999998)
+    est = estimate(nlos_scenario(), sim)
+    assert 0.0 <= est.ci_low <= est.p_hat <= est.ci_high <= 1.0
+
+
 def test_sim_config_takes_integer_trials_and_seeds_only():
     # A bool ran as one trial and was written as `True`; 2.5 trials or seed
     # 1.5 failed inside estimate with a TypeError that no row caught.

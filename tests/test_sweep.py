@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -177,14 +178,16 @@ def test_run_sweep_byte_identical_output(tmp_path):
 def test_run_sweep_marks_failed_rows_and_continues(monkeypatch):
     calls = {"n": 0}
 
-    def explode(scenario, shared=None):
-        calls["n"] += 1
-        if calls["n"] == 1:
-            raise analytic.ConsistencyError("forced failure")
-        return real(scenario, shared)
+    def explode(scenarios):
+        results = real(scenarios)
+        for i in range(len(results)):
+            calls["n"] += 1
+            if calls["n"] == 1:
+                results[i] = analytic.ConsistencyError("forced failure")
+        return results
 
-    real = analytic.outage_probability
-    monkeypatch.setattr(analytic, "outage_probability", explode)
+    real = analytic.outage_probabilities
+    monkeypatch.setattr(analytic, "outage_probabilities", explode)
     spec = validate_sweep(SweepSpec(
         base=base_scenario(), axis="density", values=(0.001, 0.01),
         engines=("analytic",)))
@@ -258,7 +261,7 @@ def forbid_engines(monkeypatch):
     def engine_called(*args, **kwargs):
         pytest.fail("an engine ran before validation finished")
 
-    monkeypatch.setattr(analytic, "outage_probability", engine_called)
+    monkeypatch.setattr(analytic, "outage_probabilities", engine_called)
     monkeypatch.setattr(sweep, "estimate", engine_called)
 
 
@@ -374,12 +377,118 @@ def test_sweep_rows_equal_their_points_outside_a_sweep(axis):
         1.0 - success_probability(first), rel=1e-8)
 
 
+def test_a_batch_of_several_rule_passes_matches_its_points(monkeypatch):
+    # 1 to 10 lanes on both roads, D off both: the 10-lane row has 20 lane
+    # distances, all quadratured at m = 9, more lane-orders than one rule
+    # pass holds, and the batch meets them in another order than that row.
+    spec = SweepSpec(base_scenario(channel=ChannelParams(alpha=3.3, m=9),
+                                   geometry=DestinationGeometry(50.0, 0.7)),
+                     "lanes", tuple(float(n) for n in range(1, 11)),
+                     engines=("analytic",))
+    sim = SimConfig(trials=1)
+    points = sweep_points(spec)
+    widest = points[-1][-1]
+    assert len({lane.h for lane in widest.lanes()}) == 20
+    assert 20 * 9 > analytic._PASS_ROWS
+
+    def alone():
+        return [sweep_row(scenario, spec.engines, sim, 1, variant.label,
+                          "lanes", value)
+                for _, variant, _, value, scenario in points]
+    rows = run_sweep(spec, sim)
+    assert rows == alone()
+    assert all(row.error == "" for row in rows)
+    # A rule pass that misses the tolerance at the sixth X lane fails the
+    # rows with 6 lanes or more, each with the text it gives alone.
+    missed = widest.lanes()[5].h
+    real = analytic._tanh_sinh
+
+    def missing(s, h, alpha, orders, cut=None, near=False):
+        values, errors, achieved = real(s, h, alpha, orders, cut, near)
+        achieved[h == missed] = 2e-3
+        return values, errors, achieved
+    monkeypatch.setattr(analytic, "_tanh_sinh", missing)
+    rows = run_sweep(spec, sim)
+    assert rows == alone()
+    assert [row.error for row in rows] == [
+        "" if value < 6 else "analytic: interference integral did not "
+        "converge (achieved relative error 2.000e-03)" for value in spec.values]
+
+
+def test_a_point_whose_argument_fails_fails_alone_in_its_batch():
+    # mu * r^-alpha underflows to 0 in the "faint" variant, whose s is then
+    # a division by zero; the other rows of the batch still evaluate.
+    spec = SweepSpec(base_scenario(link=LinkSpec(1e10)), "aloha_p",
+                     (0.2, 0.5), engines=("analytic",),
+                     variants=(Variant("NLOS"), Variant(
+                         "faint", channel=ChannelParams(4.0, 1, mu=1e-300))))
+    sim = SimConfig(trials=1)
+    rows = run_sweep(spec, sim)
+    assert rows == [sweep_row(scenario, spec.engines, sim, 1, variant.label,
+                              "aloha_p", value)
+                    for _, variant, _, value, scenario in sweep_points(spec)]
+    assert [row.error for row in rows] == [
+        "", "", "analytic: float division by zero",
+        "analytic: float division by zero"]
+
+
+def test_a_lane_that_raises_fails_only_its_points(monkeypatch):
+    # The closed form of the third X lane's distance raises: the batch it
+    # is in evaluates each point alone, and only the rows with 3 lanes or
+    # more carry the error.
+    spec = SweepSpec(base_scenario(geometry=DestinationGeometry(50.0, 0.7)),
+                     "lanes", (1.0, 2.0, 3.0, 4.0), engines=("analytic",))
+    sim = SimConfig(trials=1)
+    points = sweep_points(spec)
+    broken = points[-1][-1].lanes()[2].h
+    real = analytic._lane_integral_jet
+
+    def jet(s, h, alpha, order):
+        if h == broken:
+            raise ValueError("no jet here")
+        return real(s, h, alpha, order)
+    monkeypatch.setattr(analytic, "_lane_integral_jet", jet)
+    rows = run_sweep(spec, sim)
+    assert rows == [sweep_row(scenario, spec.engines, sim, 1, variant.label,
+                              "lanes", value)
+                    for _, variant, _, value, scenario in points]
+    assert [row.error for row in rows] == [
+        "", "", "analytic: no jet here", "analytic: no jet here"]
+
+
+def test_a_long_sweep_keeps_the_memory_of_one_chunk():
+    # 200 points of 20 lanes at m = 100: one array over all their (point,
+    # lane) pairs and orders would take 3.2 MB, and the batch's temporaries
+    # a dozen of those.  A chunk holds 8 of these points.
+    base = base_scenario(channel=ChannelParams(alpha=3.3, m=100),
+                         geometry=DestinationGeometry(50.0, 0.7),
+                         layout=RoadLayout.multi_lane(10, 0.01))
+    spec = SweepSpec(base, "density",
+                     tuple(1e-5 * (i + 1) for i in range(200)),
+                     engines=("analytic",))
+    sim = SimConfig(trials=1)
+    tracemalloc.start()
+    try:
+        rows = run_sweep(spec, sim)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    assert all(row.error == "" for row in rows)
+    points = sweep_points(spec)
+    for i in (0, 7, 8, 199):
+        _, variant, _, value, scenario = points[i]
+        assert rows[i] == sweep_row(scenario, spec.engines, sim, 1,
+                                    variant.label, "density", value)
+
+
 def test_shared_integrals_last_one_sweep(monkeypatch):
     calls = []
     real = analytic._exponent_integrals
 
     def counted(s, hs, alpha, orders):
-        calls.extend((s, h, alpha, orders) for h in hs)
+        calls.extend((si, h, alpha, orders)
+                     for si, h in zip(s.tolist(), hs.tolist()))
         return real(s, hs, alpha, orders)
     monkeypatch.setattr(analytic, "_exponent_integrals", counted)
     spec = SweepSpec(GENERAL, "density", GENERAL_AXES["density"],
