@@ -24,34 +24,48 @@ exponential, from the derivative of exp(G) being G' exp(G):
 sum of nonnegative terms; the g~_k (k >= 1) sum to -g~_0, so the e~_k sum
 to L(0) = 1.  No factorial, power of s or alternating sign is formed.
 
-The lane integral J(s) has closed forms for alpha = 2, for alpha = 4, and
-for any alpha when the destination lies on the lane (h = 0).  There the
-coefficients come from one pass of truncated-Taylor ("jet") arithmetic on
-the closed form seeded with s*(1 - tau), with no quadrature.  Otherwise
-they are quadratured under the integral sign, over integrands in [0, 1]:
-with y = s/(s + a),
+Each lane takes one of three ways to its coefficients.
 
-    s(1 - tau) / (s(1 - tau) + a) = y - (1 - y) * sum_{k>=1} y^k tau^k.
+- Jets.  J(s) has closed forms for alpha = 2, for alpha = 4, and for any
+  alpha when the destination lies on the lane (h = 0).  There one pass of
+  truncated-Taylor ("jet") arithmetic on the closed form seeded with
+  s*(1 - tau) gives every order (_lane_jets).
+- The far-lane series.  Otherwise the coefficients are the integrals, over
+  integrands in [0, 1], of the expansion with y = s/(s + a)
 
-All lanes and orders share one tanh-sinh rule (Takahasi and Mori, 1974)
-on fixed nodes, after u = sigma * (x^-beta - 1), beta = 1/(alpha-1),
-sigma = h + s^(1/alpha), maps x in (0, 1] onto the half line.  Integrands
-are formed in logs, so nothing overflows as alpha nears 1, and each level's
-nodes include those of the level below, which gives the error estimate.
+      s(1 - tau) / (s(1 - tau) + a) = y - (1 - y) * sum_{k>=1} y^k tau^k.
+
+  A lane beyond 2 rho of D (rho = s^(1/alpha)) has w = s/a < 2^-alpha on
+  the whole line, and (1 - y) y^k expands in powers of w that integrate
+  to Beta functions (_far_lanes).  It takes that series if its 40 terms
+  lose fewer than 3 digits to their alternating signs and each order's
+  last term is below 1e-17 of its sum.
+- The rule.  The other lanes are quadratured under the integral sign.
+  All lanes and orders share one tanh-sinh rule (Takahasi and Mori, 1974)
+  on fixed nodes, after u = sigma * (x^-beta - 1), beta = 1/(alpha-1),
+  sigma = h + s^(1/alpha), maps x in (0, 1] onto the half line.
+  Integrands are formed in logs, so nothing overflows as alpha nears 1,
+  and each level's nodes include those of the level below, which gives
+  the error estimate.
+
+On the benchmark's seed-0 round the jets serve 2605 lanes, the series 702
+and the rule 464, in 69 _tanh_sinh passes.
+
 The benchmark's stored reference holds values of an engine that cut each
-integral at a window edge T = 1e4 * 2^n; _truncated subtracts that tail.
+integral at a window edge T = 1e4 * 2^n; _truncated subtracts that tail
+from the series' and the rule's whole-line J_k.
 
 outage_probabilities evaluates a batch of points, such as every row of a
 sweep or a verify grid (sweep._rows), in chunks of at most _BATCH_CELLS
 (point, lane) pairs times orders: one lane table, kept across the chunks,
-holds the jet or quadrature of each distinct (s, h, alpha, order); the
-rule integrates the lanes of one (alpha, order) together, s an array
-beside h, in passes of at most _PASS_ROWS lane-orders; _truncated cuts
-every (point, lane) pair of one alpha in one array pass; and the
-recurrence runs over all points of a chunk at once.  Every array operation
-acts on each lane or point alone and each lane stops at its own level, so
-a point's result is bit for bit the one it gets evaluated alone
-(outage_probability, a batch of one).
+holds the J_k of each distinct (s, h, alpha, order).  The lanes of one
+(alpha, order) take the jets, the series and the rule in one array call
+each, the last two in passes of at most _PASS_ROWS lane-orders, s an
+array beside h; _truncated cuts every (point, lane) pair of one alpha in
+one array pass; and the recurrence runs over all points of a chunk at
+once.  Every array operation acts on each lane or point alone and each
+lane stops at its own level, so a point's result is bit for bit the one
+it gets evaluated alone (outage_probability, a batch of one).
 """
 
 from __future__ import annotations
@@ -77,9 +91,16 @@ _EPS = 2.0 ** -52           # the spacing of floats at 1
 #: Tanh-sinh levels: level l has the nodes t = j * 2**-l, |t| <= 6.  All
 #: integrals take _FIRST_LEVEL; further levels only while they miss _REL_TOL.
 _FIRST_LEVEL, _LAST_LEVEL = 5, 7
-#: Most lane-orders one _tanh_sinh pass integrates, whatever the batch:
-#: the single points of the benchmark need up to 8 lanes x 8 orders.
+#: Most lane-orders one _tanh_sinh pass integrates, or one _far_lanes
+#: array holds, whatever the batch: the single points of the benchmark
+#: need up to 8 lanes x 8 orders.
 _PASS_ROWS = 64
+#: The far-lane series (_far_lanes): terms per order, and what a lane
+#: must meet to take it: each order's last term below _SERIES_TAIL of its
+#: sum, and fewer than _SERIES_LOSS digits lost to the alternating signs.
+_SERIES_TERMS = 40
+_SERIES_TAIL = 1e-17
+_SERIES_LOSS = 3.0
 #: Most (point, lane) pairs times orders that outage_probabilities
 #: evaluates in one chunk, 128 KB per array; every sweep of the benchmark
 #: needs under 3000.
@@ -284,7 +305,8 @@ def _tanh_sinh(s: np.ndarray, h: np.ndarray, alpha: float, orders: range,
         value[todo] = 0.5 * value[todo] + 2.0 ** -level * exp_below(
             ln_f, peak[todo]).sum(axis=2)
         err[todo] = np.abs(value[todo] - coarse[todo]) + rounding[todo]
-    scale = 2.0 * np.exp(peak[..., 0])
+    with np.errstate(over="ignore"):            # J_k beyond the float range
+        scale = 2.0 * np.exp(peak[..., 0])
     return value * scale, err * scale, (err / value).max(axis=1)
 
 
@@ -334,6 +356,67 @@ def _truncated(j, s, h, alpha: float, orders: range,
     return value
 
 
+@functools.lru_cache(maxsize=128)
+def _beta_logs(alpha: float, size: int) -> np.ndarray:
+    """ln B(1/2, (alpha p - 1)/2) for p = 0..size - 1, nan at p = 0."""
+    return np.array([math.nan] + [
+        math.lgamma(0.5) + math.lgamma(0.5 * (alpha * p - 1.0))
+        - math.lgamma(0.5 * alpha * p) for p in range(1, size)])
+
+
+@functools.lru_cache(maxsize=16)
+def _binomial_logs(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """(p, ln C(k + i, i)) of the far-lane series' term i of order k, row
+    k <= order, column i < _SERIES_TERMS: the term's power of w is
+    p = max(k, 1) + i."""
+    p = np.maximum(np.arange(order + 1), 1)[:, None] + np.arange(_SERIES_TERMS)
+    return p, np.array([[math.log(math.comb(k + i, i))
+                         for i in range(_SERIES_TERMS)]
+                        for k in range(order + 1)])
+
+
+def _far_lanes(s, h, alpha: float, order: int) -> np.ndarray:
+    """J_0..J_order, as for _exponent_integrals, of each lane (s, h) beyond
+    2 rho of D (rho = s^(1/alpha)) from a series, as a (lanes, order + 1)
+    array; nan in the row of a lane it does not serve.
+
+    There w = s/a(u) <= s/h^alpha < 2^-alpha on the whole lane, and
+    (1 - y) y^k = sum_i (-1)^i C(k+i, i) w^(max(k, 1) + i), each term of
+    which integrates over the line in closed form (DLMF 5.12):
+    int_R w^p du = s^p h^(1 - alpha p) B(1/2, (alpha p - 1)/2).  The
+    _SERIES_TERMS terms of each order are formed in logs, so a lane far
+    out reads a subnormal or 0.  A lane takes the series only if the
+    alternating signs lose fewer than _SERIES_LOSS digits, (order + 1) *
+    log10((1 + w)/(1 - w)) at u = 0, and each order's last term is below
+    _SERIES_TAIL of its sum.  The lanes of one array, at most _PASS_ROWS
+    lane-orders, are evaluated each alone."""
+    s, h = np.asarray(s, dtype=float), np.asarray(h, dtype=float)
+    values = np.full((len(h), order + 1), math.nan)
+    far = np.flatnonzero(h > 2.0 * s ** (1.0 / alpha))
+    ln_h = np.log(h[far])
+    ln_w = np.log(s[far]) - alpha * ln_h                # the largest w
+    # log10((1 + w)/(1 - w)) = 2 atanh(w) / ln 10
+    keep = ln_w < math.log(math.tanh(
+        _SERIES_LOSS * math.log(10.0) / (2.0 * (order + 1))))
+    far, ln_h, ln_w = far[keep], ln_h[keep, None, None], ln_w[keep, None, None]
+    p, ln_c = _binomial_logs(order)
+    ln_c = ln_c + _beta_logs(alpha, order + _SERIES_TERMS + 1)[p]
+    per = max(1, _PASS_ROWS // (order + 1))
+    for i in range(0, len(far), per):
+        ln_t = ln_w[i:i + per] * p
+        ln_t += ln_c
+        ln_t += ln_h[i:i + per]
+        peak = ln_t.max(axis=2)
+        ln_t -= peak[..., None]
+        terms = np.exp(ln_t, out=ln_t)
+        terms[..., 1::2] *= -1.0
+        total = terms.sum(axis=2)
+        served = (np.abs(terms[..., -1]) < _SERIES_TAIL * total).all(axis=1)
+        with np.errstate(over="ignore"):
+            values[far[i:i + per][served]] = (total * np.exp(peak))[served]
+    return values
+
+
 def _exponent_integral(k: int, s: float, h: float, alpha: float,
                        err_cap: float = math.inf) -> float:
     """J_k alone, from _exponent_integrals, as the engine cuts it."""
@@ -349,34 +432,45 @@ def _unconverged(achieved: np.ndarray) -> QuadratureError:
                            float(achieved.max()))
 
 
-def _jet_mul(a: list[float], b: list[float]) -> list[float]:
-    return [sum(a[j] * b[k - j] for j in range(k + 1)) for k in range(len(a))]
+def _jet_sum(a: np.ndarray, b: np.ndarray, k: int, j0: int, j1: int
+             ) -> np.ndarray:
+    """sum_{j0 <= j < j1} a_j * b_(k-j) of two jets, (orders, lanes)
+    arrays, added in j order for each lane alone."""
+    total = a[j0] * b[k - j0]
+    for j in range(j0 + 1, j1):
+        total += a[j] * b[k - j]
+    return total
 
 
-def _jet_div(a: list[float], b: list[float]) -> list[float]:
-    q: list[float] = []
-    for k in range(len(a)):
-        q.append((a[k] - sum(b[j] * q[k - j] for j in range(1, k + 1)))
-                 / b[0])
+def _jet_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.array([_jet_sum(a, b, k, 0, k + 1) for k in range(len(a))])
+
+
+def _jet_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    q = np.empty_like(a)
+    q[0] = a[0] / b[0]
+    for k in range(1, len(a)):
+        q[k] = (a[k] - _jet_sum(b, q, k, 1, k + 1)) / b[0]
     return q
 
 
-def _jet_sqrt(a: list[float]) -> list[float]:
-    r = [math.sqrt(a[0])]
+def _jet_sqrt(a: np.ndarray) -> np.ndarray:
+    r = np.empty_like(a)
+    r[0] = np.sqrt(a[0])
     for k in range(1, len(a)):
-        r.append((a[k] - sum(r[j] * r[k - j] for j in range(1, k)))
-                 / (2.0 * r[0]))
+        rest = a[k] - _jet_sum(r, r, k, 1, k) if k > 1 else a[k]
+        r[k] = rest / (2.0 * r[0])
     return r
 
 
-def _lane_integral_jet(s: float, h: float, alpha: float,
-                       order: int) -> list[float] | None:
+def _lane_jets(s, h, alpha: float, order: int) -> np.ndarray:
     """Taylor coefficients c_0..c_order of J(s*(1 - tau)) = sum_k c_k tau^k,
-    where J(s) = int_R s/(s + a(u)) du, when J has a closed form; None
-    otherwise.
+    where J(s) = int_R s/(s + a(u)) du, of each lane (s, h), s and h
+    equal-length arrays, as a (lanes, order + 1) array: from J's closed
+    form, and nan in the row of a lane that has none.
 
     The coefficients come from truncated-Taylor arithmetic on coefficient
-    lists (+, *, /, sqrt), so all orders are exact up to rounding:
+    arrays (+, *, /, sqrt), so all orders are exact up to rounding:
 
       alpha = 2:       J = pi * s / sqrt(s + h^2)
       alpha = 4:       J = pi * s / (sqrt(2) * w * sqrt(w + h^2)),
@@ -389,26 +483,40 @@ def _lane_integral_jet(s: float, h: float, alpha: float,
     where h^alpha would near the end of the float range, is evaluated at
     e > 0; any other at e = 0.
     """
-    if alpha in (2.0, 4.0) and 2.0 ** (1000.0 / alpha) <= h < math.inf:
-        e = math.frexp(h)[1] - round(1000.0 / alpha)
-        return [math.ldexp(c, e) for c in _lane_integral_jet(
-            math.ldexp(s, -round(alpha) * e), math.ldexp(h, -e), alpha, order)]
-    t = ([s, -s] + [0.0] * order)[:order + 1]    # the jet of s*(1 - tau)
+    s, h = np.asarray(s, dtype=float), np.asarray(h, dtype=float)
+    if alpha not in (2.0, 4.0):
+        c = np.full((order + 1, len(h)), math.nan)
+        on = h == 0.0
+        if on.any():
+            # (s*(1 - tau))^beta = s^beta * sum_k binom(beta, k) (-tau)^k.
+            beta = 1.0 / alpha
+            c[0, on] = (2.0 * math.pi * s[on] ** beta
+                        / (alpha * math.sin(math.pi / alpha)))
+            for k in range(1, order + 1):
+                c[k, on] = c[k - 1, on] * (k - 1 - beta) / k
+        return c.T
+    # The jets are (orders, lanes) arrays here, each order a row.
+    t = np.zeros((order + 1, len(h)))           # the jet of s*(1 - tau)
+    t[0] = s
+    t[1:2] = -s
+    e = np.zeros(len(h), dtype=int)
+    far = 2.0 ** (1000.0 / alpha) <= h
+    if far.any():
+        far &= h < math.inf
+        e[far] = np.frexp(h[far])[1] - round(1000.0 / alpha)
+        t = np.ldexp(t, -round(alpha) * e)
+        h = np.ldexp(h, -e)
+    x = t.copy()
     if alpha == 2.0:
-        x = [s + h * h] + t[1:]
-        return [math.pi * c for c in _jet_div(t, _jet_sqrt(x))]
-    if alpha == 4.0:
-        w = _jet_sqrt([h ** 4 + s] + t[1:])
-        den = _jet_mul(w, _jet_sqrt([w[0] + h * h] + w[1:]))
-        return [math.pi / math.sqrt(2.0) * c for c in _jet_div(t, den)]
-    if h == 0.0:
-        # (s*(1 - tau))^beta = s^beta * sum_k binom(beta, k) (-tau)^k.
-        beta = 1.0 / alpha
-        c = [2.0 * math.pi * s ** beta / (alpha * math.sin(math.pi / alpha))]
-        for k in range(1, order + 1):
-            c.append(c[-1] * (k - 1 - beta) / k)
-        return c
-    return None
+        x[0] += h * h
+        c = math.pi * _jet_div(t, _jet_sqrt(x))
+    else:
+        x[0] += h ** 4
+        w = _jet_sqrt(x)
+        v = w.copy()
+        v[0] += h * h
+        c = math.pi / math.sqrt(2.0) * _jet_div(t, _jet_mul(w, _jet_sqrt(v)))
+    return np.ldexp(c, e).T
 
 
 def _laplace_closed(alpha: float, s: float, lane: Lane,
@@ -422,7 +530,7 @@ def _laplace_closed(alpha: float, s: float, lane: Lane,
         raise ValueError("transform argument s must be nonnegative")
     if s == 0.0:
         return 1.0
-    j = _lane_integral_jet(s, lane.h, alpha, 0)[0]
+    j = _lane_jets([s], [lane.h], alpha, 0)[0, 0]
     return math.exp(-scenario.p * lane.intensity * j)
 
 
@@ -509,32 +617,32 @@ def _exponent_table(points: list[tuple[Scenario, float, int]], known: dict
     lanes = list(index)
     table = np.zeros((len(lanes), size))
     achieved = np.zeros(len(lanes))
-    ruled = np.zeros(len(lanes), dtype=bool)
+    whole = np.zeros(len(lanes), dtype=bool)
     # Lanes an earlier call entered into `known` are copied from their
     # entry; the others are evaluated now.
     new, old = [], []
     for n, lane in enumerate(lanes):
         (old if lane in known else new).append(n)
     if new:
-        table[new], achieved[new], ruled[new] = _evaluate_lanes(
+        table[new], achieved[new], whole[new] = _evaluate_lanes(
             [lanes[n] for n in new], size, known)
     for n in old:
-        (values, errors_n, ruled_n), row = known[lanes[n]]
+        (values, errors_n, whole_n), row = known[lanes[n]]
         cut = lanes[n][3] + 1
         table[n, :cut] = values[row, :cut]
-        achieved[n], ruled[n] = errors_n[row], ruled_n[row]
+        achieved[n], whole[n] = errors_n[row], whole_n[row]
     coeffs = table[key]
-    ruled = ruled[key]
+    whole = whole[key]
     # Not np.unique: its first call adds about 1.7 MB to the resident set.
-    for a in dict.fromkeys(alpha[ruled].tolist()):
-        at = np.flatnonzero(ruled & (alpha == a))
+    for a in dict.fromkeys(alpha[whole].tolist()):
+        at = np.flatnonzero(whole & (alpha == a))
         coeffs[at] = _truncated(coeffs[at], s[at], h[at], a, range(size),
                                 1.0 / rate[at])
         coeffs[at, 1:] *= -1.0
     bad = ~(achieved[key] <= _REL_TOL)                  # also when nan
     if bad.any():
         for i in set(point[bad].tolist()):
-            errors[i] = _unconverged(achieved[key[(point == i) & ruled]])
+            errors[i] = _unconverged(achieved[key[(point == i) & whole]])
         failed = np.zeros(len(points), dtype=bool)
         failed[point[bad]] = True
         keep = ~failed[point]
@@ -552,25 +660,32 @@ def _evaluate_lanes(lanes: list[tuple[float, float, float, int]],
                     size: int, known: dict
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(J_0..J_order padded with zeros to `size`, achieved relative error,
-    whether quadratured) of each (s, h, alpha, order) lane: the closed-form
-    jet where one exists (no error), and otherwise the rule's whole-line
-    J_k, one _exponent_integrals call per (alpha, order).  The three arrays
-    enter the lane table `known` as each lane's entry, with its row."""
-    jets = [_lane_integral_jet(*lane) for lane in lanes]
+    whether a whole-line J_k for _truncated) of each (s, h, alpha, order)
+    lane.  The lanes of one (alpha, order) take, each in one array call,
+    the closed-form jet where one exists (_lane_jets), else the far-lane
+    series where it serves (_far_lanes), else the rule (_exponent_integrals);
+    only the rule has an error.  The three arrays enter the lane table
+    `known` as each lane's entry, with its row."""
     table = np.zeros((len(lanes), size))
     achieved = np.zeros(len(lanes))
-    ruled = np.array([jet is None for jet in jets])
-    if not ruled.all():
-        table[~ruled] = [jet + [0.0] * (size - len(jet))
-                         for jet in jets if jet is not None]
-    rule: dict[tuple[float, int], list[int]] = {}
-    for n in np.flatnonzero(ruled).tolist():
-        rule.setdefault(lanes[n][2:], []).append(n)
-    for (a, o), rows in rule.items():
-        s, h = (np.array(c) for c in zip(*[lanes[n][:2] for n in rows]))
-        table[rows, :o + 1], _, achieved[rows] = _exponent_integrals(
-            s, h, a, range(o + 1))
-    entry = table, achieved, ruled
+    whole = np.zeros(len(lanes), dtype=bool)
+    groups: dict[tuple[float, int], list[int]] = {}
+    for n, lane in enumerate(lanes):
+        groups.setdefault(lane[2:], []).append(n)
+    for (a, o), rows in groups.items():
+        rows = np.array(rows)
+        s, h = np.array([lanes[n][:2] for n in rows.tolist()]).T
+        values = _lane_jets(s, h, a, o)
+        rest = np.flatnonzero(np.isnan(values[:, 0]))
+        if len(rest):
+            whole[rows[rest]] = True
+            values[rest] = _far_lanes(s[rest], h[rest], a, o)
+            rule = rest[np.isnan(values[rest, 0])]
+            if len(rule):
+                values[rule], _, achieved[rows[rule]] = _exponent_integrals(
+                    s[rule], h[rule], a, range(o + 1))
+        table[rows, :o + 1] = values
+    entry = table, achieved, whole
     known.update(zip(lanes, zip(itertools.repeat(entry), range(len(lanes)))))
     return entry
 

@@ -143,9 +143,11 @@ class Scenario:
     @property
     def laplace_argument(self) -> float:
         """m * Theta / (mu * l_SD): the point where both interference
-        Laplace transforms are evaluated."""
+        Laplace transforms are evaluated.  Divided by mu and l_SD in turn,
+        so where their product would underflow the argument overflows to
+        inf instead, which the engine reads as certain outage."""
         ch = self.channel
-        return ch.m * self.theta_threshold / (ch.mu * self.link_path_loss)
+        return ch.m * self.theta_threshold / ch.mu / self.link_path_loss
 
     def throughput(self, success: float) -> float:
         """Bits/s/Hz of a link that decodes with probability `success`."""

@@ -130,18 +130,54 @@ def test_jets_match_quadrature(alpha, h):
                 quadrature_exponent(k, s, h, alpha, 0.005), rel=1e-8), (s, k)
 
 
+def no_jets(s, h, alpha, order):
+    """_lane_jets for an engine without closed forms: every row nan."""
+    return np.full((len(h), order + 1), math.nan)
+
+
 @pytest.mark.parametrize("alpha", [2.0, 4.0])
 def test_engine_quadrature_branch_matches_jets(monkeypatch, alpha):
-    # The engine quadratures only where no jet exists (general alpha off
-    # the lane).  Forcing that branch at alpha in {2, 4} checks its
-    # integrands and signs against the jets.
+    # The engine quadratures only lanes that neither a jet nor the far-lane
+    # series serves.  Forcing every lane of a point at alpha in {2, 4} onto
+    # the rule checks its integrands and signs against the jets.
     sc = intersection_scenario(channel=ChannelParams(alpha=alpha, m=9),
                                d=30.0, theta=0.4)
     s = sc.laplace_argument
     expected = _exponent_coefficients(sc, s, 8)
-    monkeypatch.setattr(analytic, "_lane_integral_jet", lambda *args: None)
+    ruled = []
+    real = analytic._exponent_integrals
+
+    def rule(s, h, alpha, orders):
+        ruled.extend(h.tolist())
+        return real(s, h, alpha, orders)
+    monkeypatch.setattr(analytic, "_lane_jets", no_jets)
+    monkeypatch.setattr(analytic, "_far_lanes", no_jets)
+    monkeypatch.setattr(analytic, "_exponent_integrals", rule)
     assert _exponent_coefficients(sc, s, 8) == pytest.approx(
         expected, rel=1e-8)
+    assert sorted(ruled) == sorted({lane.h for lane in sc.lanes()})
+
+
+@pytest.mark.parametrize("alpha", [2.0, 4.0])
+def test_engine_series_branch_matches_jets(monkeypatch, alpha):
+    # D 300 m from the crossing and a short link: both lanes lie beyond
+    # 2 rho, where the far-lane series serves them once the jets step
+    # aside; the rule must not be reached.  The series gives whole-line
+    # J_k, as the jets do, once the tail cut is taken off.
+    sc = intersection_scenario(channel=ChannelParams(alpha=alpha, m=9),
+                               d=300.0, theta=0.4, r=5.0)
+    s = sc.laplace_argument
+    assert all(lane.h > 2.0 * s ** (1.0 / alpha) for lane in sc.lanes())
+    expected = _exponent_coefficients(sc, s, 8)
+
+    def no_rule(*args):
+        raise AssertionError("the rule was reached")
+    monkeypatch.setattr(analytic, "_lane_jets", no_jets)
+    monkeypatch.setattr(analytic, "_exponent_integrals", no_rule)
+    monkeypatch.setattr(analytic, "_truncated",
+                        lambda j, *args: np.array(j, dtype=float))
+    assert _exponent_coefficients(sc, s, 8) == pytest.approx(
+        expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("alpha", [1.3, 2.5, 3.7, 6.0])
@@ -222,7 +258,7 @@ def test_rule_matches_exact_lane_integrals(alpha):
         for s in np.logspace(-3, 8, 12):
             s = float(s)
             if h:
-                c = analytic._lane_integral_jet(s, h, alpha, 8)
+                c = analytic._lane_jets([s], [h], alpha, 8)[0].tolist()
                 exact = c[:1] + [-x for x in c[1:]]
             else:
                 exact = [2.0 * b * s ** b * (beta(b, 1.0 - b) if k == 0
@@ -333,6 +369,104 @@ def test_faint_interference_matches_its_power_law_limit(s, h, alpha):
         - math.lgamma(0.5 * alpha))
     assert _exponent_integral(0, s, h, alpha) == pytest.approx(
         expected, rel=1e-8)
+
+
+@pytest.mark.parametrize("alpha", [1.05, 2.5, 3.3, 6.0, 30.0])
+def test_far_lane_series_matches_the_lane_integrals(alpha):
+    # Lanes at h = ratio * rho, rho = s^(1/alpha) = 1.  The series serves a
+    # lane whose alternating sum loses fewer than 3 digits, (order + 1) *
+    # log10((1 + w)/(1 - w)) with w = s/h^alpha, and then matches QUADPACK
+    # (tests/analytic_helpers.py) to 1e-12; values below 1e-290 lose bits
+    # in both.  At h = 1e40 rho, w <= 1e-42 and J_k is its leading term,
+    # s^p h^(1 - alpha p) B(1/2, (alpha p - 1)/2), p = max(k, 1), to
+    # rounding.  An m = 100 lane (order 99) gives the same J_0..J_8.
+    def loss(order, w):
+        return (order + 1) * math.log10((1.0 + w) / (1.0 - w))
+
+    def leading(k, h):
+        q = alpha * max(k, 1)
+        return math.exp((1.0 - q) * math.log(h) + math.lgamma(0.5)
+                        + math.lgamma(0.5 * (q - 1.0)) - math.lgamma(0.5 * q))
+    for ratio in (2.5, 10.0, 1e3, 1e40):
+        w = ratio ** -alpha
+        values = analytic._far_lanes([1.0], [ratio], alpha, 8)[0]
+        wide = analytic._far_lanes([1.0], [ratio], alpha, 99)[0]
+        assert np.isnan(values).all() == (loss(8, w) >= 3.0), ratio
+        assert np.isnan(wide).all() == (loss(99, w) >= 3.0), ratio
+        if np.isnan(values).all():
+            continue
+        for k in range(9):
+            exact = (leading(k, ratio) if ratio == 1e40
+                     else lane_integral(k, 1.0, ratio, alpha))
+            assert values[k] == pytest.approx(exact, rel=1e-12,
+                                              abs=1e-290), (ratio, k)
+        if not np.isnan(wide).all():
+            assert wide[:9].tolist() == values.tolist()
+            if ratio == 1e40:
+                assert wide[99] == pytest.approx(leading(99, ratio),
+                                                 rel=1e-12, abs=1e-290)
+
+
+def test_a_lane_past_the_series_bounds_is_quadratured(monkeypatch):
+    # At order 99 the bound of 3 digits falls at w = (r - 1)/(r + 1),
+    # r = 10^0.03, where the last of the 40 terms is far below 1e-17 of the
+    # sum: a lane just inside takes the series, one just outside the rule.
+    r = 10.0 ** (analytic._SERIES_LOSS / 100.0)
+    bound, alpha = (r - 1.0) / (r + 1.0), 3.3
+    inside, outside = ((bound * f) ** (-1.0 / alpha)
+                       for f in (1.0 - 1e-6, 1.0 + 1e-6))
+    assert 2.0 < outside < inside
+    series = analytic._far_lanes([1.0, 1.0], [inside, outside], alpha, 99)
+    assert not np.isnan(series[0]).any() and np.isnan(series[1]).all()
+    ruled = []
+    real = analytic._exponent_integrals
+
+    def rule(s, h, alpha, orders):
+        ruled.extend(h.tolist())
+        return real(s, h, alpha, orders)
+    monkeypatch.setattr(analytic, "_exponent_integrals", rule)
+    table, achieved, whole = analytic._evaluate_lanes(
+        [(1.0, inside, alpha, 99), (1.0, outside, alpha, 99)], 100, {})
+    assert ruled == [outside]
+    assert table[0].tolist() == series[0].tolist()
+    assert whole.tolist() == [True, True]
+    assert achieved[0] == 0.0 and achieved[1] <= analytic._REL_TOL
+    # Either way J_k barely moves between the two lanes.
+    assert table[1, :9] == pytest.approx(table[0, :9], rel=1e-5)
+    # Just beyond 2 rho at alpha = 1.05, w = 0.48 loses only 0.46 digits
+    # at order 0, but its 40th term is still 1e-13 of the sum: the rule.
+    # At alpha = 6, w = 0.015 and the series serves.
+    assert np.isnan(analytic._far_lanes([1.0], [2.01], 1.05, 0)).all()
+    assert not np.isnan(analytic._far_lanes([1.0], [2.01], 6.0, 0)).any()
+
+
+@pytest.mark.parametrize("lane,link", [(1e308, 1e305), (3e307, 1e307)])
+def test_a_lane_integral_beyond_the_float_range_is_certain_outage(lane,
+                                                                  link):
+    # alpha = 1.0001 and m = 2, where B(1/2, (alpha - 1)/2) = 2e4.  rho =
+    # 2e305 and a lane at 1e308 m, which the far-lane series takes: w = 2e-3
+    # puts J_0 near 4e309.  rho = 2e307 and a lane at 3e307 m, within 2 rho,
+    # which the rule takes: J_0 is near 1e311.  Either reads inf without a
+    # floating-point warning, and p * lam * J is far beyond 800.
+    sc = Scenario(channel=ChannelParams(alpha=1.0001, m=2),
+                  geometry=DestinationGeometry(0.0, 0.0),
+                  link=LinkSpec(r=link),
+                  layout=RoadLayout((lane,), (), 1e-300, 0.0), p=0.5,
+                  theta_threshold=1.0)
+    assert outage_probability(validate_scenario(sc)).outage_prob == 1.0
+
+
+def test_far_lanes_of_a_steep_exponent_evaluate():
+    # alpha = 60, m = 100, D at 1e300 m: both lanes lie about 1e299 rho
+    # from D, where the rule misses its tolerance (achieved relative error
+    # 7.4e-9); the series reads J = 0 there.
+    sc = Scenario(channel=ChannelParams(alpha=60.0, m=100),
+                  geometry=DestinationGeometry(1e300, 0.5),
+                  link=LinkSpec(r=10.0),
+                  layout=RoadLayout.intersection(0.01, 0.01), p=0.5,
+                  theta_threshold=1.0)
+    outage = outage_probability(validate_scenario(sc)).outage_prob
+    assert 0.0 <= outage <= 1.0
 
 
 def test_lane_far_below_the_peak_matches_the_on_lane_limit():
@@ -449,7 +583,7 @@ def test_alpha2_jet_matches_two_term_split():
 
 
 def decimal_jet(s, h, alpha, order):
-    """_lane_integral_jet's closed forms for alpha = 2 and 4, in 50-digit
+    """_lane_jets' closed forms for alpha = 2 and 4, in 50-digit
     decimal arithmetic, whose exponent range takes h^4 at any float h."""
     def mul(a, b):
         return [sum(a[j] * b[k - j] for j in range(k + 1))
@@ -489,7 +623,7 @@ def test_jets_of_lanes_far_from_d(alpha):
     # this grid's above 1e-290 is.
     for h in (1e77, 1e100, 1e160, 1e300):
         for s in (1.0, 1e145, 1e300):
-            jet = analytic._lane_integral_jet(s, h, alpha, 8)
+            jet = analytic._lane_jets([s], [h], alpha, 8)[0].tolist()
             for k, c in enumerate(decimal_jet(s, h, alpha, 8)):
                 if abs(c) > 1e-290:
                     assert jet[k] == pytest.approx(c, rel=1e-14), (h, s, k)

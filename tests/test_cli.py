@@ -147,6 +147,19 @@ def test_point_with_overflowed_laplace_argument(tmp_path, capsys, lam,
     assert f"outage (analytic)      {outage}" in out
 
 
+def test_point_with_underflowed_mu_times_path_loss(tmp_path, capsys):
+    # mu = 1e-300 at r = 1e10 m, alpha = 4: mu * l_SD = 1e-340 would
+    # underflow to 0, while m*Theta/mu/l_SD overflows to inf, and both
+    # engines read certain outage.
+    path = write_config(tmp_path, channel={"alpha": 4.0, "m": 1,
+                                           "mu": 1e-300},
+                        link={"r": 1e10})
+    assert cli.main(["point", "--config", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "outage (analytic)      1.000000" in out
+    assert "outage (monte-carlo)   1.000000 " in out
+
+
 def test_point_general_alpha_at_huge_laplace_argument(tmp_path, capsys):
     # +3000 dB with alpha = 3 and D off the road: s = 8e303 is finite.  A
     # lower bound on J(s; h) alone puts exp(x_0) below underflow, so the

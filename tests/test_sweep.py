@@ -3,6 +3,7 @@ import math
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from analytic_helpers import fail_alpha, success_probability
@@ -242,12 +243,13 @@ def test_compare_engines_rows_come_from_sweep_row():
 
 def test_verify_grid_evaluates_each_lane_once(monkeypatch):
     calls = []
-    real = analytic._lane_integral_jet
+    real = analytic._lane_jets
 
     def counted(s, h, alpha, order):
-        calls.append((s, h, alpha, order))
+        calls.extend((s_i, h_i, alpha, order)
+                     for s_i, h_i in zip(s.tolist(), h.tolist()))
         return real(s, h, alpha, order)
-    monkeypatch.setattr(analytic, "_lane_integral_jet", counted)
+    monkeypatch.setattr(analytic, "_lane_jets", counted)
     grid = default_verification_grid()
     compare_engines(grid, SimConfig(trials=16))
     # The 12 points have 20 lane distances but 6 distinct (s, h, alpha, m).
@@ -377,6 +379,39 @@ def test_sweep_rows_equal_their_points_outside_a_sweep(axis):
         1.0 - success_probability(first), rel=1e-8)
 
 
+def test_a_sweep_of_series_and_rule_lanes_matches_its_points(monkeypatch):
+    # D moves away from the crossing at theta = 0.5: near it both lanes of
+    # the general variant lie within 2 rho = 61 m and are quadratured,
+    # farther out one and then both take the far-lane series; the alpha =
+    # 1.5 variant mixes them too.  Rows equal their points evaluated alone.
+    served = {"series": 0, "rule": 0}
+    series, rule = analytic._far_lanes, analytic._exponent_integrals
+
+    def counted_series(s, h, alpha, order):
+        values = series(s, h, alpha, order)
+        served["series"] += int((~np.isnan(values[:, 0])).sum())
+        return values
+
+    def counted_rule(s, h, alpha, orders):
+        served["rule"] += len(h)
+        return rule(s, h, alpha, orders)
+    monkeypatch.setattr(analytic, "_far_lanes", counted_series)
+    monkeypatch.setattr(analytic, "_exponent_integrals", counted_rule)
+    spec = SweepSpec(GENERAL, "distance_d",
+                     (25.0, 50.0, 100.0, 150.0, 400.0, 1e4),
+                     engines=("analytic",),
+                     variants=(Variant("general"),
+                               Variant("a1.5", channel=ChannelParams(
+                                   alpha=1.5, m=9))))
+    sim = SimConfig(trials=1)
+    rows = run_sweep(spec, sim)
+    assert served["series"] > 0 and served["rule"] > 0
+    assert rows == [sweep_row(scenario, spec.engines, sim, 1, variant.label,
+                              "distance_d", value)
+                    for _, variant, _, value, scenario in sweep_points(spec)]
+    assert all(row.error == "" for row in rows)
+
+
 def test_a_batch_of_several_rule_passes_matches_its_points(monkeypatch):
     # 1 to 10 lanes on both roads, D off both: the 10-lane row has 20 lane
     # distances, all quadratured at m = 9, more lane-orders than one rule
@@ -415,9 +450,17 @@ def test_a_batch_of_several_rule_passes_matches_its_points(monkeypatch):
         "converge (achieved relative error 2.000e-03)" for value in spec.values]
 
 
-def test_a_point_whose_argument_fails_fails_alone_in_its_batch():
-    # mu * r^-alpha underflows to 0 in the "faint" variant, whose s is then
-    # a division by zero; the other rows of the batch still evaluate.
+def test_a_point_whose_argument_fails_fails_alone_in_its_batch(
+        monkeypatch):
+    # The Laplace argument of the "faint" variant raises; the other rows of
+    # the batch still evaluate.
+    real = Scenario.laplace_argument
+
+    def argument(scenario):
+        if scenario.channel.mu == 1e-300:
+            raise ZeroDivisionError("float division by zero")
+        return real.fget(scenario)
+    monkeypatch.setattr(Scenario, "laplace_argument", property(argument))
     spec = SweepSpec(base_scenario(link=LinkSpec(1e10)), "aloha_p",
                      (0.2, 0.5), engines=("analytic",),
                      variants=(Variant("NLOS"), Variant(
@@ -441,13 +484,13 @@ def test_a_lane_that_raises_fails_only_its_points(monkeypatch):
     sim = SimConfig(trials=1)
     points = sweep_points(spec)
     broken = points[-1][-1].lanes()[2].h
-    real = analytic._lane_integral_jet
+    real = analytic._lane_jets
 
     def jet(s, h, alpha, order):
-        if h == broken:
+        if broken in h:
             raise ValueError("no jet here")
         return real(s, h, alpha, order)
-    monkeypatch.setattr(analytic, "_lane_integral_jet", jet)
+    monkeypatch.setattr(analytic, "_lane_jets", jet)
     rows = run_sweep(spec, sim)
     assert rows == [sweep_row(scenario, spec.engines, sim, 1, variant.label,
                               "lanes", value)
