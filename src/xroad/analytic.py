@@ -55,25 +55,23 @@ The benchmark's stored reference holds values of an engine that cut each
 integral at a window edge T = 1e4 * 2^n; _truncated subtracts that tail
 from the series' and the rule's whole-line J_k.
 
-outage_probabilities evaluates a batch of points, such as every row of a
-sweep or a verify grid (sweep._rows), in chunks of at most _BATCH_CELLS
-(point, lane) pairs times orders: one lane table, kept across the chunks,
-holds the J_k of each distinct (s, h, alpha, order).  The lanes of one
-(alpha, order) take the jets, the series and the rule in one array call
-each, the last two in passes of at most _PASS_ROWS lane-orders, s an
-array beside h; _truncated cuts every (point, lane) pair of one alpha in
-one array pass; and the recurrence runs over all points of a chunk at
-once.  Every array operation acts on each lane or point alone and each
-lane stops at its own level, so a point's result is bit for bit the one
-it gets evaluated alone (outage_probability, a batch of one).
+A batch of points (Points) arrives as arrays: s, alpha and m per point,
+h and the summed rate p*lam per (point, lane distance), from a sweep's
+axis (sweep._lane_pairs) or from Scenario.lanes() (scenario_points).  It
+is evaluated in chunks of at most _BATCH_CELLS pairs times orders; the
+distinct (s, h, alpha, order) lanes of a chunk, found by one array sort,
+take the jets, the series and the rule in one array call per (alpha,
+order), and the recurrence runs over all points of the chunk at once.
+Every operation acts on each lane or point alone and each lane stops at
+its own level, so a point's result is bit for bit the one it gets alone.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -544,58 +542,112 @@ def laplace_closed_alpha2(s: float, lane: Lane, scenario: Scenario) -> float:
     return _laplace_closed(2.0, s, lane, scenario)
 
 
+class Points(NamedTuple):
+    """A batch (see the module docstring); pairs run point by point, as
+    merged_lanes gives them.  `failed` maps a point whose argument raised
+    to its error."""
+
+    s: np.ndarray
+    alpha: np.ndarray
+    order: np.ndarray
+    point: np.ndarray
+    h: np.ndarray
+    rate: np.ndarray
+    failed: dict
+
+    def take(self, start: int, stop: int) -> Points:
+        lo, hi = np.searchsorted(self.point, (start, stop))
+        return Points(self.s[start:stop], self.alpha[start:stop],
+                      self.order[start:stop], self.point[lo:hi] - start,
+                      self.h[lo:hi], self.rate[lo:hi], {})
+
+
+def points(s: list, alpha, order, *pairs: np.ndarray) -> Points:
+    """Points of (point, h, rate) pairs; an entry of s may be the error its
+    point's argument raised, and that point keeps no pairs."""
+    failed = {i: x for i, x in enumerate(s) if isinstance(x, Exception)}
+    if failed:
+        s = [0.0 if i in failed else x for i, x in enumerate(s)]
+        pairs = [c[~np.isin(pairs[0], list(failed))] for c in pairs]
+    return Points(np.array(s, dtype=float), np.asarray(alpha, dtype=float),
+                  np.asarray(order, dtype=int), *pairs, failed)
+
+
+def merged_lanes(point: np.ndarray, h: np.ndarray, rate: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(point, h, rate) pairs of lanes given by point (ascending), h and
+    p*lam, each point's in lane order: a point's lanes at one h merge at
+    the first, their p*lam summed in lane order; p*lam = 0 lanes drop."""
+    live = rate > 0.0
+    point, h, rate = point[live], h[live], rate[live]
+    by = np.lexsort((h, point))        # stable: lanes at one h stay in order
+    new = np.ones(len(by), dtype=bool)
+    new[1:] = (point[by][1:] != point[by][:-1]) | (h[by][1:] != h[by][:-1])
+    if new.all():
+        return point, h, rate
+    pair = np.empty(len(by), dtype=int)
+    pair[by] = np.cumsum(new) - 1
+    summed = np.zeros(pair[by[-1]] + 1)
+    np.add.at(summed, pair, rate)
+    first = by[new]
+    order = np.argsort(first)
+    return point[first[order]], h[first[order]], summed[order]
+
+
+def scenario_points(scenarios: list[Scenario]) -> Points:
+    """The scenarios' Points; one whose argument or lanes raise fails."""
+    args, lanes = [], []
+    for i, scenario in enumerate(scenarios):
+        try:
+            s = scenario.laplace_argument
+            lanes += [(i, lane.h, scenario.p * lane.intensity)
+                      for lane in scenario.lanes()]
+            args.append(s)
+        except (ValueError, ArithmeticError) as exc:
+            args.append(exc)
+    point, h, rate = np.array(lanes, dtype=float).reshape(-1, 3).T
+    return points(args, [sc.channel.alpha for sc in scenarios],
+                  [sc.channel.m - 1 for sc in scenarios],
+                  *merged_lanes(point.astype(int), h, rate))
+
+
 def _exponent_coefficients(scenario: Scenario, s: float,
                            order: int) -> list[float]:
     """Taylor coefficients g~_0..g~_order of g(s*(1 - tau)), where g is the
     exponent of the Laplace transform of the total interference from both
     roads; g~_k = (-s)^k g^(k)(s) / k!.  _exponent_table for one point."""
-    g, errors = _exponent_table([(scenario, s, order)], {})
+    g, errors = _exponent_table(scenario_points([scenario])._replace(
+        s=np.array([s]), order=np.array([order])), None)
     if errors[0] is not None:
         raise errors[0]
     return g[0].tolist()
 
 
-def _exponent_table(points: list[tuple[Scenario, float, int]], known: dict
+def _exponent_table(batch: Points, known: dict | None
                     ) -> tuple[np.ndarray, list[QuadratureError | None]]:
-    """g~_0..g~_order, as for _exponent_coefficients, of every (scenario,
-    s, order) point, one row each padded with zeros to the largest order,
-    and each point's error (None if it has none).
+    """g~_0..g~_order, as for _exponent_coefficients, of every point of the
+    batch, one row each padded with zeros to the largest order, and each
+    point's error (None if it has none).
 
-    The lanes are independent point processes, so g = -sum_h rate_h * J(s; h)
-    over the distinct lane distances h of scenario.lanes(), with rate_h the
-    summed p*lam of the lanes at h on either road.  Each distinct (s, h,
-    alpha, order) is evaluated once, into the lane table `known`
-    (_evaluate_lanes), which the caller may keep for further points.  The
-    lane values do not depend on the rate; the (point, lane) pairs of one
-    alpha are cut by _truncated with err_cap = 1/rate_h in one pass, and
-    each point sums its lanes in their order.  A lane that misses the
-    tolerance fails the points that use it, each with the largest relative
-    error of its own quadratured lanes.
+    The lanes are independent point processes, so g = -sum_h rate_h *
+    J(s; h).  Each distinct (s, h, alpha, order) is evaluated once
+    (_evaluate_lanes, through the lane table `known` unless None).  J does
+    not depend on the rate; the pairs of one alpha are cut by _truncated
+    with err_cap = 1/rate_h in one pass, and each point sums its lanes in
+    their order.  A lane that misses the tolerance fails the points that
+    use it, each with the largest relative error of its own rule lanes.
     """
-    size = 1 + max((order for *_, order in points), default=0)
-    g = np.zeros((len(points), size))
-    errors: list[QuadratureError | None] = [None] * len(points)
+    size = 1 + int(batch.order.max(initial=0))
+    g = np.zeros((len(batch.s), size))
+    errors: list[QuadratureError | None] = [None] * len(batch.s)
     # One entry per pair of a point and one of its lane distances.
-    point, s, h, alpha, order, rate = [], [], [], [], [], []
-    for i, (scenario, s_i, order_i) in enumerate(points):
-        if s_i == 0.0:
-            continue
-        p = scenario.p
-        rates: dict[float, float] = {}
-        for h_i, _, intensity in scenario.lanes():
-            if p * intensity > 0.0:
-                rates[h_i] = rates.get(h_i, 0.0) + p * intensity
-        n = len(rates)
-        point += [i] * n
-        s += [s_i] * n
-        h += rates
-        alpha += [scenario.channel.alpha] * n
-        order += [order_i] * n
-        rate += rates.values()
-    if not point:
+    point, h, rate = batch.point, batch.h, batch.rate
+    s, alpha, order = (c[point] for c in (batch.s, batch.alpha, batch.order))
+    if not s.all():                    # s = 0: L = 1 whatever the lanes
+        point, s, h, alpha, order, rate = (
+            c[s != 0.0] for c in (point, s, h, alpha, order, rate))
+    if not len(point):
         return g, errors
-    point, s, h, alpha, order, rate = map(np.array,
-                                          (point, s, h, alpha, order, rate))
     # a(u) <= s where |u| <= sqrt(rho^2 - h^2), rho = s^(1/alpha), and there
     # s/(s+a) >= 1/2, so J(s; h) >= sqrt((rho - h)(rho + h)).  Past 800 the
     # point's exp(g~_0) underflows whatever the rest of J is, so at huge s
@@ -603,7 +655,7 @@ def _exponent_table(points: list[tuple[Scenario, float, int]], known: dict
     rho = s ** (1.0 / alpha)
     with np.errstate(over="ignore"):
         certain = np.bincount(point, rate * np.sqrt(
-            np.maximum(rho - h, 0.0) * (rho + h)), len(points)) > 800.0
+            np.maximum(rho - h, 0.0) * (rho + h)), len(g)) > 800.0
     if certain.any():
         g[certain, 0] = -math.inf
         live = ~certain[point]
@@ -611,26 +663,21 @@ def _exponent_table(points: list[tuple[Scenario, float, int]], known: dict
             return g, errors
         point, s, h, alpha, order, rate = (
             c[live] for c in (point, s, h, alpha, order, rate))
-    index: dict[tuple[float, float, float, int], int] = {}
-    key = np.array([index.setdefault(lane, len(index)) for lane in zip(
-        s.tolist(), h.tolist(), alpha.tolist(), order.tolist())])
-    lanes = list(index)
-    table = np.zeros((len(lanes), size))
-    achieved = np.zeros(len(lanes))
-    whole = np.zeros(len(lanes), dtype=bool)
-    # Lanes an earlier call entered into `known` are copied from their
-    # entry; the others are evaluated now.
-    new, old = [], []
-    for n, lane in enumerate(lanes):
-        (old if lane in known else new).append(n)
-    if new:
-        table[new], achieved[new], whole[new] = _evaluate_lanes(
-            [lanes[n] for n in new], size, known)
-    for n in old:
-        (values, errors_n, whole_n), row = known[lanes[n]]
-        cut = lanes[n][3] + 1
-        table[n, :cut] = values[row, :cut]
-        achieved[n], whole[n] = errors_n[row], whole_n[row]
+    # The distinct lanes, by an array sort (not np.unique, see below), the
+    # lanes of each (alpha, order) together.
+    by = np.lexsort((h, s, order, alpha))
+    lanes = [c[by] for c in (s, h, alpha, order)]
+    start = np.zeros(len(by), dtype=bool)
+    start[0] = True
+    for c in lanes:
+        start[1:] |= c[1:] != c[:-1]
+    key = np.empty(len(by), dtype=int)
+    key[by] = np.cumsum(start) - 1
+    lanes = [c[start] for c in lanes]
+    if known is None:
+        table, achieved, whole = _evaluate_lanes(*lanes, size)
+    else:
+        table, achieved, whole = _known_lanes(lanes, size, known)
     coeffs = table[key]
     whole = whole[key]
     # Not np.unique: its first call adds about 1.7 MB to the resident set.
@@ -643,7 +690,7 @@ def _exponent_table(points: list[tuple[Scenario, float, int]], known: dict
     if bad.any():
         for i in set(point[bad].tolist()):
             errors[i] = _unconverged(achieved[key[(point == i) & whole]])
-        failed = np.zeros(len(points), dtype=bool)
+        failed = np.zeros(len(g), dtype=bool)
         failed[point[bad]] = True
         keep = ~failed[point]
         point, rate, coeffs = point[keep], rate[keep], coeffs[keep]
@@ -656,48 +703,60 @@ def _exponent_table(points: list[tuple[Scenario, float, int]], known: dict
     return g, errors
 
 
-def _evaluate_lanes(lanes: list[tuple[float, float, float, int]],
-                    size: int, known: dict
+def _known_lanes(lanes: list[np.ndarray], size: int, known: dict
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_evaluate_lanes through the table `known` of each lane's rows."""
+    keys = list(zip(*(c.tolist() for c in lanes)))
+    new = [n for n, key in enumerate(keys) if key not in known]
+    if new:
+        known.update(zip([keys[n] for n in new], zip(*_evaluate_lanes(
+            *(c[new] for c in lanes), size))))
+    rows = [known[key] for key in keys]
+    table = np.zeros((len(keys), size))
+    for n, ((values, _, _), key) in enumerate(zip(rows, keys)):
+        table[n, :key[3] + 1] = values[:key[3] + 1]
+    return (table, np.array([row[1] for row in rows]),
+            np.array([row[2] for row in rows], dtype=bool))
+
+
+def _evaluate_lanes(s: np.ndarray, h: np.ndarray, alpha: np.ndarray,
+                    order: np.ndarray, size: int
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(J_0..J_order padded with zeros to `size`, achieved relative error,
-    whether a whole-line J_k for _truncated) of each (s, h, alpha, order)
-    lane.  The lanes of one (alpha, order) take, each in one array call,
-    the closed-form jet where one exists (_lane_jets), else the far-lane
-    series where it serves (_far_lanes), else the rule (_exponent_integrals);
-    only the rule has an error.  The three arrays enter the lane table
-    `known` as each lane's entry, with its row."""
-    table = np.zeros((len(lanes), size))
-    achieved = np.zeros(len(lanes))
-    whole = np.zeros(len(lanes), dtype=bool)
-    groups: dict[tuple[float, int], list[int]] = {}
-    for n, lane in enumerate(lanes):
-        groups.setdefault(lane[2:], []).append(n)
-    for (a, o), rows in groups.items():
-        rows = np.array(rows)
-        s, h = np.array([lanes[n][:2] for n in rows.tolist()]).T
-        values = _lane_jets(s, h, a, o)
+    whether a whole-line J_k for _truncated) of each lane (s, h, alpha,
+    order), those of one (alpha, order) together.  They take, each in one
+    array call, the closed-form jet where one exists (_lane_jets), else
+    the far-lane series where it serves (_far_lanes), else the rule
+    (_exponent_integrals); only the rule has an error."""
+    table = np.zeros((len(h), size))
+    achieved = np.zeros(len(h))
+    whole = np.zeros(len(h), dtype=bool)
+    edges = np.flatnonzero((alpha[1:] != alpha[:-1])
+                           | (order[1:] != order[:-1])) + 1
+    for lo, hi in zip([0, *edges.tolist()], [*edges.tolist(), len(h)]):
+        a, o, rows = float(alpha[lo]), int(order[lo]), np.arange(lo, hi)
+        values = _lane_jets(s[lo:hi], h[lo:hi], a, o)
         rest = np.flatnonzero(np.isnan(values[:, 0]))
         if len(rest):
             whole[rows[rest]] = True
-            values[rest] = _far_lanes(s[rest], h[rest], a, o)
+            values[rest] = _far_lanes(s[rows[rest]], h[rows[rest]], a, o)
             rule = rest[np.isnan(values[rest, 0])]
             if len(rule):
                 values[rule], _, achieved[rows[rule]] = _exponent_integrals(
-                    s[rule], h[rule], a, range(o + 1))
+                    s[rows[rule]], h[rows[rule]], a, range(o + 1))
         table[rows, :o + 1] = values
-    entry = table, achieved, whole
-    known.update(zip(lanes, zip(itertools.repeat(entry), range(len(lanes)))))
-    return entry
+    return table, achieved, whole
 
 
-def _clamp_probability(value: float) -> float:
+def _clamp_probability(value: float) -> float | ConsistencyError:
+    """The probability, clamped to [0, 1] within rounding; else the error."""
     if 0.0 <= value <= 1.0:
         return value
     if -1e-9 <= value < 0.0:
         return 0.0
     if 1.0 < value <= 1.0 + 1e-9:
         return 1.0
-    raise ConsistencyError(
+    return ConsistencyError(
         f"success probability {value} outside [0, 1] beyond rounding")
 
 
@@ -712,59 +771,62 @@ def _exp_coefficients(g: np.ndarray) -> np.ndarray:
     return e
 
 
+def success_probabilities(batch: Points) -> list[float | Exception]:
+    """Each point's success probability or, evaluated alone, its error;
+    the engine's entry for sweep rows (sweep._rows)."""
+    return _outcomes(batch, False)
+
+
 def outage_probabilities(scenarios: list[Scenario]
                          ) -> list[AnalyticResult | Exception]:
-    """outage_probability of every scenario, in order.  A point that fails
-    gets, in place of its result, the ValueError or ArithmeticError it
-    raises evaluated alone; the others still evaluate.
-
-    The points share one lane table and are evaluated in chunks (_chunk),
-    each closed before its lane count times its largest m passes
-    _BATCH_CELLS, so the arrays of a long sweep stay those of one chunk."""
-    known: dict = {}
-    results: list = []
-    chunk: list[Scenario] = []
-    lanes = m = 0
-    for scenario in scenarios:
-        n = len(scenario.layout.lanes_x) + len(scenario.layout.lanes_y)
-        m = max(m, scenario.channel.m)
-        if chunk and (lanes + n) * m > _BATCH_CELLS:
-            results += _chunk(chunk, known)
-            chunk, lanes, m = [], 0, scenario.channel.m
-        chunk.append(scenario)
-        lanes += n
-    return results + _chunk(chunk, known) if chunk else results
+    """outage_probability of every scenario, or its error, in order."""
+    return _outcomes(scenario_points(scenarios), True)
 
 
-def _chunk(scenarios: list[Scenario], known: dict
-           ) -> list[AnalyticResult | Exception]:
-    """outage_probabilities of the scenarios given the lane table `known`:
-    one _exponent_table and one pass of the recurrence over all of them.
-    If that raises, each scenario is evaluated alone."""
+def _outcomes(batch: Points, per_term: bool) -> list:
+    """success_probabilities, or with per_term the AnalyticResults, in
+    chunks of about _BATCH_CELLS pairs times orders, which share a lane
+    table."""
+    per = _BATCH_CELLS // (1 + int(batch.order.max(initial=0)))
+    if len(batch.point) <= per:
+        results = _chunk(batch, None, per_term)
+    else:
+        counts = np.bincount(batch.point, minlength=len(batch.s))
+        chunk = (np.cumsum(counts) - counts) // per
+        edges = [0, *(np.flatnonzero(np.diff(chunk)) + 1).tolist(),
+                 len(counts)]
+        known: dict = {}
+        results = [result for lo, hi in zip(edges, edges[1:])
+                   for result in _chunk(batch.take(lo, hi), known, per_term)]
+    for i, exc in batch.failed.items():
+        results[i] = exc
+    return results
+
+
+def _chunk(batch: Points, known: dict | None, per_term: bool) -> list:
+    """_outcomes of the batch given the lane table `known`: one
+    _exponent_table and one pass of the recurrence over all its points.
+    If that raises, each point is evaluated alone."""
     try:
-        points = [(scenario, scenario.laplace_argument, scenario.channel.m - 1)
-                  for scenario in scenarios]
-        g, errors = _exponent_table(points, known)
+        g, errors = _exponent_table(batch, known)
     except (ValueError, ArithmeticError) as exc:
-        if len(scenarios) == 1:
+        if len(batch.s) == 1:
             return [exc]
-        return [result for scenario in scenarios
-                for result in _chunk([scenario], known)]
+        return [result for i in range(len(batch.s))
+                for result in _chunk(batch.take(i, i + 1), known, per_term)]
     # e~_k depends on g~_0..g~_k only, so the zeros padding a row past its
     # own m change none of its first m terms.
     terms = _exp_coefficients(g)
     successes = np.cumsum(terms, axis=1)
-    results: list = []
-    for error, (_, _, order), row, total in zip(
-            errors, points, terms.tolist(), successes.tolist()):
-        if error is None:
-            try:
-                success = _clamp_probability(total[order])
-            except ConsistencyError as exc:
-                error = exc
-        results.append(error if error is not None else AnalyticResult(
-            success_prob=success, outage_prob=1.0 - success,
-            per_term=tuple(row[:order + 1])))
+    orders = batch.order.tolist()
+    totals = successes[np.arange(len(orders)), orders].tolist()
+    results = [_clamp_probability(total) if error is None else error
+               for error, total in zip(errors, totals)]
+    if per_term:
+        return [result if isinstance(result, Exception) else AnalyticResult(
+                    success_prob=result, outage_prob=1.0 - result,
+                    per_term=tuple(terms[i, :order + 1].tolist()))
+                for i, (result, order) in enumerate(zip(results, orders))]
     return results
 
 

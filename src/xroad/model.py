@@ -146,12 +146,16 @@ class Scenario:
         Laplace transforms are evaluated.  Divided by mu and l_SD in turn,
         so where their product would underflow the argument overflows to
         inf instead, which the engine reads as certain outage."""
+        return self.laplace_argument_at(self.theta_threshold)
+
+    def laplace_argument_at(self, theta_threshold: float) -> float:
+        """laplace_argument at another SIR threshold."""
         ch = self.channel
-        return ch.m * self.theta_threshold / ch.mu / self.link_path_loss
+        return ch.m * theta_threshold / ch.mu / self.link_path_loss
 
     def throughput(self, success: float) -> float:
         """Bits/s/Hz of a link that decodes with probability `success`."""
-        return success * math.log2(1.0 + self.theta_threshold)
+        return throughput(success, self.theta_threshold)
 
     def lanes(self) -> list[Lane]:
         """Every lane of the layout as seen from D, X road first, in
@@ -164,6 +168,12 @@ class Scenario:
         lay = self.layout
         return ([Lane(abs(dy - w), dx, lay.lambda_x) for w in lay.lanes_x]
                 + [Lane(abs(dx - w), dy, lay.lambda_y) for w in lay.lanes_y])
+
+
+def throughput(success: float, theta_threshold: float) -> float:
+    """Bits/s/Hz of a link at SIR threshold theta_threshold that decodes
+    with probability `success`."""
+    return success * math.log2(1.0 + theta_threshold)
 
 
 def destination_position(g: DestinationGeometry) -> tuple[float, float]:

@@ -8,9 +8,12 @@ from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import analytic, montecarlo
 from .model import (LOS, NLOS, ChannelParams, DestinationGeometry, LinkSpec,
-                    RoadLayout, Scenario, validate_scenario)
+                    RoadLayout, Scenario, destination_position, throughput,
+                    validate_scenario)
 from .montecarlo import SimConfig, estimate
 
 AXES = ("density", "distance_d", "lanes", "threshold_db", "aloha_p")
@@ -49,7 +52,7 @@ def db_to_linear(value_db: float) -> float:
 def validate_sweep(spec: SweepSpec) -> SweepSpec:
     """The spec itself, once it and every point of it are valid; raises
     ValueError otherwise (see sweep_points)."""
-    sweep_points(spec)
+    _variants(spec)
     return spec
 
 
@@ -127,24 +130,95 @@ def check_spec(spec: SweepSpec) -> None:
 
 
 def sweep_points(spec: SweepSpec) -> list[tuple]:
-    """(variant index, variant, value index, value, validated scenario)
-    for every sweep point, in (variant, value) order.  An invalid spec
-    raises ValueError, and so does an invalid point, naming it ("base
+    """(variant index, variant, value index, value, scenario) of every
+    point, in (variant, value) order, as validate_scenario returns it.  An
+    invalid spec or point raises ValueError, naming the point ("base
     aloha_p=1.5: Aloha probability ...")."""
+    return _scenarios(spec, _variants(spec))
+
+
+def _scenarios(spec: SweepSpec, variants: list[tuple]) -> list[tuple]:
+    return [(vi, variant, xi, value, apply_axis_value(
+                scenario, spec.axis, value, spec.lane_spacing))
+            for vi, (variant, scenario, *_) in enumerate(variants)
+            for xi, value in enumerate(spec.values)]
+
+
+def _variants(spec: SweepSpec) -> list[tuple]:
+    """(variant, its scenario before the axis, the Laplace argument of each
+    point or the error it raises, point, h, rate) of each variant of a
+    valid spec, the pairs from _lane_pairs; raises as sweep_points does.
+    The base and each variant at the first value are validated in full,
+    the other values only where the axis may break them (_lane_pairs),
+    and such a point in full, for its message."""
     check_spec(spec)
     validate_scenario(spec.base)
-    points = []
-    for vi, variant in enumerate(spec.variants):
-        base = apply_variant(spec.base, variant)
-        for xi, value in enumerate(spec.values):
-            try:
-                point = validate_scenario(apply_axis_value(
-                    base, spec.axis, value, spec.lane_spacing))
-            except ValueError as exc:
-                label = point_label(variant.label, spec.axis, value)
-                raise ValueError(f"{label}: {exc}") from exc
-            points.append((vi, variant, xi, value, point))
-    return points
+    thresholds = ([db_to_linear(value) for value in spec.values]
+                  if spec.axis == "threshold_db" else None)
+    variants, pairs = [], {}
+    for variant in spec.variants:
+        scenario = apply_variant(spec.base, variant)
+        first = _validated(spec, variant, scenario, 0)
+        if first.channel is not scenario.channel:       # m made an int
+            scenario = replace(scenario, channel=first.channel)
+        if scenario.layout not in pairs:
+            pairs[scenario.layout] = _lane_pairs(spec, scenario.layout, first)
+        *lanes, broken = pairs[scenario.layout]
+        for xi in broken:
+            _validated(spec, variant, scenario, xi)
+        try:
+            arguments = [first.laplace_argument_at(theta) for theta
+                         in thresholds or [first.theta_threshold]]
+        except (ValueError, ArithmeticError) as exc:
+            arguments = [exc]
+        variants.append((variant, scenario, arguments
+                         * (len(spec.values) // len(arguments)), *lanes))
+    return variants
+
+
+def _validated(spec: SweepSpec, variant: Variant, scenario: Scenario,
+               xi: int) -> Scenario:
+    value = spec.values[xi]
+    try:
+        return validate_scenario(apply_axis_value(
+            scenario, spec.axis, value, spec.lane_spacing))
+    except ValueError as exc:
+        label = point_label(variant.label, spec.axis, value)
+        raise ValueError(f"{label}: {exc}") from exc
+
+
+def _lane_pairs(spec: SweepSpec, layout: RoadLayout, first: Scenario
+                ) -> tuple[np.ndarray, ...]:
+    """analytic.merged_lanes of the points of a layout's variants, given
+    the first, and the values where the axis may break a point: Aloha p
+    above 1, or a lane distance from D that is not finite.  The lanes are
+    apply_axis_value over all values as one array operation, a row per
+    value and a column per lane, X road first: h = |D_y - w| or |D_x - w|
+    as Scenario.lanes() forms it, and p*lam, 0 for a lane the point lacks."""
+    axis, v = spec.axis, np.array(spec.values)[:, None]
+    dx, dy = destination_position(replace(first.geometry, d=v)
+                                  if axis == "distance_d" else first.geometry)
+    p = v if axis == "aloha_p" else first.p
+    h, rate = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for offsets, lam, at in ((layout.lanes_x, layout.lambda_x, dy),
+                                 (layout.lanes_y, layout.lambda_y, dx)):
+            w, has = np.array(offsets), 1.0
+            if offsets and lam > 0:         # as apply_axis_value reads it
+                if axis == "lanes":
+                    w = np.arange(int(spec.values[-1])) * spec.lane_spacing
+                    has = np.arange(len(w)) < v
+                elif axis == "density":
+                    lam = v
+            zero = np.zeros((len(v), len(w)))
+            h.append(np.abs(at - w + zero))
+            rate.append(p * lam * has + zero)
+        h = np.hstack(h)
+        broken = (v[:, 0] > 1.0 if axis == "aloha_p" else ~np.isfinite(h).all(
+            axis=1) if axis in ("distance_d", "lanes") else ())
+    point = np.repeat(np.arange(len(v)), h.shape[1])
+    return (*analytic.merged_lanes(point, h.ravel(), np.hstack(rate).ravel()),
+            np.flatnonzero(broken))
 
 
 @dataclass(frozen=True)
@@ -185,80 +259,89 @@ def row_seed(master_seed: int, variant_index: int, value_index: int) -> int:
 
 
 def sweep_row(scenario: Scenario, engines: tuple[str, ...], sim: SimConfig,
-              workers: int, variant: str, axis: str, value: float,
-              pool=None) -> SweepRow:
-    """The row of one validated scenario, from the requested engines: the
-    analytic engine on this point alone, and Monte-Carlo seeded by
-    sim.master_seed as given, run on `pool` if any.
-
-    An engine error lands in the row's error column and the other engine
-    still runs.
-    """
-    result = (analytic.outage_probabilities([scenario])[0]
-              if "analytic" in engines else None)
-    return _row(scenario, result, engines, sim, sim.master_seed, workers,
-                variant, axis, value, pool)
+              workers: int, variant: str, axis: str, value: float
+              ) -> SweepRow:
+    """The row of one validated scenario from the requested engines,
+    Monte-Carlo seeded by sim.master_seed as given.  An engine error lands
+    in the row's error column and the other engine still runs."""
+    return _scenario_rows([(variant, axis, value, scenario, sim.master_seed)],
+                          engines, sim, workers)[0]
 
 
-def _row(scenario: Scenario, result, engines: tuple[str, ...],
-         sim: SimConfig, seed: int, workers: int, variant: str, axis: str,
-         value: float, pool) -> SweepRow:
-    """sweep_row, given the analytic engine's result or error for the
-    scenario (None when that engine is not requested), with Monte-Carlo
-    seeded by `seed`."""
-    cells: dict = {}
-    errors: list[str] = []
-    if isinstance(result, analytic.AnalyticResult):
-        cells["outage_analytic"] = result.outage_prob
-        cells["throughput_analytic"] = scenario.throughput(
-            result.success_prob)
-    elif result is not None:
-        errors.append(f"analytic: {result}")
-    if "montecarlo" in engines:
-        try:
-            est = estimate(scenario, replace(sim, master_seed=seed), workers,
-                           pool=pool)
-            cells.update(outage_mc=est.p_hat, mc_stderr=est.stderr,
-                         ci_low=est.ci_low, ci_high=est.ci_high,
-                         trials=est.trials)
-        except (ValueError, ArithmeticError) as exc:
-            errors.append(f"montecarlo: {exc}")
-    return SweepRow(variant=variant, axis=axis, value=value,
-                    error="; ".join(errors), **cells)
+def _scenario_rows(points: list[tuple], engines: tuple[str, ...],
+                   sim: SimConfig, workers: int) -> list[SweepRow]:
+    """_rows of validated (variant label, axis, value, scenario, seed)
+    points, the analytic batch from Scenario.lanes()."""
+    return _rows([(*point[:3], point[3].theta_threshold) for point in points],
+                 analytic.scenario_points([point[3] for point in points])
+                 if "analytic" in engines else None,
+                 [point[3:] for point in points]
+                 if "montecarlo" in engines else None, sim, workers)
 
 
-def _rows(points: list[tuple], engines: tuple[str, ...], sim: SimConfig,
-          workers: int) -> list[SweepRow]:
-    """The sweep_row of every validated (variant label, axis, value,
-    scenario, seed) point, in order, Monte-Carlo seeded by the point's
-    seed.  The analytic engine evaluates all points as one batch
-    (outage_probabilities), and where estimate would fork the rows share
-    one worker pool, for this call only."""
-    results = (analytic.outage_probabilities([point[3] for point in points])
-               if "analytic" in engines else [None] * len(points))
-    ranges = montecarlo._ranges(sim, workers) if "montecarlo" in engines else 1
+def _rows(meta: list[tuple], batch, runs: list[tuple] | None,
+          sim: SimConfig, workers: int) -> list[SweepRow]:
+    """The row of each (variant label, axis, value, SIR threshold): the
+    analytic engine on all of them as one batch (None: not requested), and
+    Monte-Carlo on each of runs' (scenario, seed) (None likewise), the
+    rows sharing one worker pool for this call only where estimate would
+    fork.  An engine error lands in the row's error column."""
+    results = (analytic.success_probabilities(batch) if batch is not None
+               else [None] * len(meta))
+    ranges = montecarlo._ranges(sim, workers) if runs is not None else 1
     with (montecarlo._fork_pool(ranges) if ranges > 1
           else nullcontext()) as pool:
-        return [_row(scenario, result, engines, sim, seed, workers, variant,
-                     axis, value, pool)
-                for (variant, axis, value, scenario, seed), result
-                in zip(points, results)]
+        return [_row(*row, result, run, sim, workers, pool)
+                for row, result, run
+                in zip(meta, results, runs or [None] * len(meta))]
+
+
+def _row(variant: str, axis: str, value: float, theta: float, result,
+         run: tuple | None, sim: SimConfig, workers: int, pool) -> SweepRow:
+    errors = [f"analytic: {result}"] if isinstance(result, Exception) else []
+    cells = ((None, None) if result is None or errors
+             else (1.0 - result, throughput(result, theta)))
+    if run is not None:
+        try:
+            est = estimate(run[0], replace(sim, master_seed=run[1]), workers,
+                           pool=pool)
+            cells += (est.p_hat, est.stderr, est.ci_low, est.ci_high,
+                      est.trials)
+        except (ValueError, ArithmeticError) as exc:
+            errors.append(f"montecarlo: {exc}")
+    return SweepRow(variant, axis, value, *cells, *(None,) * (7 - len(cells)),
+                    "; ".join(errors))
 
 
 def run_sweep(spec: SweepSpec, sim: SimConfig,
               workers: int = 1) -> list[SweepRow]:
     """All sweep rows in (variant, value) order.
 
-    Every point is validated, once, before any engine runs.  The analytic
-    engine evaluates the rows as one batch, with one lane table for this
-    call only (_rows).  Engine failures land in the row's error column and
-    the sweep carries on; callers decide what a failed row means for the
-    exit code.
+    The spec is validated before any engine runs (_variants).  The
+    analytic engine gets the points as arrays, built once per layout with
+    the axis applied as one array operation, and evaluates them as one
+    batch with one lane table for this call only; each point's Scenario
+    and seed are built only for Monte-Carlo.  Engine failures land in the
+    row's error column and the sweep carries on; callers decide what a
+    failed row means for the exit code.
     """
-    return _rows([(variant.label, spec.axis, value, scenario,
-                   row_seed(sim.master_seed, vi, xi))
-                  for vi, variant, xi, value, scenario in sweep_points(spec)],
-                 spec.engines, sim, workers)
+    variants, n = _variants(spec), len(spec.values)
+    meta = [(variant.label, spec.axis, value, db_to_linear(value)
+             if spec.axis == "threshold_db" else scenario.theta_threshold)
+            for variant, scenario, *_ in variants for value in spec.values]
+    batch = runs = None
+    if "analytic" in spec.engines:
+        channels = [scenario.channel for _, scenario, *_ in variants]
+        batch = analytic.points(
+            [x for _, _, arguments, *_ in variants for x in arguments],
+            np.repeat([ch.alpha for ch in channels], n),
+            np.repeat([ch.m - 1 for ch in channels], n),
+            *map(np.concatenate, zip(*((point + vi * n, h, rate) for vi, (
+                *_, point, h, rate) in enumerate(variants)))))
+    if "montecarlo" in spec.engines:
+        runs = [(scenario, row_seed(sim.master_seed, vi, xi))
+                for vi, _, xi, _, scenario in _scenarios(spec, variants)]
+    return _rows(meta, batch, runs, sim, workers)
 
 
 def _format_cell(value) -> str:
@@ -347,7 +430,7 @@ def compare_engines(grid: list[tuple[str, Scenario]], sim: SimConfig,
     evaluates the points as one batch, as it does a sweep's rows.  An
     invalid scenario raises ValidationError before any engine runs."""
     grid = [(label, validate_scenario(scenario)) for label, scenario in grid]
-    return compare_rows(_rows(
+    return compare_rows(_scenario_rows(
         [(label, "none", 0.0, scenario, row_seed(sim.master_seed, 0, i))
          for i, (label, scenario) in enumerate(grid)],
         ENGINES, sim, workers))

@@ -7,11 +7,17 @@ The reference is independent of the engine's own rule: each lane integral
 is summed over the pieces [sigma 2^j, sigma 2^(j+1)], -60 <= j < 60, sigma
 = h + s^(1/alpha), and its tail beyond U = sigma 2^60 is the integral of
 (s/u^alpha)^max(k, 1), which the integrand matches there to a relative
-(h/U)^2 + s/U^alpha, below 1e-17.  The success probability is composed
-from the exponent's derivatives with complete Bell polynomials.
+(h/U)^2 + s/U^alpha, below 1e-17.  Past sigma the integrand falls as
+u^-q, q = alpha * max(k, 1), so the sum stops before the first piece on
+which it becomes subnormal, where QUADPACK loses its relative accuracy;
+what it drops is at most f(a) a/(q - 1) from that piece's left end a.
+The success probability is composed from the exponent's derivatives
+with complete Bell polynomials.
 """
 
 import math
+import sys
+import warnings
 
 from xroad import analytic
 from xroad.analytic import (QuadratureError, _exponent_coefficients,
@@ -23,31 +29,48 @@ from xroad.model import (ChannelParams, DestinationGeometry, LinkSpec,
 
 def fail_alpha(monkeypatch, alpha):
     """Make the analytic engine raise a QuadratureError at `alpha` only."""
-    real = analytic.outage_probabilities
+    real = analytic.success_probabilities
 
-    def engine(scenarios):
+    def engine(batch):
         return [QuadratureError("interference integral did not converge",
-                                1e-3) if scenario.channel.alpha == alpha
+                                1e-3) if point_alpha == alpha
                 else result
-                for scenario, result in zip(scenarios, real(scenarios))]
-    monkeypatch.setattr(analytic, "outage_probabilities", engine)
+                for point_alpha, result in zip(batch.alpha.tolist(),
+                                               real(batch))]
+    monkeypatch.setattr(analytic, "success_probabilities", engine)
 
 
 def lane_integral(k, s, h, alpha):
     """J_0 = int_R y du, or J_k = int_R (1 - y) y^k du for k >= 1, where
-    y = s/(s + (h^2 + u^2)^(alpha/2))."""
-    from scipy.integrate import quad
+    y = s/(s + (h^2 + u^2)^(alpha/2)).  Raises on any IntegrationWarning."""
+    from scipy.integrate import IntegrationWarning, quad
 
     def f(u):
-        w = alpha * math.log(math.hypot(h, u)) - math.log(s)     # ln(a/s)
-        e = math.exp(-abs(w))
+        # ln(a/s) = w0 + dw, its part dw that changes slowly with u kept to
+        # its own precision, so that a flat integrand is smooth to rounding.
+        big, small = max(h, u), min(h, u)
+        w0 = alpha * math.log(big) - math.log(s)
+        dw = 0.5 * alpha * math.log1p((small / big) ** 2)
+        w = w0 + dw
+        e = math.exp(-w0) * math.exp(-dw) if w > 0.0 else math.exp(w)
         y, y1 = (e, 1.0) if w > 0.0 else (1.0, e)        # y, 1 - y times 1+e
         return y1 * y ** k / (1.0 + e) ** (k + 1) if k else y / (1.0 + e)
     sigma = h + s ** (1.0 / alpha)
     edges = [0.0] + [sigma * 2.0 ** j for j in range(-60, 61)]
-    body = math.fsum(quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
-                     for a, b in zip(edges, edges[1:]))
     q = alpha * max(k, 1)
+    pieces, dropped = [], None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        for a, b in zip(edges, edges[1:]):
+            if a >= sigma and f(b) < sys.float_info.min:
+                dropped = f(a) * a / (q - 1.0)
+                break
+            pieces.append(quad(f, a, b, epsabs=0.0, epsrel=1e-13,
+                               limit=200)[0])
+    body = math.fsum(pieces)
+    if dropped is not None:
+        assert dropped <= 1e-15 * body, (k, s, h, alpha)
+        return 2.0 * body
     tail = math.exp(max(k, 1) * math.log(s) + (1.0 - q) * math.log(edges[-1]))
     return 2.0 * (body + tail / (q - 1.0))
 

@@ -426,7 +426,8 @@ def test_a_lane_past_the_series_bounds_is_quadratured(monkeypatch):
         return real(s, h, alpha, orders)
     monkeypatch.setattr(analytic, "_exponent_integrals", rule)
     table, achieved, whole = analytic._evaluate_lanes(
-        [(1.0, inside, alpha, 99), (1.0, outside, alpha, 99)], 100, {})
+        np.array([1.0, 1.0]), np.array([inside, outside]),
+        np.array([alpha, alpha]), np.array([99, 99]), 100)
     assert ruled == [outside]
     assert table[0].tolist() == series[0].tolist()
     assert whole.tolist() == [True, True]

@@ -9,13 +9,15 @@ import pytest
 from analytic_helpers import fail_alpha, success_probability
 from xroad import analytic, sweep
 from xroad.model import (LOS, NLOS, ChannelParams, DestinationGeometry,
-                         LinkSpec, RoadLayout, Scenario, ValidationError)
+                         LinkSpec, RoadLayout, Scenario, ValidationError,
+                         validate_scenario)
 from xroad.montecarlo import SimConfig
 from xroad.sweep import (CSV_COLUMNS, ENGINES, ComparisonReport, SweepRow,
                          SweepSpec, Variant, apply_axis_value, apply_variant,
                          compare_engines, compare_rows,
-                         default_verification_grid, row_seed, run_sweep,
-                         sweep_points, sweep_row, validate_sweep, write_csv)
+                         default_verification_grid, point_label, row_seed,
+                         run_sweep, sweep_points, sweep_row, validate_sweep,
+                         write_csv)
 
 
 def base_scenario(**overrides) -> Scenario:
@@ -179,16 +181,16 @@ def test_run_sweep_byte_identical_output(tmp_path):
 def test_run_sweep_marks_failed_rows_and_continues(monkeypatch):
     calls = {"n": 0}
 
-    def explode(scenarios):
-        results = real(scenarios)
+    def explode(batch):
+        results = real(batch)
         for i in range(len(results)):
             calls["n"] += 1
             if calls["n"] == 1:
                 results[i] = analytic.ConsistencyError("forced failure")
         return results
 
-    real = analytic.outage_probabilities
-    monkeypatch.setattr(analytic, "outage_probabilities", explode)
+    real = analytic.success_probabilities
+    monkeypatch.setattr(analytic, "success_probabilities", explode)
     spec = validate_sweep(SweepSpec(
         base=base_scenario(), axis="density", values=(0.001, 0.01),
         engines=("analytic",)))
@@ -263,7 +265,7 @@ def forbid_engines(monkeypatch):
     def engine_called(*args, **kwargs):
         pytest.fail("an engine ran before validation finished")
 
-    monkeypatch.setattr(analytic, "outage_probabilities", engine_called)
+    monkeypatch.setattr(analytic, "success_probabilities", engine_called)
     monkeypatch.setattr(sweep, "estimate", engine_called)
 
 
@@ -410,6 +412,76 @@ def test_a_sweep_of_series_and_rule_lanes_matches_its_points(monkeypatch):
                               "distance_d", value)
                     for _, variant, _, value, scenario in sweep_points(spec)]
     assert all(row.error == "" for row in rows)
+    # Every axis on an intersection, a highway and an off-road layout with
+    # duplicate lane offsets, for these variants and NLOS: the rows are
+    # bit-identical to their points alone, and so are the sweep's arrays.
+    layouts = (RoadLayout.intersection(0.01, 0.02), RoadLayout.highway(0.01),
+               RoadLayout((0.0, 3.5, 3.5, 7.0), (0.0, 0.0, 10.0), 0.01,
+                          0.005))
+    axes = {"density": (0.0, 0.001, 0.01, 0.1),
+            "distance_d": (0.0, 3.5, 25.0, 150.0, 1e4),
+            "lanes": (1.0, 2.0, 3.0), "threshold_db": (-10.0, 0.0, 10.0),
+            "aloha_p": (0.0, 0.3, 1.0)}
+    for axis, values in axes.items():
+        for layout in layouts:
+            one = SweepSpec(replace(GENERAL, layout=layout,
+                                    geometry=DestinationGeometry(50.0, 0.7)),
+                            axis, values, engines=("analytic",),
+                            variants=spec.variants + (Variant(
+                                "NLOS", channel=NLOS),))
+            points = sweep_points(one)
+            assert [repr(row) for row in run_sweep(one, sim)] == [
+                repr(sweep_row(scenario, one.engines, sim, 1, variant.label,
+                               axis, value))
+                for _, variant, _, value, scenario in points], (axis, layout)
+            assert_arrays_from_lanes(one, points)
+
+
+def assert_arrays_from_lanes(spec, points):
+    """Each variant's arguments and (point, h, rate) pairs in a sweep
+    equal those analytic.scenario_points forms from Scenario.lanes()."""
+    n = len(spec.values)
+    for vi, (*_, arguments, point, h, rate) in enumerate(
+            sweep._variants(spec)):
+        alone = analytic.scenario_points(
+            [scenario for *_, scenario in points[vi * n:(vi + 1) * n]])
+        assert arguments == alone.s.tolist()
+        assert [point.tolist(), h.tolist(), rate.tolist()] == [
+            alone.point.tolist(), alone.h.tolist(), alone.rate.tolist()]
+
+
+def test_axis_checks_give_the_messages_of_full_validation():
+    # Only the first value of a variant is validated in full; the others
+    # are checked for what their axis can break.  Either way a failing
+    # point raises what validate_scenario says of it, labeled.
+    far = base_scenario(geometry=DestinationGeometry(0.0, math.pi / 2),
+                        layout=RoadLayout((-1e308,), (), 0.01, 0.0))
+    flat = Variant("flat", channel=ChannelParams(alpha=1.0, m=1))
+    cases = [(SweepSpec(base_scenario(), "density", (-0.01, 0.01)), 0, 0),
+             (SweepSpec(base_scenario(), "distance_d", (-5.0, 10.0)), 0, 0),
+             (SweepSpec(far, "distance_d", (0.0, 1e308)), 0, 1),
+             (SweepSpec(base_scenario(), "aloha_p", (0.5, 1.5)), 0, 1),
+             (SweepSpec(base_scenario(), "lanes", (1.0, 2.0, 3.0),
+                        lane_spacing=1e308), 0, 2),
+             (SweepSpec(base_scenario(), "threshold_db", (0.0, 3.0),
+                        variants=(Variant("base"), flat)), 1, 0)]
+    sim = SimConfig(trials=1)
+    messages = []
+    for spec, vi, xi in cases:
+        variant, value = spec.variants[vi], spec.values[xi]
+        with pytest.raises(ValidationError) as full:
+            validate_scenario(apply_axis_value(apply_variant(
+                spec.base, variant), spec.axis, value, spec.lane_spacing))
+        messages.append(f"{point_label(variant.label, spec.axis, value)}: "
+                        f"{full.value}")
+        for run in (validate_sweep, lambda s: run_sweep(s, sim)):
+            with pytest.raises(ValueError) as raised:
+                run(spec)
+            assert str(raised.value) == messages[-1]
+    assert messages[0] == ("base density=-0.01: lambda_x is negative; "
+                           "lambda_y is negative")
+    assert messages[2].startswith("base distance_d=1e+308: lanes_x has a "
+                                  "lane whose distance")
 
 
 def test_a_batch_of_several_rule_passes_matches_its_points(monkeypatch):
@@ -454,13 +526,13 @@ def test_a_point_whose_argument_fails_fails_alone_in_its_batch(
         monkeypatch):
     # The Laplace argument of the "faint" variant raises; the other rows of
     # the batch still evaluate.
-    real = Scenario.laplace_argument
+    real = Scenario.laplace_argument_at
 
-    def argument(scenario):
+    def argument(scenario, theta):
         if scenario.channel.mu == 1e-300:
             raise ZeroDivisionError("float division by zero")
-        return real.fget(scenario)
-    monkeypatch.setattr(Scenario, "laplace_argument", property(argument))
+        return real(scenario, theta)
+    monkeypatch.setattr(Scenario, "laplace_argument_at", argument)
     spec = SweepSpec(base_scenario(link=LinkSpec(1e10)), "aloha_p",
                      (0.2, 0.5), engines=("analytic",),
                      variants=(Variant("NLOS"), Variant(
@@ -502,7 +574,7 @@ def test_a_lane_that_raises_fails_only_its_points(monkeypatch):
 def test_a_long_sweep_keeps_the_memory_of_one_chunk():
     # 200 points of 20 lanes at m = 100: one array over all their (point,
     # lane) pairs and orders would take 3.2 MB, and the batch's temporaries
-    # a dozen of those.  A chunk holds 8 of these points.
+    # a dozen of those.  A chunk holds about 8 of these points.
     base = base_scenario(channel=ChannelParams(alpha=3.3, m=100),
                          geometry=DestinationGeometry(50.0, 0.7),
                          layout=RoadLayout.multi_lane(10, 0.01))
