@@ -56,14 +56,15 @@ integral at a window edge T = 1e4 * 2^n; _truncated subtracts that tail
 from the series' and the rule's whole-line J_k.
 
 A batch of points (Points) arrives as arrays: s, alpha and m per point,
-h and the summed rate p*lam per (point, lane distance), from a sweep's
-axis (sweep._lane_pairs) or from Scenario.lanes() (scenario_points).  It
-is evaluated in chunks of at most _BATCH_CELLS pairs times orders; the
-distinct (s, h, alpha, order) lanes of a chunk, found by one array sort,
-take the jets, the series and the rule in one array call per (alpha,
-order), and the recurrence runs over all points of the chunk at once.
-Every operation acts on each lane or point alone and each lane stops at
-its own level, so a point's result is bit for bit the one it gets alone.
+h and the summed rate p*lam per (point, lane distance) pair, from a
+sweep's axis (sweep._lane_pairs) or from Scenario.lanes()
+(scenario_points).  Its pairs are taken in chunks of at most _BATCH_CELLS
+pairs times orders; each distinct (s, h, alpha, order) lane, found by one
+array sort, is evaluated with the first chunk that uses it, the jets, the
+series and the rule in one array call per (alpha, order).  Every
+operation acts on each lane, pair or point alone, each lane stops at its
+own level, and each point sums its pairs in their order across chunks, so
+a point's result is bit for bit the one it gets alone.
 """
 
 from __future__ import annotations
@@ -99,9 +100,9 @@ _PASS_ROWS = 64
 _SERIES_TERMS = 40
 _SERIES_TAIL = 1e-17
 _SERIES_LOSS = 3.0
-#: Most (point, lane) pairs times orders that outage_probabilities
-#: evaluates in one chunk, 128 KB per array; every sweep of the benchmark
-#: needs under 3000.
+#: Most (point, lane) pairs times orders that _exponent_table takes in
+#: one chunk, 128 KB per array; every sweep of the benchmark needs under
+#: 3000.
 _BATCH_CELLS = 2 ** 14
 
 #: scipy.integrate.quad, once quad() has loaded it.
@@ -545,7 +546,7 @@ def laplace_closed_alpha2(s: float, lane: Lane, scenario: Scenario) -> float:
 class Points(NamedTuple):
     """A batch (see the module docstring); pairs run point by point, as
     merged_lanes gives them.  `failed` maps a point whose argument raised
-    to its error."""
+    to its error; its s is 0, at which no lane is evaluated."""
 
     s: np.ndarray
     alpha: np.ndarray
@@ -564,13 +565,12 @@ class Points(NamedTuple):
 
 def points(s: list, alpha, order, *pairs: np.ndarray) -> Points:
     """Points of (point, h, rate) pairs; an entry of s may be the error its
-    point's argument raised, and that point keeps no pairs."""
+    point's argument raised."""
     failed = {i: x for i, x in enumerate(s) if isinstance(x, Exception)}
-    if failed:
-        s = [0.0 if i in failed else x for i, x in enumerate(s)]
-        pairs = [c[~np.isin(pairs[0], list(failed))] for c in pairs]
-    return Points(np.array(s, dtype=float), np.asarray(alpha, dtype=float),
-                  np.asarray(order, dtype=int), *pairs, failed)
+    return Points(np.array([0.0 if i in failed else x
+                            for i, x in enumerate(s)]),
+                  np.asarray(alpha, dtype=float), np.asarray(order, dtype=int),
+                  *pairs, failed)
 
 
 def merged_lanes(point: np.ndarray, h: np.ndarray, rate: np.ndarray
@@ -595,14 +595,14 @@ def merged_lanes(point: np.ndarray, h: np.ndarray, rate: np.ndarray
 
 
 def scenario_points(scenarios: list[Scenario]) -> Points:
-    """The scenarios' Points; one whose argument or lanes raise fails."""
+    """The scenarios' Points, from Scenario.lanes(); one whose argument
+    raises fails."""
     args, lanes = [], []
     for i, scenario in enumerate(scenarios):
+        lanes += [(i, lane.h, scenario.p * lane.intensity)
+                  for lane in scenario.lanes()]
         try:
-            s = scenario.laplace_argument
-            lanes += [(i, lane.h, scenario.p * lane.intensity)
-                      for lane in scenario.lanes()]
-            args.append(s)
+            args.append(scenario.laplace_argument)
         except (ValueError, ArithmeticError) as exc:
             args.append(exc)
     point, h, rate = np.array(lanes, dtype=float).reshape(-1, 3).T
@@ -617,25 +617,25 @@ def _exponent_coefficients(scenario: Scenario, s: float,
     exponent of the Laplace transform of the total interference from both
     roads; g~_k = (-s)^k g^(k)(s) / k!.  _exponent_table for one point."""
     g, errors = _exponent_table(scenario_points([scenario])._replace(
-        s=np.array([s]), order=np.array([order])), None)
+        s=np.array([s]), order=np.array([order]), failed={}))
     if errors[0] is not None:
         raise errors[0]
     return g[0].tolist()
 
 
-def _exponent_table(batch: Points, known: dict | None
+def _exponent_table(batch: Points
                     ) -> tuple[np.ndarray, list[QuadratureError | None]]:
     """g~_0..g~_order, as for _exponent_coefficients, of every point of the
     batch, one row each padded with zeros to the largest order, and each
     point's error (None if it has none).
 
     The lanes are independent point processes, so g = -sum_h rate_h *
-    J(s; h).  Each distinct (s, h, alpha, order) is evaluated once
-    (_evaluate_lanes, through the lane table `known` unless None).  J does
-    not depend on the rate; the pairs of one alpha are cut by _truncated
-    with err_cap = 1/rate_h in one pass, and each point sums its lanes in
-    their order.  A lane that misses the tolerance fails the points that
-    use it, each with the largest relative error of its own rule lanes.
+    J(s; h).  The pairs are taken in chunks of at most _BATCH_CELLS pairs
+    times orders, and each distinct (s, h, alpha, order) is evaluated once
+    (_evaluate_lanes), with the chunk that first uses it.  J does not
+    depend on the rate; _subtract_lanes cuts and sums a chunk's pairs.  A
+    lane that misses the tolerance fails the points that use it, each with
+    the largest relative error of its own rule lanes.
     """
     size = 1 + int(batch.order.max(initial=0))
     g = np.zeros((len(batch.s), size))
@@ -643,11 +643,6 @@ def _exponent_table(batch: Points, known: dict | None
     # One entry per pair of a point and one of its lane distances.
     point, h, rate = batch.point, batch.h, batch.rate
     s, alpha, order = (c[point] for c in (batch.s, batch.alpha, batch.order))
-    if not s.all():                    # s = 0: L = 1 whatever the lanes
-        point, s, h, alpha, order, rate = (
-            c[s != 0.0] for c in (point, s, h, alpha, order, rate))
-    if not len(point):
-        return g, errors
     # a(u) <= s where |u| <= sqrt(rho^2 - h^2), rho = s^(1/alpha), and there
     # s/(s+a) >= 1/2, so J(s; h) >= sqrt((rho - h)(rho + h)).  Past 800 the
     # point's exp(g~_0) underflows whatever the rest of J is, so at huge s
@@ -656,15 +651,14 @@ def _exponent_table(batch: Points, known: dict | None
     with np.errstate(over="ignore"):
         certain = np.bincount(point, rate * np.sqrt(
             np.maximum(rho - h, 0.0) * (rho + h)), len(g)) > 800.0
-    if certain.any():
-        g[certain, 0] = -math.inf
-        live = ~certain[point]
-        if not live.any():
-            return g, errors
-        point, s, h, alpha, order, rate = (
-            c[live] for c in (point, s, h, alpha, order, rate))
-    # The distinct lanes, by an array sort (not np.unique, see below), the
-    # lanes of each (alpha, order) together.
+    g[certain, 0] = -math.inf
+    live = (s != 0.0) & ~certain[point]     # s = 0: L = 1 whatever the lanes
+    point, s, h, alpha, order, rate = (
+        c[live] for c in (point, s, h, alpha, order, rate))
+    if not len(point):
+        return g, errors
+    # The distinct lanes, by an array sort (not np.unique, see
+    # _subtract_lanes), the lanes of each (alpha, order) together.
     by = np.lexsort((h, s, order, alpha))
     lanes = [c[by] for c in (s, h, alpha, order)]
     start = np.zeros(len(by), dtype=bool)
@@ -674,10 +668,37 @@ def _exponent_table(batch: Points, known: dict | None
     key = np.empty(len(by), dtype=int)
     key[by] = np.cumsum(start) - 1
     lanes = [c[start] for c in lanes]
-    if known is None:
-        table, achieved, whole = _evaluate_lanes(*lanes, size)
-    else:
-        table, achieved, whole = _known_lanes(lanes, size, known)
+    table = np.zeros((len(lanes[0]), size))
+    achieved = np.zeros(len(table))
+    whole, done = np.zeros((2, len(table)), dtype=bool)
+    per = max(1, _BATCH_CELLS // size)
+    for lo in range(0, len(point), per):
+        chunk = slice(lo, lo + per)
+        new = np.zeros(len(table), dtype=bool)
+        new[key[chunk]] = True
+        new &= ~done
+        if new.any():
+            done |= new
+            table[new], achieved[new], whole[new] = _evaluate_lanes(
+                *(c[new] for c in lanes), size)
+        _subtract_lanes(g, *(c[chunk] for c in (point, s, h, alpha, rate,
+                                                 key)), table, whole, size)
+    bad = ~(achieved[key] <= _REL_TOL)                  # also when nan
+    for i in set(point[bad].tolist()):
+        errors[i] = _unconverged(achieved[key[(point == i) & whole[key]]])
+        g[i] = 0.0
+    # rate * J beyond the float range: exp(g~_0) is 0, as past 800 above,
+    # and g~_k for k >= 1 may be inf, which exp(g~_0) cannot null.
+    g[g[:, 0] == -math.inf, 1:] = 0.0
+    return g, errors
+
+
+def _subtract_lanes(g: np.ndarray, point, s, h, alpha, rate, key,
+                    table: np.ndarray, whole: np.ndarray, size: int) -> None:
+    """Subtract rate * J_k of each (point, lane) pair from its point's row
+    of g, J_k its lane's row of the table; the whole-line J_k (whole) are
+    cut by _truncated with err_cap = 1/rate, those of one alpha in one
+    pass."""
     coeffs = table[key]
     whole = whole[key]
     # Not np.unique: its first call adds about 1.7 MB to the resident set.
@@ -686,37 +707,9 @@ def _exponent_table(batch: Points, known: dict | None
         coeffs[at] = _truncated(coeffs[at], s[at], h[at], a, range(size),
                                 1.0 / rate[at])
         coeffs[at, 1:] *= -1.0
-    bad = ~(achieved[key] <= _REL_TOL)                  # also when nan
-    if bad.any():
-        for i in set(point[bad].tolist()):
-            errors[i] = _unconverged(achieved[key[(point == i) & whole]])
-        failed = np.zeros(len(g), dtype=bool)
-        failed[point[bad]] = True
-        keep = ~failed[point]
-        point, rate, coeffs = point[keep], rate[keep], coeffs[keep]
     # Each point subtracts its lanes in their order, whatever the batch.
     with np.errstate(over="ignore", invalid="ignore"):
         np.subtract.at(g, point, rate[:, None] * coeffs)
-    # rate * J beyond the float range: exp(g~_0) is 0, as past 800 above,
-    # and g~_k for k >= 1 may be inf, which exp(g~_0) cannot null.
-    g[g[:, 0] == -math.inf, 1:] = 0.0
-    return g, errors
-
-
-def _known_lanes(lanes: list[np.ndarray], size: int, known: dict
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_evaluate_lanes through the table `known` of each lane's rows."""
-    keys = list(zip(*(c.tolist() for c in lanes)))
-    new = [n for n, key in enumerate(keys) if key not in known]
-    if new:
-        known.update(zip([keys[n] for n in new], zip(*_evaluate_lanes(
-            *(c[new] for c in lanes), size))))
-    rows = [known[key] for key in keys]
-    table = np.zeros((len(keys), size))
-    for n, ((values, _, _), key) in enumerate(zip(rows, keys)):
-        table[n, :key[3] + 1] = values[:key[3] + 1]
-    return (table, np.array([row[1] for row in rows]),
-            np.array([row[2] for row in rows], dtype=bool))
 
 
 def _evaluate_lanes(s: np.ndarray, h: np.ndarray, alpha: np.ndarray,
@@ -762,7 +755,9 @@ def _clamp_probability(value: float) -> float | ConsistencyError:
 
 def _exp_coefficients(g: np.ndarray) -> np.ndarray:
     """e~_0, e~_1, ... of exp(sum_k g~_k tau^k) for each row of g, by
-    e~_k = (1/k) * sum_{j=1..k} j * g~_j * e~_{k-j}, summed in j order."""
+    e~_k = (1/k) * sum_{j=1..k} j * g~_j * e~_{k-j}, summed in j order.
+    e~_k depends on g~_0..g~_k only, so zeros padding a row past its own
+    order change none of its terms up to that order."""
     e = np.empty_like(g)
     e[:, 0] = np.exp(g[:, 0])
     jg = g[:, 1:] * np.arange(1.0, g.shape[1])
@@ -772,70 +767,44 @@ def _exp_coefficients(g: np.ndarray) -> np.ndarray:
 
 
 def success_probabilities(batch: Points) -> list[float | Exception]:
-    """Each point's success probability or, evaluated alone, its error;
-    the engine's entry for sweep rows (sweep._rows)."""
-    return _outcomes(batch, False)
-
-
-def outage_probabilities(scenarios: list[Scenario]
-                         ) -> list[AnalyticResult | Exception]:
-    """outage_probability of every scenario, or its error, in order."""
-    return _outcomes(scenario_points(scenarios), True)
-
-
-def _outcomes(batch: Points, per_term: bool) -> list:
-    """success_probabilities, or with per_term the AnalyticResults, in
-    chunks of about _BATCH_CELLS pairs times orders, which share a lane
-    table."""
-    per = _BATCH_CELLS // (1 + int(batch.order.max(initial=0)))
-    if len(batch.point) <= per:
-        results = _chunk(batch, None, per_term)
+    """Each point's success probability, the sum of its terms e~_0..e~_m-1,
+    or, evaluated alone, its error; the engine's entry for sweep rows
+    (sweep._rows).  If the batch raises, each point is evaluated alone."""
+    try:
+        g, errors = _exponent_table(batch)
+    except (ValueError, ArithmeticError) as exc:
+        results = [exc] if len(batch.s) == 1 else [
+            result for i in range(len(batch.s))
+            for result in success_probabilities(batch.take(i, i + 1))]
     else:
-        counts = np.bincount(batch.point, minlength=len(batch.s))
-        chunk = (np.cumsum(counts) - counts) // per
-        edges = [0, *(np.flatnonzero(np.diff(chunk)) + 1).tolist(),
-                 len(counts)]
-        known: dict = {}
-        results = [result for lo, hi in zip(edges, edges[1:])
-                   for result in _chunk(batch.take(lo, hi), known, per_term)]
+        # The recurrence takes the rows in chunks too, of at most
+        # _BATCH_CELLS rows times orders.
+        totals, per = [], max(1, _BATCH_CELLS // g.shape[1])
+        for lo in range(0, len(g), per):
+            e = _exp_coefficients(g[lo:lo + per])
+            totals += np.cumsum(e, axis=1)[
+                np.arange(len(e)), batch.order[lo:lo + per]].tolist()
+        results = [_clamp_probability(total) if error is None else error
+                   for error, total in zip(errors, totals)]
     for i, exc in batch.failed.items():
         results[i] = exc
-    return results
-
-
-def _chunk(batch: Points, known: dict | None, per_term: bool) -> list:
-    """_outcomes of the batch given the lane table `known`: one
-    _exponent_table and one pass of the recurrence over all its points.
-    If that raises, each point is evaluated alone."""
-    try:
-        g, errors = _exponent_table(batch, known)
-    except (ValueError, ArithmeticError) as exc:
-        if len(batch.s) == 1:
-            return [exc]
-        return [result for i in range(len(batch.s))
-                for result in _chunk(batch.take(i, i + 1), known, per_term)]
-    # e~_k depends on g~_0..g~_k only, so the zeros padding a row past its
-    # own m change none of its first m terms.
-    terms = _exp_coefficients(g)
-    successes = np.cumsum(terms, axis=1)
-    orders = batch.order.tolist()
-    totals = successes[np.arange(len(orders)), orders].tolist()
-    results = [_clamp_probability(total) if error is None else error
-               for error, total in zip(errors, totals)]
-    if per_term:
-        return [result if isinstance(result, Exception) else AnalyticResult(
-                    success_prob=result, outage_prob=1.0 - result,
-                    per_term=tuple(terms[i, :order + 1].tolist()))
-                for i, (result, order) in enumerate(zip(results, orders))]
     return results
 
 
 def outage_probability(scenario: Scenario) -> AnalyticResult:
     """Outage and success probability of the link; success is the sum of m
     nonnegative per-order summands (per_term), the Taylor coefficients
-    e~_k of L(s*(1 - tau)) = exp(sum_k g~_k tau^k).  outage_probabilities
-    for a batch of one; raises the point's error."""
-    result = outage_probabilities([scenario])[0]
-    if isinstance(result, Exception):
-        raise result
-    return result
+    e~_k of L(s*(1 - tau)) = exp(sum_k g~_k tau^k), as
+    success_probabilities sums them.  Raises the point's error."""
+    batch = scenario_points([scenario])
+    for exc in batch.failed.values():
+        raise exc
+    g, [error] = _exponent_table(batch)
+    if error is not None:
+        raise error
+    terms = _exp_coefficients(g)[0]
+    success = _clamp_probability(np.cumsum(terms)[-1].item())
+    if isinstance(success, Exception):
+        raise success
+    return AnalyticResult(success_prob=success, outage_prob=1.0 - success,
+                          per_term=tuple(terms.tolist()))

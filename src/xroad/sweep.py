@@ -12,8 +12,7 @@ import numpy as np
 
 from . import analytic, montecarlo
 from .model import (LOS, NLOS, ChannelParams, DestinationGeometry, LinkSpec,
-                    RoadLayout, Scenario, destination_position, throughput,
-                    validate_scenario)
+                    RoadLayout, Scenario, throughput, validate_scenario)
 from .montecarlo import SimConfig, estimate
 
 AXES = ("density", "distance_d", "lanes", "threshold_db", "aloha_p")
@@ -65,18 +64,27 @@ def apply_variant(base: Scenario, variant: Variant) -> Scenario:
     return scenario
 
 
-def apply_axis_value(scenario: Scenario, axis: str, value: float,
+def _touched(layout: RoadLayout) -> tuple[bool, bool]:
+    """Whether the density and lanes axes touch the X and the Y road: they
+    touch a road that is active, one with lanes and a positive intensity."""
+    return (bool(layout.lanes_x) and layout.lambda_x > 0,
+            bool(layout.lanes_y) and layout.lambda_y > 0)
+
+
+def apply_axis_value(scenario: Scenario, axis: str,
+                     value: float | np.ndarray,
                      lane_spacing: float = 3.5) -> Scenario:
-    """Scenario at one sweep point.
+    """Scenario at one sweep point.  On the density, distance_d and
+    aloha_p axes `value` may be a column of values: Scenario.lanes() of
+    that scenario gives every point's lanes at once (_lane_pairs).
 
     The density and lanes axes touch only roads that are active in the
-    variant (nonempty lanes with positive intensity), so a highway variant
-    stays a highway across the sweep; with no active road they raise
-    ValueError, since they would change nothing.
+    variant (_touched), so a highway variant stays a highway across the
+    sweep; with no active road they raise ValueError, since they would
+    change nothing.
     """
     lay = scenario.layout
-    x_active = bool(lay.lanes_x) and lay.lambda_x > 0
-    y_active = bool(lay.lanes_y) and lay.lambda_y > 0
+    x_active, y_active = _touched(lay)
     if axis in ("density", "lanes") and not (x_active or y_active):
         raise ValueError(f"no road has lanes and a positive intensity, so "
                          f"the {axis} axis changes nothing; set "
@@ -134,46 +142,50 @@ def sweep_points(spec: SweepSpec) -> list[tuple]:
     point, in (variant, value) order, as validate_scenario returns it.  An
     invalid spec or point raises ValueError, naming the point ("base
     aloha_p=1.5: Aloha probability ...")."""
-    return _scenarios(spec, _variants(spec))
+    return _scenarios(spec, _variants(spec)[0])
 
 
 def _scenarios(spec: SweepSpec, variants: list[tuple]) -> list[tuple]:
     return [(vi, variant, xi, value, apply_axis_value(
                 scenario, spec.axis, value, spec.lane_spacing))
-            for vi, (variant, scenario, *_) in enumerate(variants)
+            for vi, (variant, scenario) in enumerate(variants)
             for xi, value in enumerate(spec.values)]
 
 
-def _variants(spec: SweepSpec) -> list[tuple]:
-    """(variant, its scenario before the axis, the Laplace argument of each
-    point or the error it raises, point, h, rate) of each variant of a
-    valid spec, the pairs from _lane_pairs; raises as sweep_points does.
-    The base and each variant at the first value are validated in full,
-    the other values only where the axis may break them (_lane_pairs),
-    and such a point in full, for its message."""
+def _variants(spec: SweepSpec) -> tuple[list[tuple], analytic.Points]:
+    """(variant, its scenario before the axis) of each variant, and the
+    analytic batch of all points; raises as sweep_points does.  The base
+    and each variant at the first value are validated in full, the other
+    values only where the axis may break them (_lane_pairs), and such a
+    point in full, for its message."""
     check_spec(spec)
     validate_scenario(spec.base)
-    thresholds = ([db_to_linear(value) for value in spec.values]
-                  if spec.axis == "threshold_db" else None)
-    variants, pairs = [], {}
-    for variant in spec.variants:
+    n = len(spec.values)
+    variants, args, pairs, known = [], [], [], {}
+    for vi, variant in enumerate(spec.variants):
         scenario = apply_variant(spec.base, variant)
         first = _validated(spec, variant, scenario, 0)
         if first.channel is not scenario.channel:       # m made an int
             scenario = replace(scenario, channel=first.channel)
-        if scenario.layout not in pairs:
-            pairs[scenario.layout] = _lane_pairs(spec, scenario.layout, first)
-        *lanes, broken = pairs[scenario.layout]
+        if scenario.layout not in known:
+            known[scenario.layout] = _lane_pairs(spec, scenario)
+        point, h, rate, broken = known[scenario.layout]
         for xi in broken:
             _validated(spec, variant, scenario, xi)
-        try:
-            arguments = [first.laplace_argument_at(theta) for theta
-                         in thresholds or [first.theta_threshold]]
-        except (ValueError, ArithmeticError) as exc:
-            arguments = [exc]
-        variants.append((variant, scenario, arguments
-                         * (len(spec.values) // len(arguments)), *lanes))
-    return variants
+        for value in spec.values:
+            try:
+                args.append(first.laplace_argument_at(
+                    db_to_linear(value) if spec.axis == "threshold_db"
+                    else first.theta_threshold))
+            except (ValueError, ArithmeticError) as exc:
+                args.append(exc)
+        pairs.append((point + vi * n, h, rate))
+        variants.append((variant, scenario))
+    channels = [scenario.channel for _, scenario in variants]
+    return variants, analytic.points(
+        args, np.repeat([ch.alpha for ch in channels], n),
+        np.repeat([ch.m - 1 for ch in channels], n),
+        *map(np.concatenate, zip(*pairs)))
 
 
 def _validated(spec: SweepSpec, variant: Variant, scenario: Scenario,
@@ -187,37 +199,33 @@ def _validated(spec: SweepSpec, variant: Variant, scenario: Scenario,
         raise ValueError(f"{label}: {exc}") from exc
 
 
-def _lane_pairs(spec: SweepSpec, layout: RoadLayout, first: Scenario
+def _lane_pairs(spec: SweepSpec, scenario: Scenario
                 ) -> tuple[np.ndarray, ...]:
-    """analytic.merged_lanes of the points of a layout's variants, given
-    the first, and the values where the axis may break a point: Aloha p
-    above 1, or a lane distance from D that is not finite.  The lanes are
-    apply_axis_value over all values as one array operation, a row per
-    value and a column per lane, X road first: h = |D_y - w| or |D_x - w|
-    as Scenario.lanes() forms it, and p*lam, 0 for a lane the point lacks."""
-    axis, v = spec.axis, np.array(spec.values)[:, None]
-    dx, dy = destination_position(replace(first.geometry, d=v)
-                                  if axis == "distance_d" else first.geometry)
-    p = v if axis == "aloha_p" else first.p
-    h, rate = [], []
+    """analytic.merged_lanes of a variant's points, from its scenario
+    before the axis, and the values where the axis may break a point
+    (Aloha p above 1, a lane distance from D that is not finite).
+    apply_axis_value takes all values as one column, and lanes() of that
+    scenario gives a column per lane; the lanes axis takes the most lanes
+    and keeps lane i of a road it touches where i is below the value."""
+    v, wide, has = np.array(spec.values)[:, None], scenario, True
+    if spec.axis == "lanes":
+        wide = apply_axis_value(scenario, "lanes", spec.values[-1],
+                                spec.lane_spacing)
+        has = np.array([i if touched else -1 for touched, road in zip(
+            _touched(scenario.layout),
+            (wide.layout.lanes_x, wide.layout.lanes_y))
+            for i in range(len(road))]) < v
+    elif spec.axis != "threshold_db":
+        wide = apply_axis_value(scenario, spec.axis, v)
     with np.errstate(over="ignore", invalid="ignore"):
-        for offsets, lam, at in ((layout.lanes_x, layout.lambda_x, dy),
-                                 (layout.lanes_y, layout.lambda_y, dx)):
-            w, has = np.array(offsets), 1.0
-            if offsets and lam > 0:         # as apply_axis_value reads it
-                if axis == "lanes":
-                    w = np.arange(int(spec.values[-1])) * spec.lane_spacing
-                    has = np.arange(len(w)) < v
-                elif axis == "density":
-                    lam = v
-            zero = np.zeros((len(v), len(w)))
-            h.append(np.abs(at - w + zero))
-            rate.append(p * lam * has + zero)
-        h = np.hstack(h)
-        broken = (v[:, 0] > 1.0 if axis == "aloha_p" else ~np.isfinite(h).all(
-            axis=1) if axis in ("distance_d", "lanes") else ())
-    point = np.repeat(np.arange(len(v)), h.shape[1])
-    return (*analytic.merged_lanes(point, h.ravel(), np.hstack(rate).ravel()),
+        lanes = wide.lanes()
+        h, rate = np.zeros((2, len(v), len(lanes)))
+        for j, lane in enumerate(lanes):
+            h[:, j:j + 1], rate[:, j:j + 1] = lane.h, wide.p * lane.intensity
+    broken = ~np.isfinite(h).all(axis=1) | (np.broadcast_to(
+        wide.p, v.shape)[:, 0] > 1.0)
+    return (*analytic.merged_lanes(np.repeat(np.arange(len(v)), len(lanes)),
+                                   h.ravel(), (rate * has).ravel()),
             np.flatnonzero(broken))
 
 
@@ -317,31 +325,23 @@ def run_sweep(spec: SweepSpec, sim: SimConfig,
               workers: int = 1) -> list[SweepRow]:
     """All sweep rows in (variant, value) order.
 
-    The spec is validated before any engine runs (_variants).  The
-    analytic engine gets the points as arrays, built once per layout with
-    the axis applied as one array operation, and evaluates them as one
-    batch with one lane table for this call only; each point's Scenario
+    The spec is validated before any engine runs: each variant in full at
+    the first value, the other values for what their axis can break
+    (_variants).  The analytic engine gets all points as one batch of
+    arrays, the axis applied as one array operation; each point's Scenario
     and seed are built only for Monte-Carlo.  Engine failures land in the
     row's error column and the sweep carries on; callers decide what a
     failed row means for the exit code.
     """
-    variants, n = _variants(spec), len(spec.values)
+    variants, batch = _variants(spec)
     meta = [(variant.label, spec.axis, value, db_to_linear(value)
              if spec.axis == "threshold_db" else scenario.theta_threshold)
-            for variant, scenario, *_ in variants for value in spec.values]
-    batch = runs = None
-    if "analytic" in spec.engines:
-        channels = [scenario.channel for _, scenario, *_ in variants]
-        batch = analytic.points(
-            [x for _, _, arguments, *_ in variants for x in arguments],
-            np.repeat([ch.alpha for ch in channels], n),
-            np.repeat([ch.m - 1 for ch in channels], n),
-            *map(np.concatenate, zip(*((point + vi * n, h, rate) for vi, (
-                *_, point, h, rate) in enumerate(variants)))))
-    if "montecarlo" in spec.engines:
-        runs = [(scenario, row_seed(sim.master_seed, vi, xi))
-                for vi, _, xi, _, scenario in _scenarios(spec, variants)]
-    return _rows(meta, batch, runs, sim, workers)
+            for variant, scenario in variants for value in spec.values]
+    runs = ([(scenario, row_seed(sim.master_seed, vi, xi))
+             for vi, _, xi, _, scenario in _scenarios(spec, variants)]
+            if "montecarlo" in spec.engines else None)
+    return _rows(meta, batch if "analytic" in spec.engines else None, runs,
+                 sim, workers)
 
 
 def _format_cell(value) -> str:

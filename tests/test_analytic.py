@@ -158,6 +158,19 @@ def test_engine_quadrature_branch_matches_jets(monkeypatch, alpha):
     assert sorted(ruled) == sorted({lane.h for lane in sc.lanes()})
 
 
+def test_exponent_coefficients_take_s_as_given(monkeypatch):
+    # The lanes come from the scenario and s from the caller: the
+    # scenario's own Laplace argument, even one that raises, plays no part.
+    sc = intersection_scenario(d=30.0, theta=0.4)
+    expected = _exponent_coefficients(sc, 0.5, 3)
+
+    def raising(scenario, theta):
+        raise ZeroDivisionError("float division by zero")
+    monkeypatch.setattr(Scenario, "laplace_argument_at", raising)
+    assert _exponent_coefficients(sc, 0.5, 3) == expected
+    assert expected[0] < 0.0 and all(g > 0.0 for g in expected[1:])
+
+
 @pytest.mark.parametrize("alpha", [2.0, 4.0])
 def test_engine_series_branch_matches_jets(monkeypatch, alpha):
     # D 300 m from the crossing and a short link: both lanes lie beyond

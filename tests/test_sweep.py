@@ -438,16 +438,13 @@ def test_a_sweep_of_series_and_rule_lanes_matches_its_points(monkeypatch):
 
 
 def assert_arrays_from_lanes(spec, points):
-    """Each variant's arguments and (point, h, rate) pairs in a sweep
-    equal those analytic.scenario_points forms from Scenario.lanes()."""
-    n = len(spec.values)
-    for vi, (*_, arguments, point, h, rate) in enumerate(
-            sweep._variants(spec)):
-        alone = analytic.scenario_points(
-            [scenario for *_, scenario in points[vi * n:(vi + 1) * n]])
-        assert arguments == alone.s.tolist()
-        assert [point.tolist(), h.tolist(), rate.tolist()] == [
-            alone.point.tolist(), alone.h.tolist(), alone.rate.tolist()]
+    """A sweep's batch of arrays equals the one analytic.scenario_points
+    forms from its points' Scenario.lanes()."""
+    swept = sweep._variants(spec)[1]
+    alone = analytic.scenario_points([scenario for *_, scenario in points])
+    assert [c.tolist() for c in swept[:-1]] == [c.tolist()
+                                                for c in alone[:-1]]
+    assert swept.failed == alone.failed == {}
 
 
 def test_axis_checks_give_the_messages_of_full_validation():
@@ -571,10 +568,11 @@ def test_a_lane_that_raises_fails_only_its_points(monkeypatch):
         "", "", "analytic: no jet here", "analytic: no jet here"]
 
 
-def test_a_long_sweep_keeps_the_memory_of_one_chunk():
+def test_a_long_sweep_keeps_the_memory_of_one_chunk(monkeypatch):
     # 200 points of 20 lanes at m = 100: one array over all their (point,
     # lane) pairs and orders would take 3.2 MB, and the batch's temporaries
-    # a dozen of those.  A chunk holds about 8 of these points.
+    # a dozen of those.  A chunk holds 163 pairs, so the first chunk edge
+    # falls inside point 8, which sums its pairs across two chunks.
     base = base_scenario(channel=ChannelParams(alpha=3.3, m=100),
                          geometry=DestinationGeometry(50.0, 0.7),
                          layout=RoadLayout.multi_lane(10, 0.01))
@@ -590,11 +588,24 @@ def test_a_long_sweep_keeps_the_memory_of_one_chunk():
         tracemalloc.stop()
     assert peak < 8e6
     assert all(row.error == "" for row in rows)
+    assert len(sweep._variants(spec)[1].point) == 200 * 20
+    assert 8 * 20 < analytic._BATCH_CELLS // 100 < 9 * 20
     points = sweep_points(spec)
-    for i in (0, 7, 8, 199):
+    for i in (0, 7, 8, 9, 199):
         _, variant, _, value, scenario = points[i]
         assert rows[i] == sweep_row(scenario, spec.engines, sim, 1,
                                     variant.label, "density", value)
+    # Every point has the same 20 lanes: the first chunk evaluates them,
+    # and the other 24 chunks reuse them.
+    evaluated = []
+    real = analytic._evaluate_lanes
+
+    def counted(s, h, alpha, order, size):
+        evaluated.extend(h.tolist())
+        return real(s, h, alpha, order, size)
+    monkeypatch.setattr(analytic, "_evaluate_lanes", counted)
+    assert run_sweep(spec, sim) == rows
+    assert len(evaluated) == len(set(evaluated)) == 20
 
 
 def test_shared_integrals_last_one_sweep(monkeypatch):
