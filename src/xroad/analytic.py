@@ -58,13 +58,16 @@ from the series' and the rule's whole-line J_k.
 A batch of points (Points) arrives as arrays: s, alpha and m per point,
 h and the summed rate p*lam per (point, lane distance) pair, from a
 sweep's axis (sweep._lane_pairs) or from Scenario.lanes()
-(scenario_points).  Its pairs are taken in chunks of at most _BATCH_CELLS
-pairs times orders; each distinct (s, h, alpha, order) lane, found by one
-array sort, is evaluated with the first chunk that uses it, the jets, the
-series and the rule in one array call per (alpha, order).  Every
-operation acts on each lane, pair or point alone, each lane stops at its
-own level, and each point sums its pairs in their order across chunks, so
-a point's result is bit for bit the one it gets alone.
+(scenario_points); an s that overflowed to inf reads as certain outage.
+success_probabilities is the one way from a batch to results, and
+outage_probability evaluates a batch of one.  The pairs are taken in
+chunks of at most _BATCH_CELLS pairs times orders; each distinct (s, h,
+alpha, order) lane, found by one array sort, is evaluated with the first
+chunk that uses it, the jets, the series and the rule in one array call
+per (alpha, order).  Every operation acts on each lane, pair or point
+alone, each lane stops at its own level, and each point sums its pairs in
+their order across chunks, so a point's result is bit for bit the one it
+gets alone.
 """
 
 from __future__ import annotations
@@ -143,12 +146,10 @@ class ConsistencyError(ArithmeticError):
 
 @dataclass(frozen=True)
 class AnalyticResult:
-    """Outage and success of one scenario, with the per-order summands kept
-    for diagnostics."""
+    """Outage and success of one scenario."""
 
     success_prob: float
     outage_prob: float
-    per_term: tuple[float, ...]
 
 
 def quad(f, a: float, b: float, points=None) -> tuple[float, float]:
@@ -331,8 +332,8 @@ def _truncated(j, s, h, alpha: float, orders: range,
     # Only edges beyond rho count; before them the bound exceeds J_k.  The
     # log of the bound at T_n is log_b0 - n (q - 1) ln 2.
     first = np.maximum(0.0, np.floor((log_rho - _LOG_T0) / _LOG2) + 1.0)
-    log_b0 = q * log_rho + (1.0 - q) * _LOG_T0 - np.log(q - 1.0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_b0 = q * log_rho + (1.0 - q) * _LOG_T0 - np.log(q - 1.0)
         n = np.maximum(first, np.ceil((log_b0 - np.log(budget))
                                       / ((q - 1.0) * _LOG2)))
         active = (budget > 0.0) & (n < _MAX_SEGMENTS)
@@ -357,10 +358,13 @@ def _truncated(j, s, h, alpha: float, orders: range,
 
 @functools.lru_cache(maxsize=128)
 def _beta_logs(alpha: float, size: int) -> np.ndarray:
-    """ln B(1/2, (alpha p - 1)/2) for p = 0..size - 1, nan at p = 0."""
+    """ln B(1/2, x), x = (alpha p - 1)/2, for p = 0..size - 1, nan at p = 0;
+    from x = 2^53 on, where lgamma may overflow, ln Gamma(1/2) - ln(x)/2."""
     return np.array([math.nan] + [
         math.lgamma(0.5) + math.lgamma(0.5 * (alpha * p - 1.0))
-        - math.lgamma(0.5 * alpha * p) for p in range(1, size)])
+        - math.lgamma(0.5 * alpha * p) if alpha * p < 2.0 ** 54
+        else math.lgamma(0.5) - 0.5 * math.log(0.5 * (alpha * p - 1.0))
+        for p in range(1, size)])
 
 
 @functools.lru_cache(maxsize=16)
@@ -402,7 +406,8 @@ def _far_lanes(s, h, alpha: float, order: int) -> np.ndarray:
     ln_c = ln_c + _beta_logs(alpha, order + _SERIES_TERMS + 1)[p]
     per = max(1, _PASS_ROWS // (order + 1))
     for i in range(0, len(far), per):
-        ln_t = ln_w[i:i + per] * p
+        with np.errstate(over="ignore"):        # huge alpha: w^p is 0
+            ln_t = ln_w[i:i + per] * p
         ln_t += ln_c
         ln_t += ln_h[i:i + per]
         peak = ln_t.max(axis=2)
@@ -544,9 +549,9 @@ def laplace_closed_alpha2(s: float, lane: Lane, scenario: Scenario) -> float:
 
 
 class Points(NamedTuple):
-    """A batch (see the module docstring); pairs run point by point, as
-    merged_lanes gives them.  `failed` maps a point whose argument raised
-    to its error; its s is 0, at which no lane is evaluated."""
+    """A batch (see the module docstring): s (float), alpha (float) and
+    order = m - 1 (int) per point; pairs run point by point, as
+    merged_lanes gives them."""
 
     s: np.ndarray
     alpha: np.ndarray
@@ -554,23 +559,12 @@ class Points(NamedTuple):
     point: np.ndarray
     h: np.ndarray
     rate: np.ndarray
-    failed: dict
 
     def take(self, start: int, stop: int) -> Points:
         lo, hi = np.searchsorted(self.point, (start, stop))
         return Points(self.s[start:stop], self.alpha[start:stop],
                       self.order[start:stop], self.point[lo:hi] - start,
-                      self.h[lo:hi], self.rate[lo:hi], {})
-
-
-def points(s: list, alpha, order, *pairs: np.ndarray) -> Points:
-    """Points of (point, h, rate) pairs; an entry of s may be the error its
-    point's argument raised."""
-    failed = {i: x for i, x in enumerate(s) if isinstance(x, Exception)}
-    return Points(np.array([0.0 if i in failed else x
-                            for i, x in enumerate(s)]),
-                  np.asarray(alpha, dtype=float), np.asarray(order, dtype=int),
-                  *pairs, failed)
+                      self.h[lo:hi], self.rate[lo:hi])
 
 
 def merged_lanes(point: np.ndarray, h: np.ndarray, rate: np.ndarray
@@ -595,39 +589,23 @@ def merged_lanes(point: np.ndarray, h: np.ndarray, rate: np.ndarray
 
 
 def scenario_points(scenarios: list[Scenario]) -> Points:
-    """The scenarios' Points, from Scenario.lanes(); one whose argument
-    raises fails."""
-    args, lanes = [], []
-    for i, scenario in enumerate(scenarios):
-        lanes += [(i, lane.h, scenario.p * lane.intensity)
-                  for lane in scenario.lanes()]
-        try:
-            args.append(scenario.laplace_argument)
-        except (ValueError, ArithmeticError) as exc:
-            args.append(exc)
+    """The scenarios' Points, from Scenario.lanes()."""
+    lanes = [(i, lane.h, scenario.p * lane.intensity)
+             for i, scenario in enumerate(scenarios)
+             for lane in scenario.lanes()]
     point, h, rate = np.array(lanes, dtype=float).reshape(-1, 3).T
-    return points(args, [sc.channel.alpha for sc in scenarios],
-                  [sc.channel.m - 1 for sc in scenarios],
+    return Points(np.array([sc.laplace_argument for sc in scenarios]),
+                  np.array([sc.channel.alpha for sc in scenarios], float),
+                  np.array([sc.channel.m - 1 for sc in scenarios], int),
                   *merged_lanes(point.astype(int), h, rate))
-
-
-def _exponent_coefficients(scenario: Scenario, s: float,
-                           order: int) -> list[float]:
-    """Taylor coefficients g~_0..g~_order of g(s*(1 - tau)), where g is the
-    exponent of the Laplace transform of the total interference from both
-    roads; g~_k = (-s)^k g^(k)(s) / k!.  _exponent_table for one point."""
-    g, errors = _exponent_table(scenario_points([scenario])._replace(
-        s=np.array([s]), order=np.array([order]), failed={}))
-    if errors[0] is not None:
-        raise errors[0]
-    return g[0].tolist()
 
 
 def _exponent_table(batch: Points
                     ) -> tuple[np.ndarray, list[QuadratureError | None]]:
-    """g~_0..g~_order, as for _exponent_coefficients, of every point of the
-    batch, one row each padded with zeros to the largest order, and each
-    point's error (None if it has none).
+    """g~_0..g~_order, the Taylor coefficients of g(s*(1 - tau)), g~_k =
+    (-s)^k g^(k)(s) / k! (module docstring), of every point of the batch,
+    one row each padded with zeros to the largest order, and each point's
+    error (None if it has none).
 
     The lanes are independent point processes, so g = -sum_h rate_h *
     J(s; h).  The pairs are taken in chunks of at most _BATCH_CELLS pairs
@@ -768,43 +746,29 @@ def _exp_coefficients(g: np.ndarray) -> np.ndarray:
 
 def success_probabilities(batch: Points) -> list[float | Exception]:
     """Each point's success probability, the sum of its terms e~_0..e~_m-1,
-    or, evaluated alone, its error; the engine's entry for sweep rows
-    (sweep._rows).  If the batch raises, each point is evaluated alone."""
+    or, evaluated alone, its error; the engine's one way from a batch to
+    results.  If the batch raises, each point is evaluated alone."""
     try:
         g, errors = _exponent_table(batch)
     except (ValueError, ArithmeticError) as exc:
-        results = [exc] if len(batch.s) == 1 else [
+        return [exc] if len(batch.s) == 1 else [
             result for i in range(len(batch.s))
             for result in success_probabilities(batch.take(i, i + 1))]
-    else:
-        # The recurrence takes the rows in chunks too, of at most
-        # _BATCH_CELLS rows times orders.
-        totals, per = [], max(1, _BATCH_CELLS // g.shape[1])
-        for lo in range(0, len(g), per):
-            e = _exp_coefficients(g[lo:lo + per])
-            totals += np.cumsum(e, axis=1)[
-                np.arange(len(e)), batch.order[lo:lo + per]].tolist()
-        results = [_clamp_probability(total) if error is None else error
-                   for error, total in zip(errors, totals)]
-    for i, exc in batch.failed.items():
-        results[i] = exc
-    return results
+    # The recurrence takes the rows in chunks too, of at most _BATCH_CELLS
+    # rows times orders.
+    totals, per = [], max(1, _BATCH_CELLS // g.shape[1])
+    for lo in range(0, len(g), per):
+        e = _exp_coefficients(g[lo:lo + per])
+        totals += np.cumsum(e, axis=1)[
+            np.arange(len(e)), batch.order[lo:lo + per]].tolist()
+    return [_clamp_probability(total) if error is None else error
+            for error, total in zip(errors, totals)]
 
 
 def outage_probability(scenario: Scenario) -> AnalyticResult:
-    """Outage and success probability of the link; success is the sum of m
-    nonnegative per-order summands (per_term), the Taylor coefficients
-    e~_k of L(s*(1 - tau)) = exp(sum_k g~_k tau^k), as
-    success_probabilities sums them.  Raises the point's error."""
-    batch = scenario_points([scenario])
-    for exc in batch.failed.values():
-        raise exc
-    g, [error] = _exponent_table(batch)
-    if error is not None:
-        raise error
-    terms = _exp_coefficients(g)[0]
-    success = _clamp_probability(np.cumsum(terms)[-1].item())
+    """Outage and success probability of the link, a batch of one point
+    (success_probabilities).  Raises the point's error."""
+    [success] = success_probabilities(scenario_points([scenario]))
     if isinstance(success, Exception):
         raise success
-    return AnalyticResult(success_prob=success, outage_prob=1.0 - success,
-                          per_term=tuple(terms.tolist()))
+    return AnalyticResult(success_prob=success, outage_prob=1.0 - success)

@@ -152,12 +152,13 @@ def _scenarios(spec: SweepSpec, variants: list[tuple]) -> list[tuple]:
             for xi, value in enumerate(spec.values)]
 
 
-def _variants(spec: SweepSpec) -> tuple[list[tuple], analytic.Points]:
-    """(variant, its scenario before the axis) of each variant, and the
-    analytic batch of all points; raises as sweep_points does.  The base
-    and each variant at the first value are validated in full, the other
-    values only where the axis may break them (_lane_pairs), and such a
-    point in full, for its message."""
+def _variants(spec: SweepSpec, batch: bool = False
+              ) -> tuple[list[tuple], analytic.Points | None]:
+    """(variant, its scenario before the axis) of each variant, and, if
+    `batch`, the analytic batch of all points (else None); raises as
+    sweep_points does.  The base and each variant at the first value are
+    validated in full, the other values only where the axis may break them
+    (_lane_pairs), and such a point in full, for its message."""
     check_spec(spec)
     validate_scenario(spec.base)
     n = len(spec.values)
@@ -168,22 +169,21 @@ def _variants(spec: SweepSpec) -> tuple[list[tuple], analytic.Points]:
         if first.channel is not scenario.channel:       # m made an int
             scenario = replace(scenario, channel=first.channel)
         if scenario.layout not in known:
-            known[scenario.layout] = _lane_pairs(spec, scenario)
-        point, h, rate, broken = known[scenario.layout]
+            known[scenario.layout] = _lane_pairs(spec, scenario, batch)
+        lanes, broken = known[scenario.layout]
         for xi in broken:
             _validated(spec, variant, scenario, xi)
-        for value in spec.values:
-            try:
-                args.append(first.laplace_argument_at(
-                    db_to_linear(value) if spec.axis == "threshold_db"
-                    else first.theta_threshold))
-            except (ValueError, ArithmeticError) as exc:
-                args.append(exc)
-        pairs.append((point + vi * n, h, rate))
         variants.append((variant, scenario))
+        if batch:
+            args += [first.laplace_argument_at(
+                db_to_linear(value) if spec.axis == "threshold_db"
+                else first.theta_threshold) for value in spec.values]
+            pairs.append((lanes[0] + vi * n, *lanes[1:]))
+    if not batch:
+        return variants, None
     channels = [scenario.channel for _, scenario in variants]
-    return variants, analytic.points(
-        args, np.repeat([ch.alpha for ch in channels], n),
+    return variants, analytic.Points(
+        np.array(args), np.repeat([float(ch.alpha) for ch in channels], n),
         np.repeat([ch.m - 1 for ch in channels], n),
         *map(np.concatenate, zip(*pairs)))
 
@@ -199,14 +199,14 @@ def _validated(spec: SweepSpec, variant: Variant, scenario: Scenario,
         raise ValueError(f"{label}: {exc}") from exc
 
 
-def _lane_pairs(spec: SweepSpec, scenario: Scenario
-                ) -> tuple[np.ndarray, ...]:
-    """analytic.merged_lanes of a variant's points, from its scenario
-    before the axis, and the values where the axis may break a point
-    (Aloha p above 1, a lane distance from D that is not finite).
-    apply_axis_value takes all values as one column, and lanes() of that
-    scenario gives a column per lane; the lanes axis takes the most lanes
-    and keeps lane i of a road it touches where i is below the value."""
+def _lane_pairs(spec: SweepSpec, scenario: Scenario, merge: bool
+                ) -> tuple[tuple | None, np.ndarray]:
+    """analytic.merged_lanes of a variant's points (None unless `merge`),
+    from its scenario before the axis, and the values where the axis may
+    break a point (Aloha p above 1, a lane distance from D that is not
+    finite).  apply_axis_value takes all values as one column, lanes() of
+    that scenario gives a column per lane; the lanes axis takes the most
+    lanes and keeps lane i of a road it touches where i is below the value."""
     v, wide, has = np.array(spec.values)[:, None], scenario, True
     if spec.axis == "lanes":
         wide = apply_axis_value(scenario, "lanes", spec.values[-1],
@@ -224,9 +224,9 @@ def _lane_pairs(spec: SweepSpec, scenario: Scenario
             h[:, j:j + 1], rate[:, j:j + 1] = lane.h, wide.p * lane.intensity
     broken = ~np.isfinite(h).all(axis=1) | (np.broadcast_to(
         wide.p, v.shape)[:, 0] > 1.0)
-    return (*analytic.merged_lanes(np.repeat(np.arange(len(v)), len(lanes)),
-                                   h.ravel(), (rate * has).ravel()),
-            np.flatnonzero(broken))
+    return (analytic.merged_lanes(np.repeat(np.arange(len(v)), len(lanes)),
+                                  h.ravel(), (rate * has).ravel())
+            if merge else None, np.flatnonzero(broken))
 
 
 @dataclass(frozen=True)
@@ -333,15 +333,14 @@ def run_sweep(spec: SweepSpec, sim: SimConfig,
     row's error column and the sweep carries on; callers decide what a
     failed row means for the exit code.
     """
-    variants, batch = _variants(spec)
+    variants, batch = _variants(spec, "analytic" in spec.engines)
     meta = [(variant.label, spec.axis, value, db_to_linear(value)
              if spec.axis == "threshold_db" else scenario.theta_threshold)
             for variant, scenario in variants for value in spec.values]
     runs = ([(scenario, row_seed(sim.master_seed, vi, xi))
              for vi, _, xi, _, scenario in _scenarios(spec, variants)]
             if "montecarlo" in spec.engines else None)
-    return _rows(meta, batch if "analytic" in spec.engines else None, runs,
-                 sim, workers)
+    return _rows(meta, batch, runs, sim, workers)
 
 
 def _format_cell(value) -> str:

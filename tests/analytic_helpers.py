@@ -12,16 +12,18 @@ u^-q, q = alpha * max(k, 1), so the sum stops before the first piece on
 which it becomes subnormal, where QUADPACK loses its relative accuracy;
 what it drops is at most f(a) a/(q - 1) from that piece's left end a.
 The success probability is composed from the exponent's derivatives
-with complete Bell polynomials.
+with complete Bell polynomials.  _exponent_coefficients reads the engine's
+exponent of one point at a given s.
 """
 
 import math
 import sys
 import warnings
 
+import numpy as np
+
 from xroad import analytic
-from xroad.analytic import (QuadratureError, _exponent_coefficients,
-                            outage_probability)
+from xroad.analytic import QuadratureError, outage_probability
 from xroad.bell import complete_bell_sequence
 from xroad.model import (ChannelParams, DestinationGeometry, LinkSpec,
                          RoadLayout, Scenario)
@@ -95,6 +97,26 @@ def success_probability(scenario):
     bell = complete_bell_sequence(x[1:])
     return math.exp(x[0]) * math.fsum(
         (-1) ** n * bell[n] / math.factorial(n) for n in range(m))
+
+
+def _exponent_coefficients(scenario, s, order):
+    """Taylor coefficients g~_0..g~_order of g(s*(1 - tau)), where g is the
+    exponent of the Laplace transform of the total interference from both
+    roads; g~_k = (-s)^k g^(k)(s) / k!.  The engine's _exponent_table for
+    one point: the lanes from Scenario.lanes(), s as given, whatever the
+    scenario's own Laplace argument is."""
+    lanes = scenario.lanes()
+    g, [error] = analytic._exponent_table(analytic.Points(
+        np.array([s], dtype=float),
+        np.array([scenario.channel.alpha], dtype=float), np.array([order]),
+        *analytic.merged_lanes(
+            np.zeros(len(lanes), dtype=int),
+            np.array([lane.h for lane in lanes], dtype=float),
+            np.array([scenario.p * lane.intensity for lane in lanes],
+                     dtype=float))))
+    if error is not None:
+        raise error
+    return g[0].tolist()
 
 
 def scaled_exponent_derivatives(sc, s, max_order):

@@ -12,11 +12,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from analytic_helpers import laplace, success, x_lane_scenario
+from analytic_helpers import (_exponent_coefficients, laplace, success,
+                              x_lane_scenario)
 from xroad import cli
-from xroad.analytic import (_exponent_coefficients, _exponent_integral,
-                            laplace_closed_alpha2, laplace_closed_alpha4,
-                            outage_probability)
+from xroad.analytic import (_exponent_integral, laplace_closed_alpha2,
+                            laplace_closed_alpha4, outage_probability)
 from xroad.config import parse_scenario, parse_sim, parse_sweep
 from xroad.model import (LOS, NLOS, DestinationGeometry, LinkSpec,
                          RoadLayout, Scenario)

@@ -1,20 +1,20 @@
 import decimal
 import math
 import random
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from analytic_helpers import (lane_integral, laplace,
+from analytic_helpers import (_exponent_coefficients, lane_integral, laplace,
                               scaled_exponent_derivatives, success,
                               success_probability, x_lane_scenario)
 from xroad import analytic, cli
 from xroad.analytic import (ConsistencyError, QuadratureError,
-                            UnsupportedExponentError, _exponent_coefficients,
-                            _exponent_integral, _exponent_integrals,
-                            laplace_closed_alpha2, laplace_closed_alpha4,
-                            outage_probability)
+                            UnsupportedExponentError, _exponent_integral,
+                            _exponent_integrals, laplace_closed_alpha2,
+                            laplace_closed_alpha4, outage_probability)
 from xroad.bell import complete_bell_sequence
 from xroad.model import (LOS, NLOS, ChannelParams, DestinationGeometry,
                          LinkSpec, RoadLayout, Scenario, ValidationError,
@@ -483,6 +483,25 @@ def test_far_lanes_of_a_steep_exponent_evaluate():
     assert 0.0 <= outage <= 1.0
 
 
+@pytest.mark.parametrize("m", [1, 3, 100])
+def test_far_lanes_at_a_huge_exponent_reach_the_step_limit(m):
+    # alpha = 1e306, D 5 m from the crossing on the X road: the Y lane lies
+    # beyond 2 rho, and its series' Beta logs would overflow lgamma; at
+    # m = 100 w^p underflows in logs, and so does _truncated's tail bound.
+    # As alpha grows, a lane at h > 1 adds nothing and the one through D
+    # (h = 0) gives J = 2 s^(1/alpha) -> 2 with s near 1, so the outage
+    # nears 1 - exp(-2 p lam) = 1 - exp(-0.01).
+    sc = Scenario(channel=ChannelParams(alpha=1e306, m=m),
+                  geometry=DestinationGeometry(5.0, 0.0),
+                  link=LinkSpec(r=1.0),
+                  layout=RoadLayout.intersection(0.01, 0.01), p=0.5,
+                  theta_threshold=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        outage = outage_probability(validate_scenario(sc)).outage_prob
+    assert outage == pytest.approx(-math.expm1(-0.01), rel=1e-12)
+
+
 def test_lane_far_below_the_peak_matches_the_on_lane_limit():
     # h * h underflows below about 1e-154 and would leave a(u) = 0 near the
     # peak at rho = s^(1/alpha) = 1e-200; with h that far below rho, J_k is
@@ -835,13 +854,20 @@ def test_m1_reduces_to_product_of_transforms():
     assert success(sc) == pytest.approx(product, rel=1e-12)
 
 
+def per_term(sc):
+    """The m nonnegative summands e~_k of the success probability, from the
+    engine's recurrence on the point's exponent coefficients."""
+    g = _exponent_coefficients(sc, sc.laplace_argument, sc.channel.m - 1)
+    return analytic._exp_coefficients(np.array([g]))[0].tolist()
+
+
 def test_success_per_term_diagnostics():
     sc = intersection_scenario(channel=LOS)
     res = outage_probability(sc)
-    assert len(res.per_term) == LOS.m
-    assert all(term >= 0.0 for term in res.per_term)
-    assert math.fsum(res.per_term) == pytest.approx(res.success_prob,
-                                                    rel=1e-12)
+    terms = per_term(sc)
+    assert len(terms) == LOS.m
+    assert all(term >= 0.0 for term in terms)
+    assert math.fsum(terms) == pytest.approx(res.success_prob, rel=1e-12)
     assert res.outage_prob == 1.0 - res.success_prob
 
 
@@ -858,7 +884,7 @@ def test_recurrence_matches_bell_composition(channel, d, theta):
         g = _exponent_coefficients(sc, sc.laplace_argument, m - 1)
         x = [(-1.0) ** j * math.factorial(j) * c for j, c in enumerate(g)]
         bell = complete_bell_sequence(x[1:])
-        terms = outage_probability(sc).per_term
+        terms = per_term(sc)
         assert len(terms) == m
         assert all(term >= 0.0 for term in terms)
         for k, term in enumerate(terms):

@@ -165,6 +165,26 @@ def test_run_sweep_both_engines_fills_all_columns():
         assert 0.0 <= row.ci_low <= row.outage_mc <= row.ci_high <= 1.0
 
 
+def test_a_monte_carlo_sweep_builds_no_analytic_batch(monkeypatch):
+    # Nothing reads the analytic batch of a Monte-Carlo-only sweep, so its
+    # lanes are not merged; its rows and its axis checks stay as they are.
+    spec = SweepSpec(base_scenario(), "lanes", (1.0, 2.0),
+                     engines=("montecarlo",),
+                     variants=(Variant("NLOS"), Variant("LOS", channel=LOS)))
+    sim = SimConfig(trials=200, master_seed=3)
+    rows = run_sweep(spec, sim)
+
+    def merged_lanes(*args):
+        raise AssertionError("the lanes were merged")
+    monkeypatch.setattr(analytic, "merged_lanes", merged_lanes)
+    assert run_sweep(spec, sim) == rows
+    assert all(row.outage_analytic is None and row.trials == 200
+               for row in rows)
+    with pytest.raises(ValueError, match="^base aloha_p=1.5: "):
+        run_sweep(replace(spec, axis="aloha_p", values=(0.5, 1.5),
+                          variants=(Variant("base"),)), sim)
+
+
 def test_run_sweep_byte_identical_output(tmp_path):
     spec = validate_sweep(SweepSpec(
         base=base_scenario(), axis="density", values=(0.005, 0.02)))
@@ -440,11 +460,10 @@ def test_a_sweep_of_series_and_rule_lanes_matches_its_points(monkeypatch):
 def assert_arrays_from_lanes(spec, points):
     """A sweep's batch of arrays equals the one analytic.scenario_points
     forms from its points' Scenario.lanes()."""
-    swept = sweep._variants(spec)[1]
+    swept = sweep._variants(spec, batch=True)[1]
     alone = analytic.scenario_points([scenario for *_, scenario in points])
-    assert [c.tolist() for c in swept[:-1]] == [c.tolist()
-                                                for c in alone[:-1]]
-    assert swept.failed == alone.failed == {}
+    assert [(c.dtype, c.tolist()) for c in swept] == [
+        (c.dtype, c.tolist()) for c in alone]
 
 
 def test_axis_checks_give_the_messages_of_full_validation():
@@ -519,29 +538,25 @@ def test_a_batch_of_several_rule_passes_matches_its_points(monkeypatch):
         "converge (achieved relative error 2.000e-03)" for value in spec.values]
 
 
-def test_a_point_whose_argument_fails_fails_alone_in_its_batch(
-        monkeypatch):
-    # The Laplace argument of the "faint" variant raises; the other rows of
-    # the batch still evaluate.
-    real = Scenario.laplace_argument_at
-
-    def argument(scenario, theta):
-        if scenario.channel.mu == 1e-300:
-            raise ZeroDivisionError("float division by zero")
-        return real(scenario, theta)
-    monkeypatch.setattr(Scenario, "laplace_argument_at", argument)
-    spec = SweepSpec(base_scenario(link=LinkSpec(1e10)), "aloha_p",
-                     (0.2, 0.5), engines=("analytic",),
+def test_a_point_whose_argument_overflows_is_certain_outage_in_its_batch():
+    # The "faint" variant's Laplace argument m Theta / mu / l_SD overflows
+    # to inf, which the engine reads as certain outage, with no error; the
+    # other rows of the batch are what they are alone.
+    spec = SweepSpec(base_scenario(), "aloha_p", (0.2, 0.5),
+                     engines=("analytic",),
                      variants=(Variant("NLOS"), Variant(
-                         "faint", channel=ChannelParams(4.0, 1, mu=1e-300))))
+                         "faint", channel=ChannelParams(4.0, 1, mu=5e-324))))
     sim = SimConfig(trials=1)
+    points = sweep_points(spec)
+    assert [scenario.laplace_argument for *_, scenario in points][2:] == [
+        math.inf, math.inf]
     rows = run_sweep(spec, sim)
     assert rows == [sweep_row(scenario, spec.engines, sim, 1, variant.label,
                               "aloha_p", value)
-                    for _, variant, _, value, scenario in sweep_points(spec)]
-    assert [row.error for row in rows] == [
-        "", "", "analytic: float division by zero",
-        "analytic: float division by zero"]
+                    for _, variant, _, value, scenario in points]
+    assert [row.error for row in rows] == [""] * 4
+    assert [row.outage_analytic for row in rows][2:] == [1.0, 1.0]
+    assert all(row.outage_analytic < 1.0 for row in rows[:2])
 
 
 def test_a_lane_that_raises_fails_only_its_points(monkeypatch):
@@ -588,7 +603,7 @@ def test_a_long_sweep_keeps_the_memory_of_one_chunk(monkeypatch):
         tracemalloc.stop()
     assert peak < 8e6
     assert all(row.error == "" for row in rows)
-    assert len(sweep._variants(spec)[1].point) == 200 * 20
+    assert len(sweep._variants(spec, batch=True)[1].point) == 200 * 20
     assert 8 * 20 < analytic._BATCH_CELLS // 100 < 9 * 20
     points = sweep_points(spec)
     for i in (0, 7, 8, 9, 199):
