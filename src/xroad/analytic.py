@@ -629,23 +629,32 @@ def _exponent_table(batch: Points
     with np.errstate(over="ignore"):
         certain = np.bincount(point, rate * np.sqrt(
             np.maximum(rho - h, 0.0) * (rho + h)), len(g)) > 800.0
+    del rho
     g[certain, 0] = -math.inf
     live = (s != 0.0) & ~certain[point]     # s = 0: L = 1 whatever the lanes
-    point, s, h, alpha, order, rate = (
-        c[live] for c in (point, s, h, alpha, order, rate))
+    if not live.all():
+        # One column at a time, each gathered column freed before the next
+        # is filtered: the per-pair columns set the memory of a long batch.
+        point, h, rate = point[live], h[live], rate[live]
+        s = s[live]
+        alpha = alpha[live]
+        order = order[live]
     if not len(point):
         return g, errors
     # The distinct lanes, by an array sort (not np.unique, see
     # _subtract_lanes), the lanes of each (alpha, order) together.
     by = np.lexsort((h, s, order, alpha))
     lanes = [c[by] for c in (s, h, alpha, order)]
+    del order
     start = np.zeros(len(by), dtype=bool)
     start[0] = True
     for c in lanes:
         start[1:] |= c[1:] != c[:-1]
     key = np.empty(len(by), dtype=int)
     key[by] = np.cumsum(start) - 1
-    lanes = [c[start] for c in lanes]
+    del by
+    for i, c in enumerate(lanes):
+        lanes[i] = c[start]
     table = np.zeros((len(lanes[0]), size))
     achieved = np.zeros(len(table))
     whole, done = np.zeros((2, len(table)), dtype=bool)

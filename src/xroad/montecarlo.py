@@ -13,12 +13,22 @@ draws all the trials' interferer counts with the Aloha thinning folded in
 slices of at most _SLICE interferers, and np.bincount reduces the received
 powers per trial.
 
-With workers > 1, estimate() maps the blocks over a pool of forked
+Runs that differ only in their channel and SIR threshold share their
+draws (common random numbers): estimate_group() runs a group of scenarios
+with one interferer field, equal Scenario.lanes() and p, as one run.  Its
+blocks draw the field once, form each interferer's squared distance once,
+and sum the received power once per distinct path-loss exponent; each
+distinct signal fading (m, mu) takes one gamma draw per block, in order of
+first appearance, and each scenario makes its own SIR decision.
+estimate() is a group of one, so the first scenario of a group gets the
+very numbers it gets alone.
+
+With workers > 1, estimate_group() maps the blocks over a pool of forked
 worker processes, one contiguous range of blocks per worker.  The pool
-belongs to a call: sweep._rows forks one for all its rows and estimate()
-one for itself when given none, and each stops it before it returns.  A
-worker that dies leaves its blocks to this process.  The estimate is
-bit-identical for any worker count.
+belongs to a call: sweep._estimates forks one for all its groups and
+estimate_group() one for itself when given none, and each stops it before
+it returns.  A worker that dies leaves its blocks to this process.  The
+estimate is bit-identical for any worker count.
 
 Only the total interference from both roads decides an outage, so the
 engine carries one interference sum per trial over all lanes, each lane in
@@ -35,6 +45,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import repeat
 from statistics import NormalDist
@@ -49,6 +60,9 @@ _BLOCK = 1024  # trials per work unit; fixed so reductions never reorder
 # temporaries stay well under a megabyte, large enough to amortize the
 # per-call numpy overhead.
 _SLICE = 8192
+#: Largest mean numpy's Poisson sampler takes (its POISSON_LAM_MAX).
+_POISSON_MAX = float(np.iinfo(np.int64).max) - 10.0 * math.sqrt(
+    np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -69,8 +83,8 @@ class SimConfig:
             object.__setattr__(self, name, int(value))
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if not (self.half_length > 0.0):
-            raise ValueError("half_length must be positive")
+        if not (0.0 < self.half_length < math.inf):
+            raise ValueError("half_length must be positive and finite")
         # The interval's normal quantile is taken at (1 + confidence)/2,
         # which rounds to 1 for the largest doubles below 1.
         if not (0.0 < self.confidence and 0.5 * (1.0 + self.confidence) < 1.0):
@@ -164,10 +178,11 @@ def _received_power(fades: np.ndarray, dist_sq: np.ndarray,
     return fades * dist_sq ** (-0.5 * alpha)
 
 
-def _slice_interference(lane: Lane, alpha: float, along: np.ndarray,
+def _slice_interference(lane: Lane, alphas: list[float], along: np.ndarray,
                         fades: np.ndarray, owner: np.ndarray, n_trials: int
-                        ) -> tuple[np.ndarray, int]:
-    """Received power per trial from one slice of a lane's interferers.
+                        ) -> tuple[list[np.ndarray], int]:
+    """Received power per trial from one slice of a lane's interferers,
+    one array per path-loss exponent in `alphas`.
 
     `along` holds the interferers' coordinates along the lane, `fades`
     their power fades and `owner` the trial (0 .. n_trials-1) each belongs
@@ -184,9 +199,8 @@ def _slice_interference(lane: Lane, alpha: float, along: np.ndarray,
     if excluded:
         keep = ~at_dest
         dist_sq, fades, owner = dist_sq[keep], fades[keep], owner[keep]
-    power = np.bincount(owner, weights=_received_power(fades, dist_sq, alpha),
-                        minlength=n_trials)
-    return power, excluded
+    return [np.bincount(owner, weights=_received_power(fades, dist_sq, alpha),
+                        minlength=n_trials) for alpha in alphas], excluded
 
 
 def _slices(counts: np.ndarray):
@@ -202,20 +216,35 @@ def _slices(counts: np.ndarray):
         lo, base = hi, top
 
 
-def _block_interference(scenario: Scenario, sim: SimConfig,
+def interferer_field(scenario: Scenario) -> tuple:
+    """What a run draws its interferers from: the lanes as seen from D
+    and the Aloha probability.  Runs with equal fields can share their
+    draws (estimate_group)."""
+    return tuple(scenario.lanes()), scenario.p
+
+
+def _block_interference(scenarios: tuple[Scenario, ...], sim: SimConfig,
                         rng: np.random.Generator, count: int
-                        ) -> tuple[np.ndarray, int]:
-    """(interference, excluded) for `count` realizations drawn from `rng`.
+                        ) -> tuple[tuple[np.ndarray, ...], int]:
+    """(interference of each scenario, excluded) for `count` realizations
+    drawn from `rng` in the interferer field the scenarios share.
 
     Per lane, in layout order: all trials' Aloha-thinned interferer counts
     in one Poisson draw, then positions and fades slice by slice.
+    Scenarios with one path-loss exponent share one array.
     """
-    alpha = scenario.channel.alpha
+    first = scenarios[0]
+    alphas = list(dict.fromkeys(sc.channel.alpha for sc in scenarios))
     half = sim.half_length
-    total = np.zeros(count)
+    totals = np.zeros((len(alphas), count))
     excluded = 0
-    for lane in scenario.lanes():
-        mean = scenario.p * lane.intensity * 2.0 * half
+    for lane in first.lanes():
+        mean = first.p * lane.intensity * 2.0 * half
+        if not mean <= _POISSON_MAX:
+            raise ValueError(
+                f"a lane's mean interferer count per trial, p * lambda * 2 * "
+                f"half_length = {mean:g}, is beyond the Poisson sampler's "
+                f"range ({_POISSON_MAX:g})")
         counts = rng.poisson(mean, count)
         for lo, hi, n in _slices(counts):
             if n == 0:
@@ -227,11 +256,13 @@ def _block_interference(scenario: Scenario, sim: SimConfig,
             along *= 2.0 * half
             along -= half
             fades = rng.standard_exponential(n)
-            power, ex = _slice_interference(lane, alpha, along, fades, owner,
-                                            hi - lo)
-            total[lo:hi] += power
+            powers, ex = _slice_interference(lane, alphas, along, fades,
+                                             owner, hi - lo)
+            for total, power in zip(totals, powers):
+                total[lo:hi] += power
             excluded += ex
-    return total, excluded
+    return tuple(totals[alphas.index(sc.channel.alpha)]
+                 for sc in scenarios), excluded
 
 
 def _outage_events(scenario: Scenario, signal_fades: np.ndarray,
@@ -244,22 +275,29 @@ def _outage_events(scenario: Scenario, signal_fades: np.ndarray,
     return sir < scenario.theta_threshold
 
 
-def _run_block(scenario: Scenario, sim: SimConfig, start: int,
-               count: int) -> tuple[int, int]:
-    """Outage and exclusion counts over trials [start, start + count).
+def _run_block(scenarios: tuple[Scenario, ...], sim: SimConfig, start: int,
+               count: int) -> tuple[tuple[int, ...], int]:
+    """(Outage count of each scenario, exclusion count) over trials
+    [start, start + count) of scenarios that share their interferer field.
 
     The range must be (a prefix of) one fixed block: its draws come from
-    the block's own stream, keyed by (master_seed, start // _BLOCK).
+    the block's own stream, keyed by (master_seed, start // _BLOCK).  After
+    the interference, each distinct (m, mu) draws its signal fades, in the
+    order the scenarios first name it.
     """
     if start % _BLOCK or not 0 < count <= _BLOCK:
         raise ValueError(f"trials [{start}, {start + count}) are not a "
                          f"prefix of one {_BLOCK}-trial block")
     rng = _stream(sim.master_seed, start // _BLOCK)
-    interference, excluded = _block_interference(scenario, sim, rng, count)
-    ch = scenario.channel
-    fades = rng.gamma(ch.m, ch.mu / ch.m, count)
-    outages = _outage_events(scenario, fades, interference)
-    return int(np.count_nonzero(outages)), excluded
+    interference, excluded = _block_interference(scenarios, sim, rng, count)
+    signal = {}
+    for sc in scenarios:
+        ch = sc.channel
+        if (ch.m, ch.mu) not in signal:
+            signal[ch.m, ch.mu] = rng.gamma(ch.m, ch.mu / ch.m, count)
+    return tuple(int(np.count_nonzero(_outage_events(
+        sc, signal[sc.channel.m, sc.channel.mu], power)))
+        for sc, power in zip(scenarios, interference)), excluded
 
 
 def _confidence_interval(count: int, trials: int,
@@ -297,7 +335,18 @@ def _fork_pool(processes: int):
 
 def estimate(scenario: Scenario, sim: SimConfig, workers: int = 1,
              pool=None) -> OutageEstimate:
-    """Outage probability averaged over sim.trials realizations.
+    """Outage probability averaged over sim.trials realizations: a group
+    of one (estimate_group)."""
+    return estimate_group((scenario,), sim, workers, pool)[0]
+
+
+def estimate_group(scenarios: Sequence[Scenario], sim: SimConfig,
+                   workers: int = 1, pool=None) -> tuple[OutageEstimate, ...]:
+    """The estimate of each scenario, all from one set of draws: the
+    scenarios must share their interferer_field, and they differ at most
+    in their channel and SIR threshold.  The first one's estimate equals
+    estimate() of it alone; the others see the same interferers, and the
+    same signal fades where their (m, mu) is the same.
 
     Trials are split into fixed blocks, mapped through _run_block in order.
     With workers > 1 and more than one block, each worker runs one
@@ -305,15 +354,21 @@ def estimate(scenario: Scenario, sim: SimConfig, workers: int = 1,
     down) or, with none, on a pool forked for this call only.  A broken
     pool (a worker died) leaves the blocks to this process.  Counts are
     integers, so the reduction is exact and the result does not depend on
-    the worker count.
+    the worker count.  Interferers exactly at D are dropped, with one
+    warning for the group.
     """
+    scenarios = tuple(scenarios)
+    field = interferer_field(scenarios[0])
+    if any(interferer_field(sc) != field for sc in scenarios[1:]):
+        raise ValueError("the scenarios of a group must have equal lanes "
+                         "and Aloha probability")
     starts = range(0, sim.trials, _BLOCK)
     ranges = _ranges(sim, workers)
 
     def blocks(mapper, **chunks):
-        return mapper(_run_block, repeat(scenario), repeat(sim), starts,
-                      (min(_BLOCK, sim.trials - start) for start in starts),
-                      **chunks)
+        return list(mapper(_run_block, repeat(scenarios), repeat(sim), starts,
+                           (min(_BLOCK, sim.trials - start)
+                            for start in starts), **chunks))
     if ranges < 2:
         counts = blocks(map)
     else:
@@ -321,14 +376,19 @@ def estimate(scenario: Scenario, sim: SimConfig, workers: int = 1,
         from contextlib import nullcontext
         with (nullcontext(pool) if pool else _fork_pool(ranges)) as pool:
             try:
-                counts = list(blocks(pool.map,
-                                     chunksize=-(-len(starts) // ranges)))
+                counts = blocks(pool.map, chunksize=-(-len(starts) // ranges))
             except BrokenExecutor:
                 counts = blocks(map)    # blocks are deterministic
-    outages, excluded = map(sum, zip(*counts))
+    excluded = sum(ex for _, ex in counts)
     if excluded:
         warnings.warn(f"excluded {excluded} interferer(s) located exactly "
                       "at the destination", RuntimeWarning, stacklevel=2)
+    return tuple(_outage_estimate(sum(column), sim, excluded)
+                 for column in zip(*(outages for outages, _ in counts)))
+
+
+def _outage_estimate(outages: int, sim: SimConfig,
+                     excluded: int) -> OutageEstimate:
     p_hat = outages / sim.trials
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / sim.trials)
     ci_low, ci_high = _confidence_interval(outages, sim.trials,

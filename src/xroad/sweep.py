@@ -13,7 +13,7 @@ import numpy as np
 from . import analytic, montecarlo
 from .model import (LOS, NLOS, ChannelParams, DestinationGeometry, LinkSpec,
                     RoadLayout, Scenario, throughput, validate_scenario)
-from .montecarlo import SimConfig, estimate
+from .montecarlo import SimConfig, estimate_group
 
 AXES = ("density", "distance_d", "lanes", "threshold_db", "aloha_p")
 ENGINES = ("analytic", "montecarlo")
@@ -270,8 +270,9 @@ def sweep_row(scenario: Scenario, engines: tuple[str, ...], sim: SimConfig,
               workers: int, variant: str, axis: str, value: float
               ) -> SweepRow:
     """The row of one validated scenario from the requested engines,
-    Monte-Carlo seeded by sim.master_seed as given.  An engine error lands
-    in the row's error column and the other engine still runs."""
+    Monte-Carlo seeded by sim.master_seed as given: a group of one, so its
+    Monte-Carlo columns are those of estimate().  An engine error lands in
+    the row's error column and the other engine still runs."""
     return _scenario_rows([(variant, axis, value, scenario, sim.master_seed)],
                           engines, sim, workers)[0]
 
@@ -291,32 +292,52 @@ def _rows(meta: list[tuple], batch, runs: list[tuple] | None,
           sim: SimConfig, workers: int) -> list[SweepRow]:
     """The row of each (variant label, axis, value, SIR threshold): the
     analytic engine on all of them as one batch (None: not requested), and
-    Monte-Carlo on each of runs' (scenario, seed) (None likewise), the
-    rows sharing one worker pool for this call only where estimate would
-    fork.  An engine error lands in the row's error column."""
+    Monte-Carlo on each of runs' (scenario, seed) (None likewise; see
+    _estimates).  An engine error lands in the row's error column."""
     results = (analytic.success_probabilities(batch) if batch is not None
                else [None] * len(meta))
-    ranges = montecarlo._ranges(sim, workers) if runs is not None else 1
+    estimates = (_estimates(runs, sim, workers) if runs is not None
+                 else [None] * len(meta))
+    return [_row(*row, result, est)
+            for row, result, est in zip(meta, results, estimates)]
+
+
+def _estimates(runs: list[tuple], sim: SimConfig, workers: int) -> list:
+    """The OutageEstimate, or the error, of each (scenario, seed) run.
+    Runs with equal montecarlo.interferer_field form a group that shares
+    its draws, run once by estimate_group under the seed of its first
+    run; an error fails each run of its group.  The groups share one
+    worker pool for this call only, where estimate_group would fork."""
+    groups: dict[tuple, list[int]] = {}
+    for i, (scenario, _) in enumerate(runs):
+        groups.setdefault(montecarlo.interferer_field(scenario),
+                          []).append(i)
+    estimates: list = [None] * len(runs)
+    ranges = montecarlo._ranges(sim, workers)
     with (montecarlo._fork_pool(ranges) if ranges > 1
           else nullcontext()) as pool:
-        return [_row(*row, result, run, sim, workers, pool)
-                for row, result, run
-                in zip(meta, results, runs or [None] * len(meta))]
+        for members in groups.values():
+            try:
+                results = estimate_group(
+                    [runs[i][0] for i in members],
+                    replace(sim, master_seed=runs[members[0]][1]), workers,
+                    pool=pool)
+            except (ValueError, ArithmeticError) as exc:
+                results = [exc] * len(members)
+            for i, result in zip(members, results):
+                estimates[i] = result
+    return estimates
 
 
 def _row(variant: str, axis: str, value: float, theta: float, result,
-         run: tuple | None, sim: SimConfig, workers: int, pool) -> SweepRow:
+         est) -> SweepRow:
     errors = [f"analytic: {result}"] if isinstance(result, Exception) else []
     cells = ((None, None) if result is None or errors
              else (1.0 - result, throughput(result, theta)))
-    if run is not None:
-        try:
-            est = estimate(run[0], replace(sim, master_seed=run[1]), workers,
-                           pool=pool)
-            cells += (est.p_hat, est.stderr, est.ci_low, est.ci_high,
-                      est.trials)
-        except (ValueError, ArithmeticError) as exc:
-            errors.append(f"montecarlo: {exc}")
+    if isinstance(est, Exception):
+        errors.append(f"montecarlo: {est}")
+    elif est is not None:
+        cells += (est.p_hat, est.stderr, est.ci_low, est.ci_high, est.trials)
     return SweepRow(variant, axis, value, *cells, *(None,) * (7 - len(cells)),
                     "; ".join(errors))
 
@@ -329,7 +350,9 @@ def run_sweep(spec: SweepSpec, sim: SimConfig,
     the first value, the other values for what their axis can break
     (_variants).  The analytic engine gets all points as one batch of
     arrays, the axis applied as one array operation; each point's Scenario
-    and seed are built only for Monte-Carlo.  Engine failures land in the
+    and seed (row_seed) are built only for Monte-Carlo, where the points
+    that share an interferer field share its draws under the seed of the
+    first of them (_estimates).  Engine failures land in the
     row's error column and the sweep carries on; callers decide what a
     failed row means for the exit code.
     """
@@ -424,10 +447,13 @@ def compare_rows(rows: list[SweepRow]) -> ComparisonReport:
 
 def compare_engines(grid: list[tuple[str, Scenario]], sim: SimConfig,
                     workers: int = 1) -> ComparisonReport:
-    """compare_rows on the sweep_row of every grid point, Monte-Carlo
-    seeded by row_seed(sim.master_seed, 0, index); the analytic engine
-    evaluates the points as one batch, as it does a sweep's rows.  An
-    invalid scenario raises ValidationError before any engine runs."""
+    """compare_rows on the row of every grid point, computed as a sweep's
+    rows are: the analytic engine evaluates the points as one batch, and
+    Monte-Carlo runs each group of points that share an interferer field
+    once, seeded by row_seed(sim.master_seed, 0, index) of its first point
+    (in the default grid, each LOS point shares the draws of the NLOS
+    point at its distance and density).  An invalid scenario raises
+    ValidationError before any engine runs."""
     grid = [(label, validate_scenario(scenario)) for label, scenario in grid]
     return compare_rows(_scenario_rows(
         [(label, "none", 0.0, scenario, row_seed(sim.master_seed, 0, i))

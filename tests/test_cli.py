@@ -374,6 +374,32 @@ def test_sim_number_errors_carry_one_prefix(tmp_path, capsys, key):
         f"config error: sim.{key} must be a number\n")
 
 
+def test_infinite_half_length_exits_2(tmp_path, capsys):
+    # 1e400 parses to inf, which the Poisson sampler refused as `lam value
+    # too large`, exit 3.
+    path = write_config(tmp_path, sim={"trials": 100, "half_length": 0})
+    path.write_text(path.read_text().replace('"half_length": 0',
+                                             '"half_length": 1e400'))
+    assert cli.main(["point", "--config", str(path), "--engine", "mc"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: sim: half_length must be positive and finite\n")
+
+
+def test_a_lane_mean_beyond_the_poisson_range_fails_its_row(tmp_path,
+                                                            capsys):
+    # p * lambda * 2 * half_length = 0.5 * 0.01 * 2e300 = 1e298 interferers
+    # per trial: the row fails and names that mean.
+    path = write_config(tmp_path, sim={"trials": 100, "half_length": 1e300})
+    assert cli.main(["point", "--config", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert "outage (analytic)" in captured.out
+    assert "monte-carlo" not in captured.out
+    assert captured.err == (
+        "numeric error: montecarlo: a lane's mean interferer count per "
+        "trial, p * lambda * 2 * half_length = 1e+298, is beyond the Poisson "
+        "sampler's range (9.22337e+18)\n")
+
+
 def test_point_writes_csv_and_metadata(tmp_path, capsys):
     path = write_config(tmp_path)
     out = tmp_path / "point.csv"
@@ -469,7 +495,7 @@ def test_unwritable_out_is_config_error(tmp_path, capsys, monkeypatch,
         pytest.fail("an engine ran before --out was checked")
 
     monkeypatch.setattr(analytic, "success_probabilities", engine_called)
-    monkeypatch.setattr(sweep, "estimate", engine_called)
+    monkeypatch.setattr(sweep, "estimate_group", engine_called)
     path = write_config(tmp_path, sweep={"axis": "density",
                                          "values": [0.005]})
     out = tmp_path / "missing" / "o.csv"
@@ -630,7 +656,7 @@ def test_invalid_sweep_point_exits_2_before_any_engine(tmp_path, capsys,
         pytest.fail("an engine ran before validation finished")
 
     monkeypatch.setattr(analytic, "success_probabilities", engine_called)
-    monkeypatch.setattr(sweep, "estimate", engine_called)
+    monkeypatch.setattr(sweep, "estimate_group", engine_called)
     path = write_config(tmp_path, sweep={
         "axis": "aloha_p", "values": [0.2, 0.5, 1.5]})
     out = tmp_path / "o.csv"

@@ -15,12 +15,15 @@ from xroad import cli, montecarlo
 from xroad.analytic import outage_probability
 from xroad.model import (LOS, NLOS, ChannelParams, DestinationGeometry,
                          LinkSpec, RoadLayout, Scenario)
-from xroad.montecarlo import (SimConfig, estimate, outage_from_interference,
-                              sample_interferers, trial_rng)
+from xroad.montecarlo import (SimConfig, estimate, estimate_group,
+                              outage_from_interference, sample_interferers,
+                              trial_rng)
 from xroad.montecarlo import (_BLOCK, _SLICE, _aggregate, _block_interference,
                               _outage_events, _received_power, _run_block,
                               _slice_interference, _slices, _stream)
-from xroad.sweep import SweepSpec, Variant, compare_engines, run_sweep
+from xroad.sweep import (SweepSpec, Variant, compare_engines,
+                         default_verification_grid, row_seed, run_sweep,
+                         sweep_points)
 
 
 def nlos_scenario(lam=0.01, d=0.0, p=0.5, r=20.0, thresh=1.0,
@@ -37,6 +40,8 @@ def test_sim_config_validation():
         SimConfig(trials=0)
     with pytest.raises(ValueError):
         SimConfig(half_length=0.0)
+    with pytest.raises(ValueError, match="finite"):
+        SimConfig(half_length=math.inf)
     with pytest.raises(ValueError):
         SimConfig(confidence=1.0)
 
@@ -456,8 +461,8 @@ def test_block_interference_campbell_mean_with_folded_thinning():
     blocks = 100
     total = 0.0
     for b in range(blocks):
-        interference, excluded = _block_interference(sc, sim,
-                                                     _stream(2024, b), _BLOCK)
+        (interference,), excluded = _block_interference(
+            (sc,), sim, _stream(2024, b), _BLOCK)
         assert interference.shape == (_BLOCK,) and excluded == 0
         total += interference.sum()
     assert total / (blocks * _BLOCK) == pytest.approx(exact, rel=0.05)
@@ -466,8 +471,8 @@ def test_block_interference_campbell_mean_with_folded_thinning():
 def test_block_interference_zero_cases():
     sim = SimConfig(trials=1)
     for sc in (nlos_scenario(lam=0.0), nlos_scenario(lam=0.02, p=0.0)):
-        interference, excluded = _block_interference(sc, sim, _stream(1, 0),
-                                                     _BLOCK)
+        (interference,), excluded = _block_interference(
+            (sc,), sim, _stream(1, 0), _BLOCK)
         assert interference.shape == (_BLOCK,)
         assert not interference.any() and excluded == 0
 
@@ -483,9 +488,9 @@ def test_block_single_interferer_outage_law():
     fades = rng.exponential(1.0, trials)
     # D is on the lane, at its coordinate 0: the along-lane coordinate is
     # the distance.
-    power, excluded = _slice_interference(
-        sc.lanes()[0], 4.0, np.full(trials, dist), fades, np.arange(trials),
-        trials)
+    (power,), excluded = _slice_interference(
+        sc.lanes()[0], [4.0], np.full(trials, dist), fades,
+        np.arange(trials), trials)
     assert excluded == 0
     np.testing.assert_allclose(power, fades * dist ** -4.0, rtol=1e-15)
     signal = rng.gamma(sc.channel.m, sc.channel.mu / sc.channel.m, trials)
@@ -516,12 +521,14 @@ def test_outage_events_decision_rules_on_arrays():
 
 
 def test_slice_interference_drops_interferer_at_destination():
-    power, excluded = _slice_interference(
-        nlos_scenario().lanes()[0], 4.0, np.array([0.0, 10.0, 20.0]),
+    powers, excluded = _slice_interference(
+        nlos_scenario().lanes()[0], [4.0, 2.0], np.array([0.0, 10.0, 20.0]),
         np.array([1.0, 2.0, 3.0]), np.array([0, 0, 1]), 3)
     assert excluded == 1
-    np.testing.assert_allclose(power, [2.0 * 10.0 ** -4, 3.0 * 20.0 ** -4,
-                                       0.0], rtol=1e-15)
+    np.testing.assert_allclose(powers[0], [2.0 * 10.0 ** -4,
+                                           3.0 * 20.0 ** -4, 0.0], rtol=1e-15)
+    np.testing.assert_allclose(powers[1], [2.0 * 10.0 ** -2,
+                                           3.0 * 20.0 ** -2, 0.0], rtol=1e-15)
 
 
 def test_block_exclusion_counted_and_warned(monkeypatch):
@@ -532,12 +539,12 @@ def test_block_exclusion_counted_and_warned(monkeypatch):
     real = mc._slice_interference
     moved = []
 
-    def forced(lane, alpha, along, fades, owner, n_trials):
+    def forced(lane, alphas, along, fades, owner, n_trials):
         assert lane.h == 0.0
         along = along.copy()
         along[0] = lane.c
         moved.append(1)
-        return real(lane, alpha, along, fades, owner, n_trials)
+        return real(lane, alphas, along, fades, owner, n_trials)
 
     monkeypatch.setattr(mc, "_slice_interference", forced)
     sc = nlos_scenario(lam=0.01, p=1.0, d=0.0)
@@ -573,7 +580,7 @@ def test_blocks_draw_from_distinct_streams():
     # would mean every block replays the same stream.
     sc = nlos_scenario(lam=0.02)
     sim = SimConfig(trials=8 * _BLOCK, master_seed=13)
-    counts = {_run_block(sc, sim, b * _BLOCK, _BLOCK) for b in range(8)}
+    counts = {_run_block((sc,), sim, b * _BLOCK, _BLOCK) for b in range(8)}
     assert len(counts) > 1
 
 
@@ -582,7 +589,7 @@ def test_run_block_rejects_range_outside_one_block():
     sim = SimConfig(trials=2048)
     for start, count in ((1, 10), (0, _BLOCK + 1), (_BLOCK, 0)):
         with pytest.raises(ValueError, match="block"):
-            _run_block(sc, sim, start, count)
+            _run_block((sc,), sim, start, count)
 
 
 @pytest.mark.parametrize("alpha", [2.0, 4.0, 3.3])
@@ -601,3 +608,99 @@ def test_estimate_matches_analytic_at_the_fading_cap(alpha):
     ana = outage_probability(sc).outage_prob
     assert abs(est.p_hat - ana) <= 4.0 * est.stderr, (
         (est.p_hat - ana) / est.stderr)
+
+
+# Runs that share an interferer field share its draws (estimate_group).
+
+def off_road(channel, thresh=1.0) -> Scenario:
+    return Scenario(channel=channel, geometry=DestinationGeometry(50.0, 0.5),
+                    link=LinkSpec(20.0),
+                    layout=RoadLayout.intersection(0.01, 0.01), p=0.5,
+                    theta_threshold=thresh)
+
+
+def test_the_first_row_of_a_group_is_its_own_estimate():
+    # LOS and NLOS rows at one density share their field; the group runs
+    # under the first row's seed, and that row reads what estimate() of it
+    # alone reads.
+    spec = SweepSpec(base=nlos_scenario(lam=0.02), axis="density",
+                     values=(0.005, 0.02), engines=("montecarlo",),
+                     variants=(Variant("LOS", channel=LOS), Variant("NLOS")))
+    sim = SimConfig(trials=2500, master_seed=11)
+    rows = run_sweep(spec, sim)
+    for (vi, _, xi, _, scenario), row in zip(sweep_points(spec), rows):
+        alone = estimate(scenario, replace(
+            sim, master_seed=row_seed(sim.master_seed, 0, xi)))
+        assert (row.outage_mc == alone.p_hat) == (vi == 0)
+        if vi == 0:
+            assert (row.mc_stderr, row.ci_low, row.ci_high, row.trials) == (
+                alone.stderr, alone.ci_low, alone.ci_high, alone.trials)
+    los, nlos = off_road(LOS), off_road(NLOS)
+    assert estimate_group((los, nlos), sim)[0] == estimate(los, sim)
+    assert estimate_group((nlos, los), sim)[0] == estimate(nlos, sim)
+
+
+def test_a_group_draws_one_signal_fade_per_fading():
+    # The LOS fades are drawn first, before NLOS's, so a third member with
+    # LOS fading sees the fades the first one sees.
+    sim = SimConfig(trials=3000, master_seed=12)
+    los, nlos, harder = off_road(LOS), off_road(NLOS), off_road(LOS, 2.0)
+    with_nlos = estimate_group((los, nlos, harder), sim)
+    assert with_nlos[2] == estimate_group((los, harder), sim)[1]
+    assert with_nlos[0].p_hat < with_nlos[2].p_hat
+
+
+def test_a_group_needs_one_interferer_field():
+    for other in (replace(off_road(LOS), p=0.4),
+                  replace(off_road(LOS),
+                          geometry=DestinationGeometry(60.0, 0.5))):
+        with pytest.raises(ValueError, match="lanes and Aloha"):
+            estimate_group((off_road(NLOS), other), SimConfig(trials=10))
+
+
+def test_threshold_rows_share_their_draws():
+    # Every row of a threshold sweep has one field and one fading: they
+    # see the same interference and signal, so no outage count falls as
+    # the threshold rises, at steps far finer than independent runs'
+    # standard errors.
+    values = tuple(-1.0 + 0.05 * i for i in range(21))
+    spec = SweepSpec(base=off_road(LOS), axis="threshold_db", values=values,
+                     engines=("montecarlo",))
+    rows = run_sweep(spec, SimConfig(trials=4096, master_seed=8))
+    counts = [round(row.outage_mc * row.trials) for row in rows]
+    assert all(a <= b for a, b in zip(counts, counts[1:]))
+    assert counts[0] < counts[-1]
+
+
+def test_the_second_member_of_a_group_matches_the_analytic_engine():
+    # NLOS paired with LOS: NLOS is drawn from LOS's stream, past its
+    # fades, and still agrees within 4 standard errors.
+    los, nlos = off_road(LOS), off_road(NLOS)
+    sim = SimConfig(trials=2 ** 17, half_length=4000.0, master_seed=7)
+    _, est = estimate_group((los, nlos), sim)
+    ana = outage_probability(nlos).outage_prob
+    assert abs(est.p_hat - ana) <= 4.0 * est.stderr, (
+        (est.p_hat - ana) / est.stderr)
+
+
+def test_grouped_rows_do_not_depend_on_workers():
+    # The threshold rows of each variant form one group, and the four
+    # verify grid points two LOS-NLOS pairs.
+    spec = SweepSpec(base=off_road(NLOS), axis="threshold_db",
+                     values=(-3.0, 0.0, 3.0), engines=("montecarlo",),
+                     variants=(Variant("NLOS"), Variant("LOS", channel=LOS)))
+    sim = SimConfig(trials=3 * _BLOCK + 100, master_seed=10)
+    assert run_sweep(spec, sim) == run_sweep(spec, sim, workers=2)
+    grid = default_verification_grid()[::3]
+    assert (compare_engines(grid, sim)
+            == compare_engines(grid, sim, workers=2))
+
+
+def test_a_failed_group_fails_each_of_its_rows():
+    spec = SweepSpec(base=nlos_scenario(), axis="aloha_p", values=(0.5,),
+                     engines=("montecarlo",),
+                     variants=(Variant("NLOS"), Variant("LOS", channel=LOS)))
+    rows = run_sweep(spec, SimConfig(trials=10, half_length=1e300))
+    assert [row.outage_mc for row in rows] == [None, None]
+    assert all(row.error.startswith("montecarlo: a lane's mean interferer "
+                                    "count per trial") for row in rows)

@@ -286,7 +286,7 @@ def forbid_engines(monkeypatch):
         pytest.fail("an engine ran before validation finished")
 
     monkeypatch.setattr(analytic, "success_probabilities", engine_called)
-    monkeypatch.setattr(sweep, "estimate", engine_called)
+    monkeypatch.setattr(sweep, "estimate_group", engine_called)
 
 
 def test_compare_engines_rejects_invalid_scenario_before_any_engine(
