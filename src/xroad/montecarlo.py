@@ -14,21 +14,21 @@ slices of at most _SLICE interferers, and np.bincount reduces the received
 powers per trial.
 
 Runs that differ only in their channel and SIR threshold share their
-draws (common random numbers): estimate_group() runs a group of scenarios
-with one interferer field, equal Scenario.lanes() and p, as one run.  Its
-blocks draw the field once, form each interferer's squared distance once,
-and sum the received power once per distinct path-loss exponent; each
-distinct signal fading (m, mu) takes one gamma draw per block, in order of
-first appearance, and each scenario makes its own SIR decision.
-estimate() is a group of one, so the first scenario of a group gets the
-very numbers it gets alone.
+draws (common random numbers): estimates() groups its (scenario, seed)
+runs by their interferer field, equal Scenario.lanes() and p, and runs
+each group once, under the seed of its first run.  A group's blocks draw
+the field once, form each interferer's squared distance once, and sum the
+received power once per distinct path-loss exponent; each distinct signal
+fading (m, mu) takes one gamma draw per block, in order of first
+appearance, and each scenario makes its own SIR decision.  estimate() is
+a run of one, so the first run of a group gets the very numbers it gets
+alone.
 
-With workers > 1, estimate_group() maps the blocks over a pool of forked
-worker processes, one contiguous range of blocks per worker.  The pool
-belongs to a call: sweep._estimates forks one for all its groups and
-estimate_group() one for itself when given none, and each stops it before
-it returns.  A worker that dies leaves its blocks to this process.  The
-estimate is bit-identical for any worker count.
+With workers > 1, estimates() forks one pool of worker processes for all
+its groups, at most one per block and per CPU, and maps each group's
+blocks over it, one contiguous range of blocks per worker.  It stops the
+pool before it returns.  A worker that dies leaves its blocks to this
+process.  The estimate is bit-identical for any worker count.
 
 Only the total interference from both roads decides an outage, so the
 engine carries one interference sum per trial over all lanes, each lane in
@@ -44,9 +44,11 @@ oracle the tests check the block engine against.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import dataclass, replace
 from itertools import repeat
 from statistics import NormalDist
 
@@ -216,13 +218,6 @@ def _slices(counts: np.ndarray):
         lo, base = hi, top
 
 
-def interferer_field(scenario: Scenario) -> tuple:
-    """What a run draws its interferers from: the lanes as seen from D
-    and the Aloha probability.  Runs with equal fields can share their
-    draws (estimate_group)."""
-    return tuple(scenario.lanes()), scenario.p
-
-
 def _block_interference(scenarios: tuple[Scenario, ...], sim: SimConfig,
                         rng: np.random.Generator, count: int
                         ) -> tuple[tuple[np.ndarray, ...], int]:
@@ -319,11 +314,6 @@ def _confidence_interval(count: int, trials: int,
     return min(max(low, 0.0), p), max(min(high, 1.0), p)
 
 
-def _ranges(sim: SimConfig, workers: int) -> int:
-    """Block ranges of estimate(): one per worker, at most one per block."""
-    return min(workers, -(-sim.trials // _BLOCK))
-
-
 def _fork_pool(processes: int):
     """A pool of `processes` workers for _run_block, all forked at its first
     map, so they see the modules as they were then; the caller stops it."""
@@ -333,58 +323,72 @@ def _fork_pool(processes: int):
         processes, mp_context=multiprocessing.get_context("fork"))
 
 
-def estimate(scenario: Scenario, sim: SimConfig, workers: int = 1,
-             pool=None) -> OutageEstimate:
-    """Outage probability averaged over sim.trials realizations: a group
-    of one (estimate_group)."""
-    return estimate_group((scenario,), sim, workers, pool)[0]
+def estimate(scenario: Scenario, sim: SimConfig,
+             workers: int = 1) -> OutageEstimate:
+    """Outage probability averaged over sim.trials realizations, seeded by
+    sim.master_seed: a run of one (estimates).  Raises the run's error."""
+    [result] = estimates([(scenario, sim.master_seed)], sim, workers)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
-def estimate_group(scenarios: Sequence[Scenario], sim: SimConfig,
-                   workers: int = 1, pool=None) -> tuple[OutageEstimate, ...]:
-    """The estimate of each scenario, all from one set of draws: the
-    scenarios must share their interferer_field, and they differ at most
-    in their channel and SIR threshold.  The first one's estimate equals
-    estimate() of it alone; the others see the same interferers, and the
-    same signal fades where their (m, mu) is the same.
+def estimates(runs: Sequence[tuple[Scenario, int]], sim: SimConfig,
+              workers: int = 1) -> list[OutageEstimate | Exception]:
+    """The estimate, or the error, of each (scenario, seed) run.
+
+    Runs whose scenarios share their interferer field (equal lanes() and
+    p; they differ at most in channel and SIR threshold) form a group that
+    runs once, from one set of draws, under the seed of its first run.
+    That run's estimate equals its estimate alone; the others see the same
+    interferers, and the same signal fades where their (m, mu) is the same.
 
     Trials are split into fixed blocks, mapped through _run_block in order.
-    With workers > 1 and more than one block, each worker runs one
-    contiguous range of them, on `pool` (a _fork_pool the caller shuts
-    down) or, with none, on a pool forked for this call only.  A broken
-    pool (a worker died) leaves the blocks to this process.  Counts are
-    integers, so the reduction is exact and the result does not depend on
-    the worker count.  Interferers exactly at D are dropped, with one
-    warning for the group.
+    With workers > 1 and more than one block, one pool of
+    min(workers, blocks, os.cpu_count()) processes serves every group of
+    the call, each process one contiguous range of a group's blocks; a
+    broken pool (a worker died) leaves the blocks to this process.  Counts
+    are integers, so the reduction is exact and the result does not depend
+    on the worker count.  Interferers exactly at D are dropped, with one
+    warning per group.  A group that raises ValueError, ArithmeticError or
+    MemoryError gets the error as the result of each of its runs.
     """
-    scenarios = tuple(scenarios)
-    field = interferer_field(scenarios[0])
-    if any(interferer_field(sc) != field for sc in scenarios[1:]):
-        raise ValueError("the scenarios of a group must have equal lanes "
-                         "and Aloha probability")
+    groups: dict[tuple, list[int]] = {}
+    for i, (scenario, _) in enumerate(runs):
+        groups.setdefault((tuple(scenario.lanes()), scenario.p),
+                          []).append(i)
     starts = range(0, sim.trials, _BLOCK)
-    ranges = _ranges(sim, workers)
-
-    def blocks(mapper, **chunks):
-        return list(mapper(_run_block, repeat(scenarios), repeat(sim), starts,
-                           (min(_BLOCK, sim.trials - start)
-                            for start in starts), **chunks))
-    if ranges < 2:
-        counts = blocks(map)
-    else:
-        from concurrent.futures import BrokenExecutor
-        from contextlib import nullcontext
-        with (nullcontext(pool) if pool else _fork_pool(ranges)) as pool:
+    sizes = [min(_BLOCK, sim.trials - start) for start in starts]
+    ranges = min(workers, len(starts), os.cpu_count() or 1)
+    results: list = [None] * len(runs)
+    with (_fork_pool(ranges) if ranges > 1 else nullcontext()) as pool:
+        for members in groups.values():
+            blocks = (_run_block, repeat(tuple(runs[i][0] for i in members)),
+                      repeat(replace(sim, master_seed=runs[members[0]][1])),
+                      starts, sizes)
             try:
-                counts = blocks(pool.map, chunksize=-(-len(starts) // ranges))
-            except BrokenExecutor:
-                counts = blocks(map)    # blocks are deterministic
-    excluded = sum(ex for _, ex in counts)
-    if excluded:
-        warnings.warn(f"excluded {excluded} interferer(s) located exactly "
-                      "at the destination", RuntimeWarning, stacklevel=2)
-    return tuple(_outage_estimate(sum(column), sim, excluded)
-                 for column in zip(*(outages for outages, _ in counts)))
+                if pool is None:
+                    counts = list(map(*blocks))
+                else:
+                    from concurrent.futures import BrokenExecutor
+                    try:
+                        counts = list(pool.map(
+                            *blocks, chunksize=-(-len(starts) // ranges)))
+                    except BrokenExecutor:
+                        counts = list(map(*blocks))  # blocks are deterministic
+            except (ValueError, ArithmeticError, MemoryError) as exc:
+                for i in members:
+                    results[i] = exc
+                continue
+            excluded = sum(ex for _, ex in counts)
+            if excluded:
+                warnings.warn(f"excluded {excluded} interferer(s) located "
+                              "exactly at the destination", RuntimeWarning,
+                              stacklevel=2)
+            for i, column in zip(members, zip(*(outages
+                                                for outages, _ in counts))):
+                results[i] = _outage_estimate(sum(column), sim, excluded)
+    return results
 
 
 def _outage_estimate(outages: int, sim: SimConfig,

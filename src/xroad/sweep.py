@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -13,7 +12,7 @@ import numpy as np
 from . import analytic, montecarlo
 from .model import (LOS, NLOS, ChannelParams, DestinationGeometry, LinkSpec,
                     RoadLayout, Scenario, throughput, validate_scenario)
-from .montecarlo import SimConfig, estimate_group
+from .montecarlo import SimConfig
 
 AXES = ("density", "distance_d", "lanes", "threshold_db", "aloha_p")
 ENGINES = ("analytic", "montecarlo")
@@ -270,7 +269,7 @@ def sweep_row(scenario: Scenario, engines: tuple[str, ...], sim: SimConfig,
               workers: int, variant: str, axis: str, value: float
               ) -> SweepRow:
     """The row of one validated scenario from the requested engines,
-    Monte-Carlo seeded by sim.master_seed as given: a group of one, so its
+    Monte-Carlo seeded by sim.master_seed as given: a run of one, so its
     Monte-Carlo columns are those of estimate().  An engine error lands in
     the row's error column and the other engine still runs."""
     return _scenario_rows([(variant, axis, value, scenario, sim.master_seed)],
@@ -292,41 +291,16 @@ def _rows(meta: list[tuple], batch, runs: list[tuple] | None,
           sim: SimConfig, workers: int) -> list[SweepRow]:
     """The row of each (variant label, axis, value, SIR threshold): the
     analytic engine on all of them as one batch (None: not requested), and
-    Monte-Carlo on each of runs' (scenario, seed) (None likewise; see
-    _estimates).  An engine error lands in the row's error column."""
+    Monte-Carlo on all of runs' (scenario, seed) as one montecarlo.estimates
+    call (None likewise), which groups the runs that share an interferer
+    field and forks at most one worker pool.  An engine error lands in the
+    row's error column."""
     results = (analytic.success_probabilities(batch) if batch is not None
                else [None] * len(meta))
-    estimates = (_estimates(runs, sim, workers) if runs is not None
+    estimates = (montecarlo.estimates(runs, sim, workers) if runs is not None
                  else [None] * len(meta))
     return [_row(*row, result, est)
             for row, result, est in zip(meta, results, estimates)]
-
-
-def _estimates(runs: list[tuple], sim: SimConfig, workers: int) -> list:
-    """The OutageEstimate, or the error, of each (scenario, seed) run.
-    Runs with equal montecarlo.interferer_field form a group that shares
-    its draws, run once by estimate_group under the seed of its first
-    run; an error fails each run of its group.  The groups share one
-    worker pool for this call only, where estimate_group would fork."""
-    groups: dict[tuple, list[int]] = {}
-    for i, (scenario, _) in enumerate(runs):
-        groups.setdefault(montecarlo.interferer_field(scenario),
-                          []).append(i)
-    estimates: list = [None] * len(runs)
-    ranges = montecarlo._ranges(sim, workers)
-    with (montecarlo._fork_pool(ranges) if ranges > 1
-          else nullcontext()) as pool:
-        for members in groups.values():
-            try:
-                results = estimate_group(
-                    [runs[i][0] for i in members],
-                    replace(sim, master_seed=runs[members[0]][1]), workers,
-                    pool=pool)
-            except (ValueError, ArithmeticError) as exc:
-                results = [exc] * len(members)
-            for i, result in zip(members, results):
-                estimates[i] = result
-    return estimates
 
 
 def _row(variant: str, axis: str, value: float, theta: float, result,
@@ -352,7 +326,7 @@ def run_sweep(spec: SweepSpec, sim: SimConfig,
     arrays, the axis applied as one array operation; each point's Scenario
     and seed (row_seed) are built only for Monte-Carlo, where the points
     that share an interferer field share its draws under the seed of the
-    first of them (_estimates).  Engine failures land in the
+    first of them (montecarlo.estimates).  Engine failures land in the
     row's error column and the sweep carries on; callers decide what a
     failed row means for the exit code.
     """

@@ -12,7 +12,7 @@ import pytest
 
 import xroad
 from analytic_helpers import fail_alpha, success_probability
-from xroad import analytic, cli, sweep
+from xroad import analytic, cli, montecarlo, sweep
 from xroad.config import (ConfigError, load_config, parse_scenario,
                           parse_sim, parse_sweep, sim_section)
 from xroad.model import LOS
@@ -400,13 +400,26 @@ def test_a_lane_mean_beyond_the_poisson_range_fails_its_row(tmp_path,
         "sampler's range (9.22337e+18)\n")
 
 
+def test_a_block_that_cannot_be_allocated_fails_its_row(tmp_path, capsys):
+    # p * lambda * 2 * half_length = 1e15 interferers per trial: numpy
+    # refuses the block's 7 PiB owner array, beyond any address space, and
+    # the row fails with exit 3 rather than a traceback.
+    path = write_config(tmp_path, sim={"trials": 100, "half_length": 1e17})
+    assert cli.main(["point", "--config", str(path), "--engine", "mc"]) == 3
+    captured = capsys.readouterr()
+    assert "monte-carlo" not in captured.out
+    assert captured.err.startswith(
+        "numeric error: montecarlo: Unable to allocate ")
+
+
 def test_point_writes_csv_and_metadata(tmp_path, capsys):
     path = write_config(tmp_path)
     out = tmp_path / "point.csv"
     code = cli.main(["point", "--config", str(path), "--out", str(out),
                      "--trials", "200"])
     assert code == 0
-    rows = list(csv.reader(out.open()))
+    with out.open(newline="") as fh:
+        rows = list(csv.reader(fh))
     assert rows[0][0] == "variant"
     meta = json.loads((tmp_path / "point.csv.meta.json").read_text())
     assert meta["config"]["sim"]["trials"] == 200
@@ -424,7 +437,8 @@ def test_sweep_command_writes_rows(tmp_path, capsys):
     code = cli.main(["sweep", "--config", str(path), "--engine", "analytic",
                      "--out", str(out)])
     assert code == 0
-    rows = list(csv.reader(out.open()))
+    with out.open(newline="") as fh:
+        rows = list(csv.reader(fh))
     assert len(rows) == 3
     assert (tmp_path / "o.csv.meta.json").exists()
 
@@ -451,7 +465,8 @@ def test_preset_runs_with_overrides(tmp_path, capsys):
     code = cli.main(["preset", "fig4", "--out", str(out), "--trials", "120",
                      "--seed", "3", "--engine", "analytic"])
     assert code == 0
-    rows = list(csv.reader(out.open()))
+    with out.open(newline="") as fh:
+        rows = list(csv.reader(fh))
     assert len(rows) == 1 + 6 * 2  # header + lanes 1..6 for LOS and NLOS
 
 
@@ -495,7 +510,7 @@ def test_unwritable_out_is_config_error(tmp_path, capsys, monkeypatch,
         pytest.fail("an engine ran before --out was checked")
 
     monkeypatch.setattr(analytic, "success_probabilities", engine_called)
-    monkeypatch.setattr(sweep, "estimate_group", engine_called)
+    monkeypatch.setattr(montecarlo, "estimates", engine_called)
     path = write_config(tmp_path, sweep={"axis": "density",
                                          "values": [0.005]})
     out = tmp_path / "missing" / "o.csv"
@@ -656,7 +671,7 @@ def test_invalid_sweep_point_exits_2_before_any_engine(tmp_path, capsys,
         pytest.fail("an engine ran before validation finished")
 
     monkeypatch.setattr(analytic, "success_probabilities", engine_called)
-    monkeypatch.setattr(sweep, "estimate_group", engine_called)
+    monkeypatch.setattr(montecarlo, "estimates", engine_called)
     path = write_config(tmp_path, sweep={
         "axis": "aloha_p", "values": [0.2, 0.5, 1.5]})
     out = tmp_path / "o.csv"

@@ -15,7 +15,7 @@ from xroad import cli, montecarlo
 from xroad.analytic import outage_probability
 from xroad.model import (LOS, NLOS, ChannelParams, DestinationGeometry,
                          LinkSpec, RoadLayout, Scenario)
-from xroad.montecarlo import (SimConfig, estimate, estimate_group,
+from xroad.montecarlo import (SimConfig, estimate, estimates,
                               outage_from_interference, sample_interferers,
                               trial_rng)
 from xroad.montecarlo import (_BLOCK, _SLICE, _aggregate, _block_interference,
@@ -214,7 +214,14 @@ def test_estimate_zero_intensity_exact():
     assert sc.throughput(1.0 - est.p_hat) == pytest.approx(math.log2(2.0))
 
 
-def test_estimate_deterministic_and_worker_independent():
+@pytest.fixture
+def cpus(monkeypatch):
+    """Four CPUs as far as the pool size is concerned, whatever the
+    machine has."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+
+
+def test_estimate_deterministic_and_worker_independent(cpus):
     sc = nlos_scenario(lam=0.02)
     # 2500 trials: two full blocks plus a partial one, on 2 workers and on
     # more workers than blocks; 4596 trials: five blocks, split unevenly
@@ -227,7 +234,7 @@ def test_estimate_deterministic_and_worker_independent():
         assert first == second == parallel
 
 
-def test_monte_carlo_sweep_rows_do_not_depend_on_workers():
+def test_monte_carlo_sweep_rows_do_not_depend_on_workers(cpus):
     # Two variants, two values, 3300 trials (four blocks, the last one
     # partial): every row is identical at 1, 2 and 3 workers.
     spec = SweepSpec(base=nlos_scenario(lam=0.02), axis="aloha_p",
@@ -240,7 +247,7 @@ def test_monte_carlo_sweep_rows_do_not_depend_on_workers():
 
 
 @pytest.fixture
-def forks(monkeypatch):
+def forks(monkeypatch, cpus):
     """The process counts _fork_pool is called with, in order."""
     calls = []
     fork_pool = montecarlo._fork_pool
@@ -281,31 +288,61 @@ def test_rows_of_one_call_share_one_pool(forks):
     run_sweep(replace(spec, engines=("analytic",)), sim, workers=2)
     run_sweep(spec, replace(sim, trials=_BLOCK), workers=2)
     assert forks == [2]
-    # estimate runs on a pool it is given and forks none of its own.
-    pool = montecarlo._fork_pool(2)
-    try:
-        assert estimate(base, sim, 2, pool=pool) == estimate(base, sim)
-    finally:
-        pool.shutdown()
-    assert forks == [2, 2]
 
 
-def test_a_dead_worker_is_replaced(forks):
-    # Once the pool notices the death it is broken, and estimate runs the
-    # blocks in this process.  (The surviving worker may also finish every
-    # range before the pool notices; the result is the same.)
+class InProcess:
+    """A stand-in for a worker pool that maps in this process."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
+
+
+def test_the_pool_has_at_most_one_process_per_cpu(monkeypatch):
+    # A million workers on two CPUs ask for a pool of two processes; the
+    # stub runs the blocks here, so none is forked.
+    calls = []
+
+    def recorded(processes):
+        calls.append(processes)
+        return InProcess()
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(montecarlo, "_fork_pool", recorded)
+    sc = nlos_scenario(lam=0.02)
+    sim = SimConfig(trials=5 * _BLOCK, master_seed=3)
+    assert estimate(sc, sim, workers=10 ** 6) == estimate(sc, sim)
+    assert calls == [2]
+    assert multiprocessing.active_children() == []
+
+
+def test_a_dead_worker_is_replaced(forks, monkeypatch):
+    # The pool's first worker is killed before estimate maps a block on
+    # it.  Once the pool notices the death it is broken, and estimate runs
+    # the blocks in this process, as it does for every later group of the
+    # call.  (The surviving worker may also finish every range before the
+    # pool notices; the result is the same.)
+    fork_pool = montecarlo._fork_pool
+
+    def wounded(processes):
+        pool = fork_pool(processes)
+        list(pool.map(abs, range(processes)))     # forks the workers
+        os.kill(multiprocessing.active_children()[0].pid, signal.SIGKILL)
+        return pool
+    monkeypatch.setattr(montecarlo, "_fork_pool", wounded)
     sc = nlos_scenario(lam=0.02)
     sim = SimConfig(trials=4 * _BLOCK, master_seed=6)
-    pool = montecarlo._fork_pool(2)
-    try:
-        before = estimate(sc, sim, 2, pool=pool)
-        os.kill(multiprocessing.active_children()[0].pid, signal.SIGKILL)
-        assert estimate(sc, sim, 2, pool=pool) == before
-        assert estimate(sc, sim, 2, pool=pool) == before
-    finally:
-        pool.shutdown()
+    assert estimate(sc, sim, 2) == estimate(sc, sim)
     assert multiprocessing.active_children() == []
-    assert forks == [2]
+    spec = SweepSpec(base=sc, axis="aloha_p", values=(0.2, 0.5),
+                     engines=("montecarlo",))
+    assert run_sweep(spec, sim, workers=2) == run_sweep(spec, sim)
+    assert multiprocessing.active_children() == []
+    assert forks == [2, 2]
 
 
 @pytest.mark.parametrize("alpha,d", [(4.0, 1e200), (4.0, 1e100),
@@ -610,7 +647,7 @@ def test_estimate_matches_analytic_at_the_fading_cap(alpha):
         (est.p_hat - ana) / est.stderr)
 
 
-# Runs that share an interferer field share its draws (estimate_group).
+# Runs that share an interferer field share its draws (estimates).
 
 def off_road(channel, thresh=1.0) -> Scenario:
     return Scenario(channel=channel, geometry=DestinationGeometry(50.0, 0.5),
@@ -635,9 +672,9 @@ def test_the_first_row_of_a_group_is_its_own_estimate():
         if vi == 0:
             assert (row.mc_stderr, row.ci_low, row.ci_high, row.trials) == (
                 alone.stderr, alone.ci_low, alone.ci_high, alone.trials)
-    los, nlos = off_road(LOS), off_road(NLOS)
-    assert estimate_group((los, nlos), sim)[0] == estimate(los, sim)
-    assert estimate_group((nlos, los), sim)[0] == estimate(nlos, sim)
+    for first, second in ((LOS, NLOS), (NLOS, LOS)):
+        group = estimates([(off_road(first), 11), (off_road(second), 11)], sim)
+        assert group[0] == estimate(off_road(first), sim)
 
 
 def test_a_group_draws_one_signal_fade_per_fading():
@@ -645,17 +682,9 @@ def test_a_group_draws_one_signal_fade_per_fading():
     # LOS fading sees the fades the first one sees.
     sim = SimConfig(trials=3000, master_seed=12)
     los, nlos, harder = off_road(LOS), off_road(NLOS), off_road(LOS, 2.0)
-    with_nlos = estimate_group((los, nlos, harder), sim)
-    assert with_nlos[2] == estimate_group((los, harder), sim)[1]
+    with_nlos = estimates([(sc, 12) for sc in (los, nlos, harder)], sim)
+    assert with_nlos[2] == estimates([(los, 12), (harder, 12)], sim)[1]
     assert with_nlos[0].p_hat < with_nlos[2].p_hat
-
-
-def test_a_group_needs_one_interferer_field():
-    for other in (replace(off_road(LOS), p=0.4),
-                  replace(off_road(LOS),
-                          geometry=DestinationGeometry(60.0, 0.5))):
-        with pytest.raises(ValueError, match="lanes and Aloha"):
-            estimate_group((off_road(NLOS), other), SimConfig(trials=10))
 
 
 def test_threshold_rows_share_their_draws():
@@ -677,7 +706,7 @@ def test_the_second_member_of_a_group_matches_the_analytic_engine():
     # fades, and still agrees within 4 standard errors.
     los, nlos = off_road(LOS), off_road(NLOS)
     sim = SimConfig(trials=2 ** 17, half_length=4000.0, master_seed=7)
-    _, est = estimate_group((los, nlos), sim)
+    _, est = estimates([(los, 7), (nlos, 7)], sim)
     ana = outage_probability(nlos).outage_prob
     assert abs(est.p_hat - ana) <= 4.0 * est.stderr, (
         (est.p_hat - ana) / est.stderr)

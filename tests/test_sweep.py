@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from analytic_helpers import fail_alpha, success_probability
-from xroad import analytic, sweep
+from xroad import analytic, montecarlo, sweep
 from xroad.model import (LOS, NLOS, ChannelParams, DestinationGeometry,
                          LinkSpec, RoadLayout, Scenario, ValidationError,
                          validate_scenario)
@@ -286,7 +286,7 @@ def forbid_engines(monkeypatch):
         pytest.fail("an engine ran before validation finished")
 
     monkeypatch.setattr(analytic, "success_probabilities", engine_called)
-    monkeypatch.setattr(sweep, "estimate_group", engine_called)
+    monkeypatch.setattr(montecarlo, "estimates", engine_called)
 
 
 def test_compare_engines_rejects_invalid_scenario_before_any_engine(
