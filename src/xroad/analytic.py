@@ -53,21 +53,22 @@ and the rule 464, in 69 _tanh_sinh passes.
 
 The benchmark's stored reference holds values of an engine that cut each
 integral at a window edge T = 1e4 * 2^n; _truncated subtracts that tail
-from the series' and the rule's whole-line J_k.
+from the series' and the rule's whole-line J_k, once per lane: like J_k,
+the cut does not depend on the lane's rate.
 
 A batch of points (Points) arrives as arrays: s, alpha and m per point,
 h and the summed rate p*lam per (point, lane distance) pair, from a
 sweep's axis (sweep._lane_pairs) or from Scenario.lanes()
 (scenario_points); an s that overflowed to inf reads as certain outage.
 success_probabilities is the one way from a batch to results, and
-outage_probability evaluates a batch of one.  The pairs are taken in
-chunks of at most _BATCH_CELLS pairs times orders; each distinct (s, h,
-alpha, order) lane, found by one array sort, is evaluated with the first
-chunk that uses it, the jets, the series and the rule in one array call
-per (alpha, order).  Every operation acts on each lane, pair or point
-alone, each lane stops at its own level, and each point sums its pairs in
-their order across chunks, so a point's result is bit for bit the one it
-gets alone.
+outage_probability evaluates a batch of one.  Each distinct (s, h, alpha,
+order) lane, found by one array sort, is evaluated once, the jets, the
+series and the rule in one array call per (alpha, order), and each pair
+subtracts rate times its lane's coefficients; both in chunks of at most
+_BATCH_CELLS lanes or pairs times orders.  Every operation acts on each
+lane, pair or point alone, each lane stops at its own level, and each
+point sums its pairs in their order across chunks, so a point's result is
+bit for bit the one it gets alone.
 """
 
 from __future__ import annotations
@@ -103,9 +104,9 @@ _PASS_ROWS = 64
 _SERIES_TERMS = 40
 _SERIES_TAIL = 1e-17
 _SERIES_LOSS = 3.0
-#: Most (point, lane) pairs times orders that _exponent_table takes in
-#: one chunk, 128 KB per array; every sweep of the benchmark needs under
-#: 3000.
+#: Most lanes, or (point, lane) pairs, times orders that _exponent_table
+#: takes in one chunk, 128 KB per array; every sweep of the benchmark
+#: needs under 3000.
 _BATCH_CELLS = 2 ** 14
 
 #: scipy.integrate.quad, once quad() has loaded it.
@@ -310,29 +311,26 @@ def _tanh_sinh(s: np.ndarray, h: np.ndarray, alpha: float, orders: range,
     return value * scale, err * scale, (err / value).max(axis=1)
 
 
-def _truncated(j, s, h, alpha: float, orders: range,
-               err_cap=math.inf) -> np.ndarray:
-    """The whole-line J_k of each lane (a row of j; s, h and err_cap give
-    one value per row, or one for all) and each k in `orders` (a column)
-    cut to [-T, T], at the first window edge T = T_n where the tail bound
+def _truncated(j, s, h, alpha: float, orders: range) -> np.ndarray:
+    """The whole-line J_k of each lane (a row of j; s and h give one value
+    per row, or one for all) and each k in `orders` (a column) cut to
+    [-T, T], at the first window edge T = T_n where the tail bound
     T * (rho/T)**q / (q - 1), with rho = s**(1/alpha) and q =
-    alpha * max(k, 1), is within half the budget _REL_TOL * min(J_k/2,
-    err_cap); J_k where no edge is.  The engine passes err_cap = 1/rate, to
-    keep a dense lane accurate too.  Beyond T the integrand is
-    sum_i (-1)^i C(k+i, i) w^(max(k,1)+i), w = s/a; up to four terms, while
-    they shrink, are integrated to second order in h/T.  One array pass
-    over all rows and columns."""
+    alpha * max(k, 1), is within the budget 0.25 * _REL_TOL * J_k; J_k
+    where no edge is.  Beyond T the integrand is sum_i (-1)^i C(k+i, i)
+    w^(max(k,1)+i), w = s/a; up to four terms, while they shrink, are
+    integrated to second order in h/T.  One array pass over all rows and
+    columns."""
     value = np.array(j, dtype=float)
     column = (-1, 1)
     log_rho = np.log(np.reshape(s, column)) / alpha
     k = np.array(orders, dtype=float)
-    q = alpha * np.maximum(k, 1.0)
-    budget = 0.5 * _REL_TOL * np.minimum(0.5 * value,
-                                         np.reshape(err_cap, column))
+    budget = 0.25 * _REL_TOL * value
     # Only edges beyond rho count; before them the bound exceeds J_k.  The
     # log of the bound at T_n is log_b0 - n (q - 1) ln 2.
     first = np.maximum(0.0, np.floor((log_rho - _LOG_T0) / _LOG2) + 1.0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        q = alpha * np.maximum(k, 1.0)
         log_b0 = q * log_rho + (1.0 - q) * _LOG_T0 - np.log(q - 1.0)
         n = np.maximum(first, np.ceil((log_b0 - np.log(budget))
                                       / ((q - 1.0) * _LOG2)))
@@ -397,7 +395,8 @@ def _far_lanes(s, h, alpha: float, order: int) -> np.ndarray:
     values = np.full((len(h), order + 1), math.nan)
     far = np.flatnonzero(h > 2.0 * s ** (1.0 / alpha))
     ln_h = np.log(h[far])
-    ln_w = np.log(s[far]) - alpha * ln_h                # the largest w
+    with np.errstate(over="ignore"):                    # huge alpha: w is 0
+        ln_w = np.log(s[far]) - alpha * ln_h            # the largest w
     # log10((1 + w)/(1 - w)) = 2 atanh(w) / ln 10
     keep = ln_w < math.log(math.tanh(
         _SERIES_LOSS * math.log(10.0) / (2.0 * (order + 1))))
@@ -411,24 +410,26 @@ def _far_lanes(s, h, alpha: float, order: int) -> np.ndarray:
         ln_t += ln_c
         ln_t += ln_h[i:i + per]
         peak = ln_t.max(axis=2)
+        empty = peak == -math.inf               # every term underflows: 0
+        peak[empty] = 0.0
         ln_t -= peak[..., None]
         terms = np.exp(ln_t, out=ln_t)
         terms[..., 1::2] *= -1.0
         total = terms.sum(axis=2)
-        served = (np.abs(terms[..., -1]) < _SERIES_TAIL * total).all(axis=1)
+        served = ((np.abs(terms[..., -1]) < _SERIES_TAIL * total)
+                  | empty).all(axis=1)
         with np.errstate(over="ignore"):
             values[far[i:i + per][served]] = (total * np.exp(peak))[served]
     return values
 
 
-def _exponent_integral(k: int, s: float, h: float, alpha: float,
-                       err_cap: float = math.inf) -> float:
+def _exponent_integral(k: int, s: float, h: float, alpha: float) -> float:
     """J_k alone, from _exponent_integrals, as the engine cuts it."""
     orders = range(k, k + 1)
     j, _, achieved = _exponent_integrals([s], [h], alpha, orders)
     if not achieved[0] <= _REL_TOL:                     # also when nan
         raise _unconverged(achieved)
-    return float(_truncated(j, s, h, alpha, orders, err_cap)[0, 0])
+    return float(_truncated(j, s, h, alpha, orders)[0, 0])
 
 
 def _unconverged(achieved: np.ndarray) -> QuadratureError:
@@ -608,12 +609,12 @@ def _exponent_table(batch: Points
     error (None if it has none).
 
     The lanes are independent point processes, so g = -sum_h rate_h *
-    J(s; h).  The pairs are taken in chunks of at most _BATCH_CELLS pairs
-    times orders, and each distinct (s, h, alpha, order) is evaluated once
-    (_evaluate_lanes), with the chunk that first uses it.  J does not
-    depend on the rate; _subtract_lanes cuts and sums a chunk's pairs.  A
-    lane that misses the tolerance fails the points that use it, each with
-    the largest relative error of its own rule lanes.
+    J(s; h), and J does not depend on the rate: each distinct (s, h,
+    alpha, order) is evaluated once (_evaluate_lanes), and each pair
+    subtracts rate * its lane's coefficients.  Both run in chunks of at
+    most _BATCH_CELLS lanes or pairs times orders.  A lane that misses the
+    tolerance fails the points that use it, each with the largest relative
+    error of its own lanes.
     """
     size = 1 + int(batch.order.max(initial=0))
     g = np.zeros((len(batch.s), size))
@@ -641,11 +642,12 @@ def _exponent_table(batch: Points
         order = order[live]
     if not len(point):
         return g, errors
-    # The distinct lanes, by an array sort (not np.unique, see
-    # _subtract_lanes), the lanes of each (alpha, order) together.
+    # The distinct lanes, by an array sort (not np.unique: its first call
+    # adds about 1.7 MB to the resident set), the lanes of each (alpha,
+    # order) together.
     by = np.lexsort((h, s, order, alpha))
     lanes = [c[by] for c in (s, h, alpha, order)]
-    del order
+    del s, alpha, order
     start = np.zeros(len(by), dtype=bool)
     start[0] = True
     for c in lanes:
@@ -655,24 +657,18 @@ def _exponent_table(batch: Points
     del by
     for i, c in enumerate(lanes):
         lanes[i] = c[start]
-    table = np.zeros((len(lanes[0]), size))
-    achieved = np.zeros(len(table))
-    whole, done = np.zeros((2, len(table)), dtype=bool)
     per = max(1, _BATCH_CELLS // size)
-    for lo in range(0, len(point), per):
-        chunk = slice(lo, lo + per)
-        new = np.zeros(len(table), dtype=bool)
-        new[key[chunk]] = True
-        new &= ~done
-        if new.any():
-            done |= new
-            table[new], achieved[new], whole[new] = _evaluate_lanes(
-                *(c[new] for c in lanes), size)
-        _subtract_lanes(g, *(c[chunk] for c in (point, s, h, alpha, rate,
-                                                 key)), table, whole, size)
+    table, achieved = (np.concatenate(part) for part in zip(*(
+        _evaluate_lanes(*(c[lo:lo + per] for c in lanes), size)
+        for lo in range(0, len(lanes[0]), per))))
+    # Each point subtracts its lanes in their order, whatever the batch.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, len(point), per):
+            np.subtract.at(g, point[lo:lo + per], rate[lo:lo + per, None]
+                           * table[key[lo:lo + per]])
     bad = ~(achieved[key] <= _REL_TOL)                  # also when nan
     for i in set(point[bad].tolist()):
-        errors[i] = _unconverged(achieved[key[(point == i) & whole[key]]])
+        errors[i] = _unconverged(achieved[key[point == i]])
         g[i] = 0.0
     # rate * J beyond the float range: exp(g~_0) is 0, as past 800 above,
     # and g~_k for k >= 1 may be inf, which exp(g~_0) cannot null.
@@ -680,52 +676,36 @@ def _exponent_table(batch: Points
     return g, errors
 
 
-def _subtract_lanes(g: np.ndarray, point, s, h, alpha, rate, key,
-                    table: np.ndarray, whole: np.ndarray, size: int) -> None:
-    """Subtract rate * J_k of each (point, lane) pair from its point's row
-    of g, J_k its lane's row of the table; the whole-line J_k (whole) are
-    cut by _truncated with err_cap = 1/rate, those of one alpha in one
-    pass."""
-    coeffs = table[key]
-    whole = whole[key]
-    # Not np.unique: its first call adds about 1.7 MB to the resident set.
-    for a in dict.fromkeys(alpha[whole].tolist()):
-        at = np.flatnonzero(whole & (alpha == a))
-        coeffs[at] = _truncated(coeffs[at], s[at], h[at], a, range(size),
-                                1.0 / rate[at])
-        coeffs[at, 1:] *= -1.0
-    # Each point subtracts its lanes in their order, whatever the batch.
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.subtract.at(g, point, rate[:, None] * coeffs)
-
-
 def _evaluate_lanes(s: np.ndarray, h: np.ndarray, alpha: np.ndarray,
                     order: np.ndarray, size: int
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(J_0..J_order padded with zeros to `size`, achieved relative error,
-    whether a whole-line J_k for _truncated) of each lane (s, h, alpha,
-    order), those of one (alpha, order) together.  They take, each in one
-    array call, the closed-form jet where one exists (_lane_jets), else
-    the far-lane series where it serves (_far_lanes), else the rule
-    (_exponent_integrals); only the rule has an error."""
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """(coefficients c_0..c_order of J(s*(1 - tau)) padded with zeros to
+    `size`, achieved relative error) of each lane (s, h, alpha, order),
+    those of one (alpha, order) together.  They take, each in one array
+    call, the closed-form jet where one exists (_lane_jets), else the
+    far-lane series where it serves (_far_lanes), else the rule
+    (_exponent_integrals); only the rule has an error.  The series' and
+    the rule's whole-line J_k are cut by _truncated, and c_0 = J_0, c_k =
+    -J_k for k >= 1, as in the jets."""
     table = np.zeros((len(h), size))
     achieved = np.zeros(len(h))
-    whole = np.zeros(len(h), dtype=bool)
     edges = np.flatnonzero((alpha[1:] != alpha[:-1])
                            | (order[1:] != order[:-1])) + 1
     for lo, hi in zip([0, *edges.tolist()], [*edges.tolist(), len(h)]):
-        a, o, rows = float(alpha[lo]), int(order[lo]), np.arange(lo, hi)
-        values = _lane_jets(s[lo:hi], h[lo:hi], a, o)
+        a, o, sg, hg = float(alpha[lo]), int(order[lo]), s[lo:hi], h[lo:hi]
+        values = _lane_jets(sg, hg, a, o)
         rest = np.flatnonzero(np.isnan(values[:, 0]))
         if len(rest):
-            whole[rows[rest]] = True
-            values[rest] = _far_lanes(s[rows[rest]], h[rows[rest]], a, o)
+            values[rest] = _far_lanes(sg[rest], hg[rest], a, o)
             rule = rest[np.isnan(values[rest, 0])]
             if len(rule):
-                values[rule], _, achieved[rows[rule]] = _exponent_integrals(
-                    s[rows[rule]], h[rows[rule]], a, range(o + 1))
-        table[rows, :o + 1] = values
-    return table, achieved, whole
+                values[rule], _, achieved[lo + rule] = _exponent_integrals(
+                    sg[rule], hg[rule], a, range(o + 1))
+            values[rest] = _truncated(values[rest], sg[rest], hg[rest], a,
+                                      range(o + 1))
+            values[rest, 1:] *= -1.0
+        table[lo:hi, :o + 1] = values
+    return table, achieved
 
 
 def _clamp_probability(value: float) -> float | ConsistencyError:

@@ -15,8 +15,9 @@ import pytest
 from analytic_helpers import (_exponent_coefficients, laplace, success,
                               x_lane_scenario)
 from xroad import cli
-from xroad.analytic import (_exponent_integral, laplace_closed_alpha2,
-                            laplace_closed_alpha4, outage_probability)
+from xroad.analytic import (_REL_TOL, _exponent_integrals,
+                            laplace_closed_alpha2, laplace_closed_alpha4,
+                            outage_probability)
 from xroad.config import parse_scenario, parse_sim, parse_sweep
 from xroad.model import (LOS, NLOS, DestinationGeometry, LinkSpec,
                          RoadLayout, Scenario)
@@ -55,9 +56,11 @@ def test_closed_form_correctness():
             p = rng.uniform(0.05, 1.0)
             lam = 10.0 ** rng.uniform(-3, -1)
             sc = x_lane_scenario(alpha, h, p, lam)
-            rate = p * lam
-            reference = math.exp(-rate * _exponent_integral(
-                0, s, h, alpha, err_cap=1.0 / rate))
+            # The whole-line rule, as the jets are whole-line.
+            [[j]], _, achieved = _exponent_integrals([s], [h], alpha,
+                                                     range(1))
+            assert achieved[0] <= _REL_TOL
+            reference = math.exp(-p * lam * j)
             value = closed(s, sc.lanes()[0], sc)
             assert value == laplace(sc, s)
             assert abs(value - reference) <= 1e-8 * reference, \

@@ -1,6 +1,7 @@
 import decimal
 import math
 import random
+import sys
 import warnings
 from dataclasses import replace
 
@@ -92,9 +93,10 @@ def test_closed_form_matches_quadrature_on_random_draws(alpha, closed):
         p = rng.uniform(0.05, 1.0)
         lam = 10.0 ** rng.uniform(-3, -1)
         sc = x_lane_scenario(alpha, h, p, lam)
-        rate = p * lam
-        reference = math.exp(-rate * _exponent_integral(
-            0, s, h, alpha, err_cap=1.0 / rate))
+        # The whole-line rule, as the jets are whole-line.
+        [[j]], _, achieved = _exponent_integrals([s], [h], alpha, range(1))
+        assert achieved[0] <= analytic._REL_TOL
+        reference = math.exp(-p * lam * j)
         value = laplace(sc, s)
         assert closed(s, sc.lanes()[0], sc) == value
         assert value == pytest.approx(reference, rel=1e-8)
@@ -438,14 +440,16 @@ def test_a_lane_past_the_series_bounds_is_quadratured(monkeypatch):
         ruled.extend(h.tolist())
         return real(s, h, alpha, orders)
     monkeypatch.setattr(analytic, "_exponent_integrals", rule)
-    table, achieved, whole = analytic._evaluate_lanes(
+    table, achieved = analytic._evaluate_lanes(
         np.array([1.0, 1.0]), np.array([inside, outside]),
         np.array([alpha, alpha]), np.array([99, 99]), 100)
     assert ruled == [outside]
-    assert table[0].tolist() == series[0].tolist()
-    assert whole.tolist() == [True, True]
+    # The lane's coefficients: its series cut, the orders k >= 1 negated.
+    cut = analytic._truncated(series[:1], [1.0], [inside], alpha, range(100))
+    cut[:, 1:] *= -1.0
+    assert table[0].tolist() == cut[0].tolist()
     assert achieved[0] == 0.0 and achieved[1] <= analytic._REL_TOL
-    # Either way J_k barely moves between the two lanes.
+    # Either way c_k barely moves between the two lanes.
     assert table[1, :9] == pytest.approx(table[0, :9], rel=1e-5)
     # Just beyond 2 rho at alpha = 1.05, w = 0.48 loses only 0.46 digits
     # at order 0, but its 40th term is still 1e-13 of the sum: the rule.
@@ -483,15 +487,20 @@ def test_far_lanes_of_a_steep_exponent_evaluate():
     assert 0.0 <= outage <= 1.0
 
 
-@pytest.mark.parametrize("m", [1, 3, 100])
-def test_far_lanes_at_a_huge_exponent_reach_the_step_limit(m):
-    # alpha = 1e306, D 5 m from the crossing on the X road: the Y lane lies
-    # beyond 2 rho, and its series' Beta logs would overflow lgamma; at
-    # m = 100 w^p underflows in logs, and so does _truncated's tail bound.
-    # As alpha grows, a lane at h > 1 adds nothing and the one through D
+@pytest.mark.parametrize("alpha,m", [
+    pytest.param(alpha, m, id=str(m) if alpha == 1e306 else f"{alpha:g}-{m}")
+    for alpha in (1e306, 1e307, 1e308, 1.7e308, 1.79e308, sys.float_info.max)
+    for m in (1, 3, 100)])
+def test_far_lanes_at_a_huge_exponent_reach_the_step_limit(alpha, m):
+    # D 5 m from the crossing on the X road: the Y lane lies beyond 2 rho,
+    # and its series' Beta logs would overflow lgamma.  w^p, p >= max(k, 1),
+    # underflows in logs, and every term of an order is 0 at m = 100 from
+    # alpha = 1e307 and at m = 3 from 1e308; from alpha = 1.7e308 alpha *
+    # ln h overflows too, and q = alpha * k in _truncated's tail bound.  As
+    # alpha grows, a lane at h > 1 adds nothing and the one through D
     # (h = 0) gives J = 2 s^(1/alpha) -> 2 with s near 1, so the outage
     # nears 1 - exp(-2 p lam) = 1 - exp(-0.01).
-    sc = Scenario(channel=ChannelParams(alpha=1e306, m=m),
+    sc = Scenario(channel=ChannelParams(alpha=alpha, m=m),
                   geometry=DestinationGeometry(5.0, 0.0),
                   link=LinkSpec(r=1.0),
                   layout=RoadLayout.intersection(0.01, 0.01), p=0.5,

@@ -358,8 +358,8 @@ def test_compare_rows_labels_and_verdicts():
 #: alpha = 3.3 with D off both roads: every lane is quadratured.
 GENERAL = base_scenario(channel=ChannelParams(alpha=3.3, m=4),
                         geometry=DestinationGeometry(50.0, 0.5))
-#: At density 0.1 and above, 1/rate caps the cut of the lane nearest D, so
-#: rows that share its integrals cut them at different edges.
+#: Along the density axis, rate * J_0 of the lane nearest D runs from 0.02
+#: to 71, and every row shares the lanes' integrals.
 GENERAL_AXES = {"density": (0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0),
                 "distance_d": (0.0, 25.0, 50.0, 100.0),
                 "lanes": (1.0, 2.0, 3.0),
@@ -369,8 +369,8 @@ GENERAL_AXES = {"density": (0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0),
 
 @pytest.mark.parametrize("axis", sorted(GENERAL_AXES))
 def test_sweep_rows_equal_their_points_outside_a_sweep(axis):
-    # The dense variant comes first, so sparse points cut the integrals it
-    # quadratured with their own rates.
+    # The dense variant comes first, and the sparse points take the cut
+    # integrals it quadratured.
     spec = SweepSpec(GENERAL, axis, GENERAL_AXES[axis],
                      engines=("analytic",),
                      variants=(Variant("dense", layout=RoadLayout.intersection(
@@ -399,6 +399,41 @@ def test_sweep_rows_equal_their_points_outside_a_sweep(axis):
     row = next(r for r in rows if r.variant == "a1.05")
     assert row.outage_analytic == pytest.approx(
         1.0 - success_probability(first), rel=1e-8)
+
+
+def test_a_density_sweep_cuts_each_lane_once(monkeypatch):
+    # J_k does not depend on the rate: every point of a density sweep has
+    # the same two rule lanes, and each is cut once, not once per point.
+    cut = []
+    real = analytic._truncated
+
+    def counted(j, s, h, alpha, orders):
+        cut.extend(np.asarray(h).tolist())
+        return real(j, s, h, alpha, orders)
+    monkeypatch.setattr(analytic, "_truncated", counted)
+    spec = SweepSpec(GENERAL, "density", GENERAL_AXES["density"],
+                     engines=("analytic",))
+    rows = run_sweep(spec, SimConfig(trials=1))
+    assert all(row.error == "" for row in rows)
+    assert sorted(cut) == sorted({lane.h for lane in GENERAL.lanes()})
+    assert len(cut) == 2
+
+
+def test_a_dense_row_barely_feels_the_cut(monkeypatch):
+    # Each J_k is cut within 0.25e-9 of itself, with no cap from the rate.
+    # At density 0.3 both lanes have rate * J_0 > 2, and the row stays
+    # within 1e-10 relative of the one with no cut at all.
+    sc = replace(GENERAL, layout=RoadLayout.intersection(0.3, 0.3))
+    s, alpha = sc.laplace_argument, sc.channel.alpha
+    assert all(sc.p * lane.intensity
+               * analytic._exponent_integral(0, s, lane.h, alpha) > 2.0
+               for lane in sc.lanes())
+    cut = analytic.outage_probability(sc).outage_prob
+    monkeypatch.setattr(analytic, "_truncated",
+                        lambda j, *args: np.array(j, dtype=float))
+    whole = analytic.outage_probability(sc).outage_prob
+    assert cut != whole
+    assert cut == pytest.approx(whole, rel=1e-10)
 
 
 def test_a_sweep_of_series_and_rule_lanes_matches_its_points(monkeypatch):
@@ -610,8 +645,8 @@ def test_a_long_sweep_keeps_the_memory_of_one_chunk(monkeypatch):
         _, variant, _, value, scenario = points[i]
         assert rows[i] == sweep_row(scenario, spec.engines, sim, 1,
                                     variant.label, "density", value)
-    # Every point has the same 20 lanes: the first chunk evaluates them,
-    # and the other 24 chunks reuse them.
+    # Every point has the same 20 lanes, evaluated once for the pairs of
+    # all 25 chunks.
     evaluated = []
     real = analytic._evaluate_lanes
 
